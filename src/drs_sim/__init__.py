@@ -2,9 +2,10 @@
 
 The drone hovers above a two-lane road and reflects the transmitter's
 signal toward the receiver.  Each step it moves toward the
-throughput-optimal hover point (midpoint of the pair, altitude from a
-bounded scalar minimization) and rotates the surface so that interference
-reflected from a nearby node lands on a zero of the array factor.
+throughput-optimal hover point (midpoint of the pair, altitude sqrt(3) times
+the half-separation, clamped into the flight box) and rotates the surface so
+that interference reflected from a nearby node lands on a zero of the array
+factor.
 """
 
 from .channel import (

@@ -126,7 +126,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = _load_with_overrides(args)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    log.info("running %d steps with seed %d", config.sim.steps, config.scenario.seed)
+    log.info("running %d steps with seed %d", config.sim.steps, config.sim.scenario.seed)
     summary = run_simulation(config.sim)
     write_steps_csv(out_dir / "steps.csv", summary)
     write_summary_json(out_dir / "summary.json", summary_as_dict(config, summary))

@@ -30,18 +30,6 @@ class RunConfig:
     sim: SimConfig = field(default_factory=SimConfig)
     output_dir: str = "."
 
-    @property
-    def scenario(self) -> ScenarioConfig:
-        return self.sim.scenario
-
-    @property
-    def radio(self) -> RadioConfig:
-        return self.sim.radio
-
-    @property
-    def ris(self) -> RisConfig:
-        return self.sim.ris
-
 
 def default_config() -> RunConfig:
     return RunConfig()
@@ -65,7 +53,8 @@ def _parse_choice(options: tuple[str, ...]):
     return convert
 
 
-# key -> (converter, path into the nested config dict)
+# key -> (converter, (group, field)): field is an attribute of the config
+# object that config_as_dict maps the group to.
 _KEYS: dict[str, tuple[Any, tuple[str, ...]]] = {
     "scenario.arrival_rate": (float, ("scenario", "arrival_rate")),
     "scenario.v2v_rate": (float, ("scenario", "v2v_rate")),
@@ -100,7 +89,7 @@ _KEYS: dict[str, tuple[Any, tuple[str, ...]]] = {
     "run.steps": (int, ("run", "steps")),
     "run.orientation_control": (_parse_bool, ("run", "orientation_control")),
     "run.sinr_form": (_parse_choice(SINR_FORMS), ("run", "sinr_form")),
-    "run.output_dir": (str, ("run", "output_dir")),
+    "run.output_dir": (str, ("output", "output_dir")),
 }
 
 
@@ -148,12 +137,10 @@ def build_config(values: dict[str, dict[str, Any]]) -> RunConfig:
         )
         radio = RadioConfig(**values.get("radio", {}))
         ris = RisConfig(**values.get("ris", {}))
-        run_values = dict(values.get("run", {}))
-        output_dir = run_values.pop("output_dir", ".")
-        sim = SimConfig(scenario=scenario, radio=radio, ris=ris, **run_values)
+        sim = SimConfig(scenario=scenario, radio=radio, ris=ris, **values.get("run", {}))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return RunConfig(sim=sim, output_dir=output_dir)
+    return RunConfig(sim=sim, **values.get("output", {}))
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -189,41 +176,15 @@ def apply_overrides(
 def config_as_dict(config: RunConfig) -> dict[str, Any]:
     """Flat echo of every config key, suitable for the run summary."""
     sim = config.sim
-    scenario, bounds, limits = sim.scenario, sim.scenario.bounds, sim.scenario.limits
-    ris, radio = sim.ris, sim.radio
-    return {
-        "scenario.arrival_rate": scenario.arrival_rate,
-        "scenario.v2v_rate": scenario.v2v_rate,
-        "scenario.seed": scenario.seed,
-        "scenario.interferer": scenario.interferer_kind,
-        "scenario.rsu_x": scenario.rsu_position.x,
-        "scenario.rsu_y": scenario.rsu_position.y,
-        "scenario.rsu_z": scenario.rsu_position.z,
-        "bounds.x_min": bounds.x_min,
-        "bounds.x_max": bounds.x_max,
-        "bounds.y_min": bounds.y_min,
-        "bounds.y_max": bounds.y_max,
-        "bounds.z_min": bounds.z_min,
-        "bounds.z_max": bounds.z_max,
-        "limits.v_drone": limits.v_drone,
-        "limits.rot_rate": limits.rot_rate,
-        "limits.time_step": limits.time_step,
-        "limits.v_vehicle": limits.v_vehicle,
-        "ris.m_rows": ris.m_rows,
-        "ris.n_cols": ris.n_cols,
-        "ris.dx": ris.dx,
-        "ris.dy": ris.dy,
-        "ris.wavelength": ris.wavelength,
-        "ris.gain_tx": ris.gain_tx,
-        "ris.gain_rx": ris.gain_rx,
-        "ris.gain_ris": ris.gain_ris,
-        "ris.amplitude": ris.amplitude,
-        "radio.tx_power": radio.tx_power,
-        "radio.noise_power": radio.noise_power,
-        "radio.efficiency": radio.efficiency,
-        "radio.eff_bandwidth": radio.eff_bandwidth,
-        "run.steps": sim.steps,
-        "run.orientation_control": sim.orientation_control,
-        "run.sinr_form": sim.sinr_form,
-        "run.output_dir": config.output_dir,
+    scenario = sim.scenario
+    groups = {
+        "scenario": scenario,
+        "rsu": scenario.rsu_position,
+        "bounds": scenario.bounds,
+        "limits": scenario.limits,
+        "ris": sim.ris,
+        "radio": sim.radio,
+        "run": sim,
+        "output": config,
     }
+    return {key: getattr(groups[group], name) for key, (_, (group, name)) in _KEYS.items()}

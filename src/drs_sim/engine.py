@@ -34,7 +34,7 @@ from .geometry import Pose, Vec3, angles_to, rotation_between, step_displacement
 from .nullsteer import NullSteerInput, select_rotation
 from .planner import optimal_location, step_towards
 from .rng import SplitMix64
-from .traffic import ScenarioConfig, TrafficModel, V2VPair, Vehicle
+from .traffic import ScenarioConfig, TrafficModel
 
 # Mode recorded when no rotation was attempted (control off or no interferer).
 MODE_OFF = "off"
@@ -55,15 +55,6 @@ class WorldState:
     step_index: int
     drs: Pose
     traffic: TrafficModel
-    rng: SplitMix64
-
-    @property
-    def vehicles(self) -> list[Vehicle]:
-        return self.traffic.vehicles
-
-    @property
-    def pair(self) -> V2VPair | None:
-        return self.traffic.active_pair
 
 
 @dataclass(frozen=True)
@@ -111,7 +102,6 @@ def initial_state(config: SimConfig, seed: int | None = None) -> WorldState:
     scenario = config.scenario
     if seed is not None:
         scenario = replace(scenario, seed=seed)
-    rng = SplitMix64(scenario.seed)
     bounds = scenario.bounds
     start = Vec3(
         0.5 * (bounds.x_min + bounds.x_max),
@@ -122,8 +112,7 @@ def initial_state(config: SimConfig, seed: int | None = None) -> WorldState:
         clock=0.0,
         step_index=0,
         drs=Pose(start, 0.0),
-        traffic=TrafficModel(scenario, rng),
-        rng=rng,
+        traffic=TrafficModel(scenario, SplitMix64(scenario.seed)),
     )
 
 
@@ -161,30 +150,30 @@ def run_step(state: WorldState, config: SimConfig) -> StepRecord | None:
     state.step_index += 1
     state.clock += limits.time_step
 
-    state.traffic.advance(limits.time_step)
-    state.traffic.spawn_arrivals(state.clock)
-    state.traffic.maybe_start_pair(state.step_index)
+    traffic = state.traffic
+    traffic.advance()
+    traffic.spawn_arrivals(state.clock)
+    traffic.maybe_start_pair(state.step_index)
 
     record = None
-    pair = state.traffic.active_pair
+    pair = traffic.active_pair
     if pair is not None:
-        tx = state.traffic.vehicle_by_id(pair.tx_id)
-        rx = state.traffic.vehicle_by_id(pair.rx_id)
-        assert tx is not None and rx is not None
+        tx = traffic.position(pair.tx_id)
+        rx = traffic.position(pair.rx_id)
 
-        target = optimal_location(tx.position, rx.position, config.scenario.bounds)
+        target = optimal_location(tx, rx, config.scenario.bounds)
         pose = previous.moved_to(
             step_towards(previous.position, target, limits, config.scenario.bounds)
         )
 
-        interferer = state.traffic.interferer_position()
+        interferer = traffic.interferer_position()
         alpha = 0.0
         null_mode = MODE_OFF
         if config.orientation_control and interferer is not None:
             steer = select_rotation(
                 NullSteerInput(
                     interferer=angles_to(pose, interferer),
-                    receiver=angles_to(pose, rx.position),
+                    receiver=angles_to(pose, rx),
                     ris=config.ris,
                     alpha_bound=limits.yaw_budget,
                 )
@@ -196,11 +185,11 @@ def run_step(state: WorldState, config: SimConfig) -> StepRecord | None:
             pose = pose.rotated(-alpha)
         state.drs = pose
 
-        dist_tx = tx.position.distance_to(pose.position)
-        dist_rx = rx.position.distance_to(pose.position)
+        dist_tx = tx.distance_to(pose.position)
+        dist_rx = rx.distance_to(pose.position)
         desired = LinkGeometry(
-            tx=angles_to(pose, tx.position),
-            rx=angles_to(pose, rx.position),
+            tx=angles_to(pose, tx),
+            rx=angles_to(pose, rx),
             dist_tx=dist_tx,
             dist_rx=dist_rx,
         )
@@ -226,8 +215,8 @@ def run_step(state: WorldState, config: SimConfig) -> StepRecord | None:
             time_s=state.clock,
             pair_id=pair.id,
             cycle_index=state.step_index - pair.start_step,
-            tx_pos=tx.position,
-            rx_pos=rx.position,
+            tx_pos=tx,
+            rx_pos=rx,
             drs=pose,
             alpha_applied=alpha,
             null_mode=null_mode,

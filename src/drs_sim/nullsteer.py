@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import LinkGeometry, RisConfig, psi
+from .channel import LinkGeometry, RisConfig, direction_cosine_sums, psi
 from .geometry import AngularCoords, wrap_angle
 
 MODE_ANALYTIC = "analytic-null"
@@ -76,11 +76,7 @@ def harmonic_coefficients(inp: NullSteerInput) -> tuple[float, float]:
         sin(t_i) cos(p_i + alpha) + sin(t_r) cos(p_r + alpha) = P cos(alpha) - Q sin(alpha)
         sin(t_i) sin(p_i + alpha) + sin(t_r) sin(p_r + alpha) = Q cos(alpha) + P sin(alpha)
     """
-    si = math.sin(inp.interferer.theta)
-    sr = math.sin(inp.receiver.theta)
-    p = si * math.cos(inp.interferer.phi) + sr * math.cos(inp.receiver.phi)
-    q = si * math.sin(inp.interferer.phi) + sr * math.sin(inp.receiver.phi)
-    return p, q
+    return direction_cosine_sums(inp.interferer, inp.receiver)
 
 
 def candidate_alphas(inp: NullSteerInput) -> list[float]:

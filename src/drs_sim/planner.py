@@ -2,22 +2,17 @@
 
 The best lateral position for the relay is the midpoint between the served
 vehicles; the best altitude trades slant range (grows with height) against
-element-pattern obliquity loss (shrinks with height).  The altitude cost is
-unimodal with a single interior stationary point, so a bracketing scalar
-minimizer is sufficient and verifiable.
+element-pattern obliquity loss (shrinks with height).  The altitude cost has
+a single stationary point at sqrt(3) times the half-separation, so the best
+altitude is that value clamped into the flight box.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .geometry import Vec3
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-HEIGHT_TOL = 1e-4  # bracket width for the altitude search [m]
 
 
 @dataclass(frozen=True)
@@ -80,53 +75,16 @@ class MotionLimits:
         return self.rot_rate * self.time_step
 
 
-def relay_height_cost(d_2d: float, height: float) -> float:
-    """Altitude cost (d_2d^2 + h^2) / cos^6(atan(d_2d / h)).
-
-    Proportional to the reflected link's path loss when hovering at the
-    midpoint with both vehicles a horizontal distance d_2d away.
-    """
-    return (d_2d * d_2d + height * height) / math.cos(math.atan2(d_2d, height)) ** 6
-
-
-def golden_section_min(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = HEIGHT_TOL
-) -> float:
-    """Minimize a unimodal scalar function over [lo, hi] by golden section.
-
-    Returns the midpoint of the final bracket, within tol of the minimizer.
-    """
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    a, b = lo, hi
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def optimal_height(d_2d: float, bounds: WorldBounds) -> float:
     """Altitude in [z_min, z_max] minimizing the relay height cost.
 
-    For d_2d = 0 the cost is strictly increasing in height, so the floor of
-    the flight box is returned directly.
+    The cost (d_2d^2 + h^2) / cos^6(atan(d_2d / h)) = (d_2d^2 + h^2)^4 / h^6
+    falls for h < sqrt(3) d_2d and rises beyond, so its minimum over the
+    flight box is sqrt(3) d_2d clamped into [z_min, z_max].
     """
     if d_2d < 0.0:
         raise ValueError("d_2d must be >= 0")
-    if d_2d == 0.0:
-        return bounds.z_min
-    return golden_section_min(
-        lambda h: relay_height_cost(d_2d, h), bounds.z_min, bounds.z_max
-    )
+    return min(max(math.sqrt(3.0) * d_2d, bounds.z_min), bounds.z_max)
 
 
 def optimal_location(tx: Vec3, rx: Vec3, bounds: WorldBounds) -> Vec3:

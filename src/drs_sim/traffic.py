@@ -10,6 +10,7 @@ arrivals, event count, pair draws), so a seed fully determines the trace.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from .geometry import Vec3
@@ -25,24 +26,22 @@ INTERFERER_NONE = "none"
 INTERFERER_KINDS = (INTERFERER_RSU, INTERFERER_VEHICLE, INTERFERER_NONE)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Vehicle:
-    """One vehicle; position.z equals the antenna height, speed is signed by lane."""
+    """One vehicle; it enters its lane at spawn_step and moves at constant speed."""
 
     id: int
     lane: int  # 0: x = x_min, travels +y; 1: x = x_max, travels -y
-    position: Vec3
-    speed: float  # [m/s], positive in lane 0, negative in lane 1
+    spawn_step: int
     antenna_height: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class V2VPair:
     id: int
     tx_id: int
     rx_id: int
     start_step: int
-    active: bool = True
 
 
 @dataclass(frozen=True)
@@ -78,78 +77,64 @@ def sample_v2v_events(rng: SplitMix64, v2v_rate: float) -> int:
     return rng.poisson(v2v_rate)
 
 
-def advance_vehicles(
-    vehicles: list[Vehicle], pair: V2VPair | None, bounds: WorldBounds, dt: float
-) -> tuple[list[Vehicle], V2VPair | None]:
-    """Move every vehicle dt seconds along its lane and drop those leaving the segment.
-
-    Vehicle positions are updated in place; the returned list holds the
-    survivors.  A pair whose member left the segment is deactivated.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be > 0")
-    survivors: list[Vehicle] = []
-    for vehicle in vehicles:
-        y = vehicle.position.y + vehicle.speed * dt
-        if bounds.y_min <= y <= bounds.y_max:
-            vehicle.position = Vec3(vehicle.position.x, y, vehicle.position.z)
-            survivors.append(vehicle)
-    if pair is not None and pair.active:
-        alive = {v.id for v in survivors}
-        if pair.tx_id not in alive or pair.rx_id not in alive:
-            pair.active = False
-    return survivors, pair
-
-
 class TrafficModel:
-    """Owns the vehicle population, arrival clocks and the single active pair."""
+    """Owns the vehicle population, arrival clocks and the single active pair.
+
+    Every vehicle in a lane enters at the same end and moves at the same
+    speed, so each lane is a FIFO queue: its head is the vehicle nearest the
+    exit, and a vehicle's position follows from its age in steps alone.
+    """
 
     def __init__(self, config: ScenarioConfig, rng: SplitMix64) -> None:
         self.config = config
         self.rng = rng
-        self.vehicles: list[Vehicle] = []
-        self.pair: V2VPair | None = None
+        self.vehicles: dict[int, Vehicle] = {}  # by id, in spawn order
+        self.active_pair: V2VPair | None = None
         self.interferer_id: int | None = None  # designated vehicle, vehicle mode only
         self.pairs_started = 0
+        self.step = 0
+        bounds, limits = config.bounds, config.limits
+        stride = limits.v_vehicle * limits.time_step
+        # Per lane: (x, entry y, signed displacement per step).
+        self._motion = (
+            (bounds.x_min, bounds.y_min, stride),
+            (bounds.x_max, bounds.y_max, -stride),
+        )
+        self.lanes: tuple[deque[int], deque[int]] = (deque(), deque())  # ids, head first
         self._next_arrival = [
             next_arrival_delta(rng, config.arrival_rate),
             next_arrival_delta(rng, config.arrival_rate),
         ]
         self._next_vehicle_id = 0
 
-    @property
-    def active_pair(self) -> V2VPair | None:
-        if self.pair is not None and self.pair.active:
-            return self.pair
-        return None
+    def position(self, vehicle_id: int) -> Vec3:
+        """Current position of a vehicle on the road; z is its antenna height."""
+        vehicle = self.vehicles[vehicle_id]
+        x, y0, stride = self._motion[vehicle.lane]
+        age = self.step - vehicle.spawn_step
+        return Vec3(x, y0 + age * stride, vehicle.antenna_height)
 
-    def vehicle_by_id(self, vehicle_id: int) -> Vehicle | None:
-        for vehicle in self.vehicles:
-            if vehicle.id == vehicle_id:
-                return vehicle
-        return None
-
-    def advance(self, dt: float) -> None:
-        self.vehicles, self.pair = advance_vehicles(
-            self.vehicles, self.pair, self.config.bounds, dt
-        )
+    def advance(self) -> None:
+        """Move one step: drop lane heads that left the segment, and a pair they served."""
+        self.step += 1
+        bounds = self.config.bounds
+        for queue in self.lanes:
+            while queue and not bounds.y_min <= self.position(queue[0]).y <= bounds.y_max:
+                del self.vehicles[queue.popleft()]
+        pair = self.active_pair
+        if pair is not None and (
+            pair.tx_id not in self.vehicles or pair.rx_id not in self.vehicles
+        ):
+            self.active_pair = None
 
     def spawn_arrivals(self, now: float) -> None:
         """Spawn every vehicle whose arrival time has passed, lane 0 first."""
-        bounds = self.config.bounds
-        speed = self.config.limits.v_vehicle
         for lane in (0, 1):
             while self._next_arrival[lane] <= now:
                 height = self.rng.uniform(ANTENNA_HEIGHT_MIN, ANTENNA_HEIGHT_MAX)
-                if lane == 0:
-                    position = Vec3(bounds.x_min, bounds.y_min, height)
-                    signed_speed = speed
-                else:
-                    position = Vec3(bounds.x_max, bounds.y_max, height)
-                    signed_speed = -speed
-                self.vehicles.append(
-                    Vehicle(self._next_vehicle_id, lane, position, signed_speed, height)
-                )
+                vehicle_id = self._next_vehicle_id
+                self.vehicles[vehicle_id] = Vehicle(vehicle_id, lane, self.step, height)
+                self.lanes[lane].append(vehicle_id)
                 self._next_vehicle_id += 1
                 self._next_arrival[lane] += next_arrival_delta(
                     self.rng, self.config.arrival_rate
@@ -166,26 +151,27 @@ class TrafficModel:
         events = sample_v2v_events(self.rng, self.config.v2v_rate)
         if events == 0 or self.active_pair is not None or not self.vehicles:
             return None
-        tx = self.vehicles[self.rng.randrange(len(self.vehicles))]
-        partners = [v for v in self.vehicles if v.lane != tx.lane]
+        ids = list(self.vehicles)
+        tx = self.vehicles[ids[self.rng.randrange(len(ids))]]
+        partners = self.lanes[1 - tx.lane]
         if not partners:
             return None
-        rx = min(partners, key=lambda v: (abs(v.position.y - tx.position.y), v.id))
-        self.pair = V2VPair(self.pairs_started, tx.id, rx.id, step_index)
+        tx_y = self.position(tx.id).y
+        rx_id = min(partners, key=lambda v: (abs(self.position(v).y - tx_y), v))
+        self.active_pair = V2VPair(self.pairs_started, tx.id, rx_id, step_index)
         self.pairs_started += 1
         self.interferer_id = None
         if self.config.interferer_kind == INTERFERER_VEHICLE:
-            bystanders = [v for v in self.vehicles if v.id not in (tx.id, rx.id)]
+            bystanders = [v for v in ids if v not in (tx.id, rx_id)]
             if bystanders:
-                self.interferer_id = bystanders[self.rng.randrange(len(bystanders))].id
-        return self.pair
+                self.interferer_id = bystanders[self.rng.randrange(len(bystanders))]
+        return self.active_pair
 
     def interferer_position(self) -> Vec3 | None:
         """Current interferer location, or None when no interferer exists."""
         kind = self.config.interferer_kind
         if kind == INTERFERER_RSU:
             return self.config.rsu_position
-        if kind == INTERFERER_VEHICLE and self.interferer_id is not None:
-            vehicle = self.vehicle_by_id(self.interferer_id)
-            return vehicle.position if vehicle is not None else None
+        if kind == INTERFERER_VEHICLE and self.interferer_id in self.vehicles:
+            return self.position(self.interferer_id)
         return None

@@ -73,6 +73,15 @@ def rotated_factor_magnitude(
     return np.abs(row * col)
 
 
+def relay_height_cost(d_2d: float, height: float) -> float:
+    """Altitude cost (d_2d^2 + h^2) / cos^6(atan(d_2d / h)).
+
+    Proportional to the reflected link's path loss when hovering at the
+    midpoint with both vehicles a horizontal distance d_2d away.
+    """
+    return (d_2d * d_2d + height * height) / math.cos(math.atan2(d_2d, height)) ** 6
+
+
 def grid_min_height(d_2d: float, lo: float, hi: float, points: int) -> float:
     """Argmin of the altitude cost over a dense uniform grid."""
     h = np.linspace(lo, hi, points)
@@ -82,3 +91,30 @@ def grid_min_height(d_2d: float, lo: float, hi: float, points: int) -> float:
 
 def clamp(value: float, lo: float, hi: float) -> float:
     return min(max(value, lo), hi)
+
+
+def summed_lane_trace(
+    spawns, y_min: float, y_max: float, stride: float, steps: int
+) -> list[dict[int, float]]:
+    """Vehicle y per step by repeated addition, dropping a vehicle once it leaves.
+
+    ``spawns`` maps a step to the vehicles entering after that step's move,
+    as (id, lane) pairs; lane 0 enters at y_min moving +stride, lane 1 at
+    y_max moving -stride.  Entry i of the result holds the survivors' y
+    after step i + 1.
+    """
+    ys: dict[int, float] = {}
+    signed = {}
+    trace = []
+    for step in range(1, steps + 1):
+        for vid in list(ys):
+            y = ys[vid] + signed[vid]
+            if y_min <= y <= y_max:
+                ys[vid] = y
+            else:
+                del ys[vid]
+        for vid, lane in spawns.get(step, ()):
+            ys[vid] = y_min if lane == 0 else y_max
+            signed[vid] = stride if lane == 0 else -stride
+        trace.append(dict(ys))
+    return trace

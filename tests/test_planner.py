@@ -8,14 +8,12 @@ from drs_sim.geometry import Vec3
 from drs_sim.planner import (
     MotionLimits,
     WorldBounds,
-    golden_section_min,
     optimal_height,
     optimal_location,
-    relay_height_cost,
     step_towards,
 )
 
-from _oracles import clamp, grid_min_height
+from _oracles import clamp, grid_min_height, relay_height_cost
 
 BOUNDS = WorldBounds()
 LIMITS = MotionLimits()
@@ -63,16 +61,6 @@ class TestOptimalHeight:
         for i in range(2001):
             h = 100.0 + i * 0.25
             assert best <= relay_height_cost(d_2d, h) * (1.0 + 1e-6)
-
-
-class TestGoldenSection:
-    def test_quadratic_bowl(self):
-        got = golden_section_min(lambda x: (x - 3.7) ** 2, 0.0, 10.0, tol=1e-6)
-        assert got == pytest.approx(3.7, abs=1e-5)
-
-    def test_rejects_empty_interval(self):
-        with pytest.raises(ValueError):
-            golden_section_min(lambda x: x, 1.0, 1.0)
 
 
 class TestOptimalLocation:

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from drs_sim.geometry import Vec3
-from drs_sim.planner import WorldBounds
+from drs_sim.planner import MotionLimits, WorldBounds
 from drs_sim.rng import SplitMix64
 from drs_sim.traffic import (
     ANTENNA_HEIGHT_MAX,
@@ -12,10 +12,11 @@ from drs_sim.traffic import (
     TrafficModel,
     V2VPair,
     Vehicle,
-    advance_vehicles,
     next_arrival_delta,
     sample_v2v_events,
 )
+
+from _oracles import summed_lane_trace
 
 BOUNDS = WorldBounds()
 
@@ -103,43 +104,80 @@ class TestEventSampler:
         ]
 
 
-def make_vehicle(vid, lane, y, speed, height=1.6):
-    x = BOUNDS.x_min if lane == 0 else BOUNDS.x_max
-    return Vehicle(vid, lane, Vec3(x, y, height), speed, height)
+def model_with(*placed, **limits):
+    """A model without arrivals whose road holds vehicles placed as (lane, age in steps)."""
+    config = ScenarioConfig(arrival_rate=0.0, limits=MotionLimits(**limits))
+    model = TrafficModel(config, SplitMix64(0))
+    for vid, (lane, age) in enumerate(placed):
+        model.vehicles[vid] = Vehicle(vid, lane, model.step - age, 1.6)
+        model.lanes[lane].append(vid)
+    return model
 
 
 class TestAdvanceVehicles:
     def test_despawn_past_segment_end(self):
-        vehicles = [make_vehicle(0, 0, 4995.0, 15.0)]
-        survivors, _ = advance_vehicles(vehicles, None, BOUNDS, 0.5)
-        assert survivors == []
+        model = model_with((0, 666))
+        assert model.position(0).y == 4995.0
+        model.advance()
+        assert model.vehicles == {}
+        assert not model.lanes[0]
 
     def test_empty_world(self):
-        assert advance_vehicles([], None, BOUNDS, 0.5) == ([], None)
+        model = model_with()
+        model.advance()
+        assert model.vehicles == {} and model.active_pair is None
 
     def test_two_half_steps_equal_one_full_step(self):
-        a = [make_vehicle(0, 0, 1000.0, 15.0)]
-        b = [make_vehicle(0, 0, 1000.0, 15.0)]
-        advance_vehicles(a, None, BOUNDS, 0.5)
-        advance_vehicles(a, None, BOUNDS, 0.5)
-        advance_vehicles(b, None, BOUNDS, 1.0)
-        assert a[0].position == b[0].position
+        a = model_with((0, 200), time_step=0.5)
+        b = model_with((0, 100), time_step=1.0)
+        a.advance()
+        a.advance()
+        b.advance()
+        assert a.position(0) == b.position(0)
 
     def test_backward_lane_moves_down(self):
-        vehicles = [make_vehicle(0, 1, 4000.0, -15.0)]
-        advance_vehicles(vehicles, None, BOUNDS, 1.0)
-        assert vehicles[0].position.y == 3985.0
+        model = model_with((1, 133))
+        assert model.position(0).y == 4002.5
+        model.advance()
+        assert model.position(0) == Vec3(BOUNDS.x_max, 3995.0, 1.6)
 
     def test_pair_deactivated_when_member_leaves(self):
-        vehicles = [make_vehicle(0, 0, 4999.0, 15.0), make_vehicle(1, 1, 2000.0, -15.0)]
-        pair = V2VPair(0, 0, 1, start_step=10)
-        survivors, pair = advance_vehicles(vehicles, pair, BOUNDS, 0.5)
-        assert [v.id for v in survivors] == [1]
-        assert pair is not None and not pair.active
+        model = model_with((0, 666), (1, 400))
+        model.active_pair = V2VPair(0, 0, 1, start_step=10)
+        model.advance()
+        assert list(model.vehicles) == [1]
+        assert model.active_pair is None
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
-            advance_vehicles([], None, BOUNDS, 0.0)
+            model_with(time_step=0.0)
+
+    @pytest.mark.parametrize(
+        "limits, tol",
+        [
+            ({}, 0.0),  # v * dt = 7.5: every partial sum is exact
+            ({"time_step": 0.3, "v_vehicle": 13.7}, 1e-9),
+        ],
+    )
+    def test_closed_form_matches_summed_motion(self, limits, tol):
+        config = ScenarioConfig(seed=3, limits=MotionLimits(**limits))
+        model = TrafficModel(config, SplitMix64(config.seed))
+        steps, clock, spawns, got = 2000, 0.0, {}, []
+        for step in range(1, steps + 1):
+            clock += config.limits.time_step
+            model.advance()
+            before = set(model.vehicles)
+            model.spawn_arrivals(clock)
+            spawns[step] = [(v, model.vehicles[v].lane) for v in model.vehicles if v not in before]
+            got.append({v: model.position(v).y for v in model.vehicles})
+        stride = config.limits.v_vehicle * config.limits.time_step
+        want = summed_lane_trace(spawns, BOUNDS.y_min, BOUNDS.y_max, stride, steps)
+        assert sum(map(len, spawns.values())) > 200
+        assert len(got[-1]) < sum(map(len, spawns.values()))  # vehicles also left
+        for got_step, want_step in zip(got, want):
+            assert list(got_step) == list(want_step)
+            for vid, y in got_step.items():
+                assert abs(y - want_step[vid]) <= tol
 
 
 class TestTrafficModel:
@@ -149,23 +187,23 @@ class TestTrafficModel:
         model = TrafficModel(config, rng)
         dt = config.limits.time_step
         clock = 0.0
-        snapshots = []
         for step in range(1, steps + 1):
             clock += dt
-            model.advance(dt)
+            model.advance()
             model.spawn_arrivals(clock)
             model.maybe_start_pair(step)
-            snapshots.append([(v.id, v.position.x, v.position.y) for v in model.vehicles])
-            yield model, snapshots[-1]
+            snapshot = [(v, model.position(v).x, model.position(v).y) for v in model.vehicles]
+            yield model, snapshot
 
     def test_positions_stay_on_lanes(self):
         for model, _ in self.run_model(seed=11):
-            for v in model.vehicles:
-                assert v.position.x in (BOUNDS.x_min, BOUNDS.x_max)
-                assert BOUNDS.y_min <= v.position.y <= BOUNDS.y_max
+            for vid, v in model.vehicles.items():
+                position = model.position(vid)
+                assert position.x == (BOUNDS.x_min if v.lane == 0 else BOUNDS.x_max)
+                assert BOUNDS.y_min <= position.y <= BOUNDS.y_max
                 assert ANTENNA_HEIGHT_MIN <= v.antenna_height <= ANTENNA_HEIGHT_MAX
-                assert v.position.z == v.antenna_height
-                assert (v.speed > 0) == (v.lane == 0)
+                assert position.z == v.antenna_height
+                assert vid in model.lanes[v.lane]
 
     def test_at_most_one_active_pair_with_valid_members(self):
         pairs_seen = set()
@@ -173,13 +211,12 @@ class TestTrafficModel:
             pair = model.active_pair
             if pair is not None:
                 pairs_seen.add(pair.id)
-                tx = model.vehicle_by_id(pair.tx_id)
-                rx = model.vehicle_by_id(pair.rx_id)
+                tx = model.vehicles.get(pair.tx_id)
+                rx = model.vehicles.get(pair.rx_id)
                 assert tx is not None and rx is not None
                 assert tx.id != rx.id
                 assert tx.lane != rx.lane
         assert pairs_seen  # the scenario actually served someone
-
     def test_trace_determinism(self):
         trace_a = [snap for _, snap in self.run_model(seed=21)]
         trace_b = [snap for _, snap in self.run_model(seed=21)]
