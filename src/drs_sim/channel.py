@@ -116,25 +116,26 @@ def dirichlet_ratio(count: int, arg: float) -> float:
     return math.sin(count * arg) / (count * math.sin(arg))
 
 
-def direction_cosine_sums(tx: AngularCoords, rx: AngularCoords) -> tuple[float, float]:
+def direction_cosine_sums(
+    theta_t: float, phi_t: float, theta_r: float, phi_r: float
+) -> tuple[float, float]:
     """Sums of the incident and exit direction cosines along local x and y."""
-    ux = math.sin(tx.theta) * math.cos(tx.phi) + math.sin(rx.theta) * math.cos(rx.phi)
-    uy = math.sin(tx.theta) * math.sin(tx.phi) + math.sin(rx.theta) * math.sin(rx.phi)
+    ux = math.sin(theta_t) * math.cos(phi_t) + math.sin(theta_r) * math.cos(phi_r)
+    uy = math.sin(theta_t) * math.sin(phi_t) + math.sin(theta_r) * math.sin(phi_r)
     return ux, uy
 
 
-def psi(ris: RisConfig, link: LinkGeometry) -> float:
-    """Array factor of the element grid for the hop's angle pair, in [-1, 1].
-
-    Product of the row and column Dirichlet ratios evaluated at
-    pi * u * pitch / wavelength, where u is the corresponding
-    direction-cosine sum.  Unit magnitude is attained when both sums vanish
-    (specular geometry).
-    """
-    ux, uy = direction_cosine_sums(link.tx, link.rx)
+def array_factor(ris: RisConfig, ux: float, uy: float) -> float:
+    """Row times column Dirichlet ratio at sums (ux, uy); 1 when both vanish (specular)."""
     row = dirichlet_ratio(ris.m_rows, math.pi * ux * ris.dx / ris.wavelength)
     col = dirichlet_ratio(ris.n_cols, math.pi * uy * ris.dy / ris.wavelength)
     return row * col
+
+
+def psi(ris: RisConfig, link: LinkGeometry) -> float:
+    """Array factor of the element grid for the hop's angle pair, in [-1, 1]."""
+    tx, rx = link.tx, link.rx
+    return array_factor(ris, *direction_cosine_sums(tx.theta, tx.phi, rx.theta, rx.phi))
 
 
 def path_loss_far_field(ris: RisConfig, link: LinkGeometry, psi_value: float) -> float:

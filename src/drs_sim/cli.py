@@ -118,7 +118,7 @@ def summary_as_dict(config: RunConfig, summary: RunSummary) -> dict:
 
 def write_summary_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -142,7 +142,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _parse_seeds(spec: str) -> list[int]:
     spec = spec.strip()
     if "," in spec:
-        return [int(part) for part in spec.split(",") if part.strip()]
+        seeds = [int(part) for part in spec.split(",") if part.strip()]
+        if not seeds:
+            raise ValueError("empty seed list")
+        return seeds
     count = int(spec)
     if count < 1:
         raise ValueError("seed count must be >= 1")

@@ -8,6 +8,7 @@ the defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
@@ -110,6 +111,8 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         converter, (group, name) = _KEYS[key]
         try:
             value = converter(raw_value)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"expected a finite number, got {raw_value!r}")
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key}: {exc}") from None
         values.setdefault(group, {})[name] = value

@@ -14,6 +14,7 @@ rotating to cancel interference never costs desired-link rate.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable
@@ -35,6 +36,8 @@ from .nullsteer import NullSteerInput, select_rotation
 from .planner import optimal_location, step_towards
 from .rng import SplitMix64
 from .traffic import ScenarioConfig, TrafficModel
+
+log = logging.getLogger("drs_sim")
 
 # Mode recorded when no rotation was attempted (control off or no interferer).
 MODE_OFF = "off"
@@ -322,8 +325,10 @@ def paired_sweep(
 
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 return list(pool.map(_paired_worker, work))
-        except OSError:
-            pass  # process pools unavailable; fall through to serial
+        except OSError as exc:
+            log.warning(
+                "process pool unavailable (%s); running %d seeds serially", exc, len(work)
+            )
     return [_paired_worker(item) for item in work]
 
 

@@ -45,9 +45,6 @@ class Vec3:
     def distance_to(self, other: Vec3) -> float:
         return (other - self).norm()
 
-    def horizontal_distance_to(self, other: Vec3) -> float:
-        return math.hypot(other.x - self.x, other.y - self.y)
-
 
 @dataclass(frozen=True)
 class Pose:

@@ -7,9 +7,8 @@ sum then becomes a pure harmonic in alpha,
     u_x(alpha) = P cos(alpha) - Q sin(alpha) = R cos(alpha + atan2(Q, P)),
     u_y(alpha) = Q cos(alpha) + P sin(alpha) = R cos(alpha - atan2(P, Q)),
 
-with R = sqrt(P^2 + Q^2), so the rotations that zero a row or column factor
-numerator can be enumerated in closed form and filtered by the per-step
-rotation budget.
+with R = sqrt(P^2 + Q^2).  Over the rotation budget each sum sweeps an
+interval known in closed form; only the null levels inside it are solved.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import LinkGeometry, RisConfig, direction_cosine_sums, psi
+from .channel import RisConfig, array_factor, direction_cosine_sums
 from .geometry import AngularCoords, wrap_angle
 
 MODE_ANALYTIC = "analytic-null"
@@ -29,6 +28,9 @@ MODE_NONE = "none"
 NULL_RESIDUAL_TOL = 1e-9
 
 _BOUND_SLACK = 1e-12
+# Relative widening of the searched null-level interval, far above the
+# ~1e-15 R by which rounding can move a level across its edge.
+_LEVEL_PAD = 1e-9
 _FALLBACK_GRID_POINTS = 2001
 
 
@@ -54,18 +56,10 @@ class NullSolution:
 
 
 def psi_interference(inp: NullSteerInput, alpha: float) -> float:
-    """Array factor of the interferer -> receiver reflection after rotating by alpha.
-
-    Identical to the unrotated array factor evaluated with both azimuths
-    shifted by alpha; distances play no role here.
-    """
-    link = LinkGeometry(
-        tx=AngularCoords(inp.interferer.theta, inp.interferer.phi + alpha),
-        rx=AngularCoords(inp.receiver.theta, inp.receiver.phi + alpha),
-        dist_tx=1.0,
-        dist_rx=1.0,
-    )
-    return psi(inp.ris, link)
+    """Array factor of the interferer -> receiver reflection after rotating by alpha."""
+    i, r = inp.interferer, inp.receiver
+    phi_i, phi_r = wrap_angle(i.phi + alpha), wrap_angle(r.phi + alpha)
+    return array_factor(inp.ris, *direction_cosine_sums(i.theta, phi_i, r.theta, phi_r))
 
 
 def harmonic_coefficients(inp: NullSteerInput) -> tuple[float, float]:
@@ -76,7 +70,8 @@ def harmonic_coefficients(inp: NullSteerInput) -> tuple[float, float]:
         sin(t_i) cos(p_i + alpha) + sin(t_r) cos(p_r + alpha) = P cos(alpha) - Q sin(alpha)
         sin(t_i) sin(p_i + alpha) + sin(t_r) sin(p_r + alpha) = Q cos(alpha) + P sin(alpha)
     """
-    return direction_cosine_sums(inp.interferer, inp.receiver)
+    i, r = inp.interferer, inp.receiver
+    return direction_cosine_sums(i.theta, i.phi, r.theta, r.phi)
 
 
 def candidate_alphas(inp: NullSteerInput) -> list[float]:
@@ -85,35 +80,38 @@ def candidate_alphas(inp: NullSteerInput) -> list[float]:
     The row factor vanishes where u_x(alpha) = k * wavelength / (M * dx)
     for a nonzero integer k not divisible by M (multiples of M are grating
     lobes where the factor returns to full magnitude); the column condition
-    is the same with (N, dy) and u_y.  Both acos branches are generated per
-    admissible k, wrapped, bound-filtered, and residual-checked.  Sorted
-    ascending, deduplicated; empty when nothing lands inside the budget.
+    is the same with (N, dy) and u_y.  Over |alpha| <= bound, u = R cos(alpha
+    + shift) spans its values at +-bound, widened to R (-R) when the peak at
+    -shift (trough at pi - shift) is inside the budget; only the k whose
+    level lies in that span are solved (both acos branches, wrapped, bound-
+    and residual-filtered).  Sorted ascending, deduplicated; empty when
+    nothing lands inside the budget.
     """
     p, q = harmonic_coefficients(inp)
     amplitude = math.hypot(p, q)
     if amplitude == 0.0:
         return []
     ris = inp.ris
-    conditions = (
+    bound = inp.alpha_bound + _BOUND_SLACK
+    found: list[float] = []
+    for count, pitch, shift in (
         (ris.m_rows, ris.dx, math.atan2(q, p)),
         (ris.n_cols, ris.dy, -math.atan2(p, q)),
-    )
-    found: list[float] = []
-    for count, pitch, phase_shift in conditions:
+    ):
+        ends = (amplitude * math.cos(shift - bound), amplitude * math.cos(shift + bound))
+        hi = amplitude if abs(wrap_angle(shift)) <= bound else max(ends)
+        lo = -amplitude if abs(wrap_angle(shift - math.pi)) <= bound else min(ends)
         null_spacing = ris.wavelength / (count * pitch)
         k_max = math.floor(amplitude / null_spacing)
-        for k in range(1, k_max + 1):
+        k_lo = max(-k_max, math.ceil((lo - _LEVEL_PAD * amplitude) / null_spacing))
+        k_hi = min(k_max, math.floor((hi + _LEVEL_PAD * amplitude) / null_spacing))
+        for k in range(k_lo, k_hi + 1):
             if k % count == 0:
                 continue
-            for signed_k in (k, -k):
-                cos_target = signed_k * null_spacing / amplitude
-                branch = math.acos(max(-1.0, min(1.0, cos_target)))
-                for alpha_raw in (branch, -branch):
-                    alpha = wrap_angle(alpha_raw - phase_shift)
-                    if abs(alpha) > inp.alpha_bound + _BOUND_SLACK:
-                        continue
-                    if abs(psi_interference(inp, alpha)) > NULL_RESIDUAL_TOL:
-                        continue
+            branch = math.acos(max(-1.0, min(1.0, k * null_spacing / amplitude)))
+            for alpha_raw in (branch, -branch):
+                alpha = wrap_angle(alpha_raw - shift)
+                if abs(alpha) <= bound and abs(psi_interference(inp, alpha)) <= NULL_RESIDUAL_TOL:
                     found.append(alpha)
     found.sort()
     deduped: list[float] = []

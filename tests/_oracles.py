@@ -118,3 +118,47 @@ def summed_lane_trace(
             signed[vid] = stride if lane == 0 else -stride
         trace.append(dict(ys))
     return trace
+
+
+def exhaustive_candidate_alphas(
+    p: float,
+    q: float,
+    m: int,
+    n: int,
+    dx: float,
+    dy: float,
+    wavelength: float,
+    bound: float,
+    residual,
+) -> list[float]:
+    """Null rotations within |alpha| <= bound, trying every null level.
+
+    Solves R cos(alpha + shift) = k * wavelength / (count * pitch) for every
+    nonzero k up to R over the spacing (skipping grating lobes, k divisible
+    by count), both signs and both acos branches, then keeps the rotations
+    within bound + 1e-12 whose ``residual(alpha)`` is at most 1e-9.  Sorted
+    and deduplicated at 1e-12.  The residual is passed in so that the filter
+    is evaluated exactly as the code under test evaluates it.
+    """
+    amplitude = math.hypot(p, q)
+    if amplitude == 0.0:
+        return []
+    found = []
+    for count, pitch, shift in ((m, dx, math.atan2(q, p)), (n, dy, -math.atan2(p, q))):
+        spacing = wavelength / (count * pitch)
+        for k in range(1, math.floor(amplitude / spacing) + 1):
+            if k % count == 0:
+                continue
+            for signed_k in (k, -k):
+                branch = math.acos(clamp(signed_k * spacing / amplitude, -1.0, 1.0))
+                for alpha_raw in (branch, -branch):
+                    r = math.remainder(alpha_raw - shift, 2.0 * math.pi)
+                    alpha = r + 2.0 * math.pi if r <= -math.pi else r
+                    if abs(alpha) <= bound + 1e-12 and abs(residual(alpha)) <= 1e-9:
+                        found.append(alpha)
+    found.sort()
+    deduped = []
+    for alpha in found:
+        if not deduped or alpha - deduped[-1] > 1e-12:
+            deduped.append(alpha)
+    return deduped

@@ -89,6 +89,24 @@ class TestRun:
         assert code == 1
         assert "run.steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("scenario.arrival_rate = nan", "scenario.arrival_rate"),
+            ("radio.tx_power = inf", "radio.tx_power"),
+            ("scenario.rsu_z = 700", "scenario.rsu_z"),
+            ("bounds.z_min = 1.0", "bounds.z_min"),
+        ],
+    )
+    def test_invalid_value_fails_up_front(self, line, key, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(line + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(bad), "--steps", "50", "--out", str(out)])
+        assert code == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, config_file, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
@@ -131,11 +149,14 @@ class TestSweep:
             )
 
     def test_bad_seed_spec(self, config_file, tmp_path, capsys):
-        code = main([
-            "sweep", "--config", str(config_file), "--seeds", "0", "--out", str(tmp_path),
-        ])
-        assert code == 1
-        assert "--seeds" in capsys.readouterr().err
+        for spec in ("0", ",", " , "):
+            out = tmp_path / f"sweep-{len(spec)}"
+            code = main([
+                "sweep", "--config", str(config_file), "--seeds", spec, "--out", str(out),
+            ])
+            assert code == 1
+            assert "--seeds" in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestPlot:

@@ -1,3 +1,5 @@
+import concurrent.futures
+import logging
 import math
 
 import pytest
@@ -9,6 +11,7 @@ from drs_sim.engine import (
     SimConfig,
     _check_constraints,
     initial_state,
+    paired_sweep,
     run_simulation,
     run_step,
 )
@@ -187,3 +190,21 @@ class TestRunSimulation:
             SimConfig(steps=0)
         with pytest.raises(ValueError):
             SimConfig(sinr_form="bogus")
+
+
+class TestPairedSweep:
+    def test_serial_fallback_is_logged(self, monkeypatch, caplog):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise OSError("no process pool here")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        config = small_config(steps=300)
+        with caplog.at_level(logging.WARNING, logger="drs_sim"):
+            runs = paired_sweep(config, [3, 4], jobs=2)
+        assert [r.seed for r in runs] == [3, 4]
+        assert runs == paired_sweep(config, [3, 4], jobs=1)
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert "serially" in warnings[0].getMessage()
+        assert "no process pool here" in warnings[0].getMessage()

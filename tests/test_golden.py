@@ -1,4 +1,4 @@
-"""Golden hashes of ``drs-sim run`` output.
+"""Golden hashes of ``drs-sim run`` and ``drs-sim sweep`` output.
 
 Any change to the simulated numbers or to the CSV format changes these
 hashes.  A change that is meant to alter the output must update them and
@@ -27,3 +27,14 @@ def test_steps_csv_hash(interferer, seed, digest, tmp_path):
     args = ["run", "--config", str(config), "--seed", str(seed), "--steps", "2000"]
     assert main(args + ["--out", str(out)]) == 0
     assert hashlib.sha256((out / "steps.csv").read_bytes()).hexdigest() == digest
+
+
+# sha256 of sweep.csv from ``drs-sim sweep --seeds 1,2 --steps 2000 --jobs 1``
+SWEEP_GOLDEN = "9a383d4c5fee9e7ec3756735329c7d40ccbd8813ade1d96d0292bfb3c5d1a802"
+
+
+def test_sweep_csv_hash(tmp_path):
+    out = tmp_path / "out"
+    args = ["sweep", "--seeds", "1,2", "--steps", "2000", "--jobs", "1", "--out", str(out)]
+    assert main(args) == 0
+    assert hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest() == SWEEP_GOLDEN

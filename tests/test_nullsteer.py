@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from drs_sim.nullsteer import (
     select_rotation,
 )
 
-from _oracles import rotated_factor_magnitude
+from _oracles import exhaustive_candidate_alphas, rotated_factor_magnitude
 
 RIS = RisConfig()
 BOUND = 0.08725  # default per-step rotation budget
@@ -33,6 +34,23 @@ def make_input(theta_i, phi_i, theta_r, phi_r, bound=BOUND, ris=RIS):
         receiver=AngularCoords(theta_r, phi_r),
         ris=ris,
         alpha_bound=bound,
+    )
+
+
+# default grid, a non-square grid with unequal pitch, and a single row
+GRIDS = (
+    RIS,
+    RisConfig(m_rows=3, n_cols=5, dx=0.031, dy=0.017),
+    RisConfig(m_rows=1, n_cols=8, dx=0.02, dy=0.0254),
+)
+
+
+def oracle_candidates(inp):
+    p, q = harmonic_coefficients(inp)
+    ris = inp.ris
+    return exhaustive_candidate_alphas(
+        p, q, ris.m_rows, ris.n_cols, ris.dx, ris.dy, ris.wavelength,
+        inp.alpha_bound, lambda a: psi_interference(inp, a),
     )
 
 
@@ -167,6 +185,56 @@ class TestCandidateAlphas:
         got = sorted(shifted)
         for a, b in zip(expected, got):
             assert abs(wrap_angle(a - b)) < 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(0.0, math.pi, allow_nan=False),
+        azimuths,
+        st.floats(0.0, math.pi, allow_nan=False),
+        azimuths,
+        st.one_of(
+            st.floats(1e-6, math.pi, allow_nan=False),
+            st.floats(math.pi, 10.0, allow_nan=False),
+        ),
+        st.sampled_from(GRIDS),
+    )
+    def test_matches_exhaustive_enumeration(self, ti, pi_, tr, pr, bound, ris):
+        inp = make_input(ti, pi_, tr, pr, bound=bound, ris=ris)
+        assert candidate_alphas(inp) == oracle_candidates(inp)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        elevations,
+        azimuths,
+        elevations,
+        azimuths,
+        st.integers(0, 10**6),
+        st.sampled_from([-2e-12, -1e-12, -5e-13, 0.0, 1e-15, 1e-12]),
+        st.sampled_from(GRIDS),
+    )
+    def test_matches_enumeration_with_a_null_on_the_bound(
+        self, ti, pi_, tr, pr, pick, offset, ris
+    ):
+        # a budget that ends exactly at a null: the searched interval's edge
+        everywhere = oracle_candidates(make_input(ti, pi_, tr, pr, bound=math.pi, ris=ris))
+        assume(everywhere)
+        bound = abs(everywhere[pick % len(everywhere)]) + offset
+        assume(bound > 0.0)
+        inp = make_input(ti, pi_, tr, pr, bound=bound, ris=ris)
+        assert candidate_alphas(inp) == oracle_candidates(inp)
+
+    def test_matches_enumeration_on_seeded_instances(self):
+        rng = random.Random(20250326)
+        for _ in range(3000):
+            inp = make_input(
+                rng.uniform(0.0, math.pi / 2),
+                rng.uniform(-math.pi, math.pi),
+                rng.uniform(0.0, math.pi / 2),
+                rng.uniform(-math.pi, math.pi),
+                bound=rng.choice((BOUND, 0.001, rng.uniform(1e-6, 4.0))),
+                ris=rng.choice(GRIDS),
+            )
+            assert candidate_alphas(inp) == oracle_candidates(inp)
 
     @settings(max_examples=100, deadline=None)
     @given(elevations, azimuths, elevations, azimuths)
