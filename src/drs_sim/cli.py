@@ -28,6 +28,7 @@ from .config import (
     load_config,
 )
 from .engine import (
+    ConstraintViolation,
     RunSummary,
     StepRecord,
     aggregate_improvement,
@@ -346,6 +347,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
+    except ConstraintViolation as exc:
+        print(f"error: constraint violated: {exc}", file=sys.stderr)
+        return 3
 
 
 def entrypoint() -> None:

@@ -26,16 +26,24 @@ from .channel import (
     LinkGeometry,
     RadioConfig,
     RisConfig,
+    fraunhofer_distance,
     path_loss_far_field,
     psi,
     rate,
     sinr,
 )
-from .geometry import Pose, Vec3, angles_to, rotation_between, step_displacement
+from .geometry import (
+    AngularCoords,
+    Pose,
+    Vec3,
+    angles_to,
+    rotation_between,
+    step_displacement,
+)
 from .nullsteer import NullSteerInput, select_rotation
 from .planner import optimal_location, step_towards
 from .rng import SplitMix64
-from .traffic import ScenarioConfig, TrafficModel
+from .traffic import ANTENNA_HEIGHT_MAX, INTERFERER_RSU, ScenarioConfig, TrafficModel
 
 log = logging.getLogger("drs_sim")
 
@@ -97,6 +105,35 @@ class SimConfig:
         if self.sinr_form not in SINR_FORMS:
             raise ValueError(
                 f"run.sinr_form must be one of {SINR_FORMS}, got {self.sinr_form!r}"
+            )
+        # The link budget is the far-field model: every node the surface sees
+        # must be at least the Fraunhofer distance below it.
+        scenario = self.scenario
+        top = ANTENNA_HEIGHT_MAX
+        if scenario.interferer_kind == INTERFERER_RSU:
+            top = max(top, scenario.rsu_position.z)
+        clearance = scenario.bounds.z_min - top
+        far_field = fraunhofer_distance(self.ris)
+        if clearance < far_field:
+            raise ValueError(
+                f"bounds.z_min must be at least the surface's far-field distance "
+                f"({far_field:.6g} m) above the highest node ({top} m), "
+                f"got {scenario.bounds.z_min}"
+            )
+        # Path loss grows with distance, elevation and array-factor loss, so
+        # a hop straight down at the clearance with |psi| = 1 and no
+        # interference bounds every rate the run can produce.
+        nadir = AngularCoords(0.0, 0.0)
+        closest = LinkGeometry(tx=nadir, rx=nadir, dist_tx=clearance, dist_rx=clearance)
+        pl_best = path_loss_far_field(self.ris, closest, 1.0)
+        if not (
+            pl_best > 0.0
+            and math.isfinite(rate(self.radio, sinr(self.radio, pl_best, NO_PATH)))
+        ):
+            raise ValueError(
+                f"the best-case rate (both nodes {clearance} m straight below the surface, "
+                "no interference) overflows to inf: lower radio.tx_power or "
+                "radio.eff_bandwidth, or raise radio.noise_power"
             )
 
 
@@ -341,11 +378,21 @@ def _default_jobs() -> int:
 def aggregate_improvement(runs: Iterable[PairedRun]) -> tuple[float, float, float] | None:
     """Mean rate per mode across runs and the relative improvement percent.
 
-    Runs that produced no served steps are excluded; returns None when
-    nothing remains.
+    Runs with no served steps or a zero mean rate in either arm are left
+    out, with one warning naming their seeds; returns None when nothing
+    remains.
     """
-    ons = [r.mean_rate_on for r in runs if r.mean_rate_on and r.mean_rate_off]
-    offs = [r.mean_rate_off for r in runs if r.mean_rate_on and r.mean_rate_off]
+    runs = list(runs)
+    kept = [r for r in runs if r.mean_rate_on and r.mean_rate_off]
+    dropped = [str(r.seed) for r in runs if not (r.mean_rate_on and r.mean_rate_off)]
+    if dropped:
+        log.warning(
+            "aggregate leaves out %d run(s) with no served steps or a zero mean rate: seeds %s",
+            len(dropped),
+            ", ".join(dropped),
+        )
+    ons = [r.mean_rate_on for r in kept]
+    offs = [r.mean_rate_off for r in kept]
     if not ons:
         return None
     mean_on = math.fsum(ons) / len(ons)

@@ -9,6 +9,9 @@ sum then becomes a pure harmonic in alpha,
 
 with R = sqrt(P^2 + Q^2).  Over the rotation budget each sum sweeps an
 interval known in closed form; only the null levels inside it are solved.
+When no null is inside the budget, the rotation that minimizes |psi| is
+found by a coarse scan whose bracketed minima are refined by golden-section
+search.
 """
 
 from __future__ import annotations
@@ -31,7 +34,13 @@ _BOUND_SLACK = 1e-12
 # Relative widening of the searched null-level interval, far above the
 # ~1e-15 R by which rounding can move a level across its edge.
 _LEVEL_PAD = 1e-9
-_FALLBACK_GRID_POINTS = 2001
+# Fallback search: coarse intervals on each side of alpha = 0, and enough
+# golden-section steps to shrink a two-interval bracket (2 bound /
+# _COARSE_HALF wide) below 1e-9 bound.  A fixed step count rather than a
+# width test keeps the loop finite when 1e-9 bound underflows.
+_COARSE_HALF = 8
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_REFINE_STEPS = math.ceil(math.log(1e-9 * _COARSE_HALF / 2.0) / math.log(_INV_PHI))
 
 
 @dataclass(frozen=True)
@@ -121,25 +130,58 @@ def candidate_alphas(inp: NullSteerInput) -> list[float]:
     return deduped
 
 
+def _golden_section_min(inp: NullSteerInput, lo: float, hi: float) -> tuple[float, float]:
+    """Rotation in [lo, hi] with the lowest |psi| reached by golden-section search.
+
+    Converges to a local minimum of |psi| on the bracket (Kiefer 1953);
+    returns (alpha, |psi|) of the best of the two final interior points,
+    which is the best point evaluated.
+    """
+    c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    fc, fd = abs(psi_interference(inp, c)), abs(psi_interference(inp, d))
+    for _ in range(_REFINE_STEPS):
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INV_PHI * (hi - lo)
+            fc = abs(psi_interference(inp, c))
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INV_PHI * (hi - lo)
+            fd = abs(psi_interference(inp, d))
+    return (c, fc) if fc <= fd else (d, fd)
+
+
 def select_rotation(inp: NullSteerInput) -> NullSolution:
-    """Pick the per-step rotation: exact null if reachable, else grid minimum.
+    """Pick the per-step rotation: exact null if reachable, else a searched minimum.
 
     Among analytic candidates the smallest |alpha| wins (tie: the more
     negative one) to preserve rotation budget for later steps.  With no
-    candidate, a uniform grid over [-bound, bound] is scanned; if that
-    cannot improve on alpha = 0 by at least 1e-12 the pose is left alone.
+    candidate, |psi| has no zero in the budget; it is scanned at
+    2 * _COARSE_HALF + 1 uniform rotations over [-bound, bound] (alpha = 0
+    is the middle one), and every scanned point no higher than its
+    neighbours is refined by golden-section search over the bracket its
+    neighbours span (one-sided at the two ends).  The lowest point found
+    wins (a tie keeps alpha = 0, else the first found); if it does not
+    improve on alpha = 0 by at least 1e-12 the pose is left alone.
     """
     candidates = candidate_alphas(inp)
     if candidates:
         alpha = min(candidates, key=lambda a: (abs(a), a))
         return NullSolution(alpha, abs(psi_interference(inp, alpha)), MODE_ANALYTIC)
 
-    baseline = abs(psi_interference(inp, 0.0))
+    alphas = [
+        inp.alpha_bound * (i - _COARSE_HALF) / _COARSE_HALF for i in range(2 * _COARSE_HALF + 1)
+    ]
+    residuals = [abs(psi_interference(inp, alpha)) for alpha in alphas]
+    baseline = residuals[_COARSE_HALF]
     best_alpha, best_residual = 0.0, baseline
-    span = 2.0 * inp.alpha_bound / (_FALLBACK_GRID_POINTS - 1)
-    for i in range(_FALLBACK_GRID_POINTS):
-        alpha = -inp.alpha_bound + i * span
-        residual = abs(psi_interference(inp, alpha))
+    points = list(zip(alphas, residuals))
+    last = len(alphas) - 1
+    for i, residual in enumerate(residuals):
+        left, right = max(i - 1, 0), min(i + 1, last)
+        if residual <= residuals[left] and residual <= residuals[right]:
+            points.append(_golden_section_min(inp, alphas[left], alphas[right]))
+    for alpha, residual in points:
         if residual < best_residual:
             best_alpha, best_residual = alpha, residual
     if baseline - best_residual < 1e-12:

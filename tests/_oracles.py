@@ -162,3 +162,24 @@ def exhaustive_candidate_alphas(
         if not deduped or alpha - deduped[-1] > 1e-12:
             deduped.append(alpha)
     return deduped
+
+
+def grid_fallback_min(
+    m, n, dx, dy, wavelength, theta_i, phi_i, theta_r, phi_r, bound, points=2001
+) -> tuple[float, float, str]:
+    """Uniform-grid fallback rule: (alpha, |psi|, mode) over |alpha| <= bound.
+
+    Scans alpha_j = -bound + j * 2 bound / (points - 1) and keeps the first
+    strict minimum below |psi(0)|; when that does not improve on alpha = 0
+    by at least 1e-12, returns (0, |psi(0)|, "none"), else mode
+    "fallback-min".
+    """
+    alphas = -bound + np.arange(points) * (2.0 * bound / (points - 1))
+    magnitudes = rotated_factor_magnitude(
+        m, n, dx, dy, wavelength, theta_i, phi_i, theta_r, phi_r, np.append(alphas, 0.0)
+    )
+    baseline = float(magnitudes[-1])
+    j = int(np.argmin(magnitudes[:-1]))  # first index of the minimum
+    if baseline - magnitudes[j] < 1e-12:
+        return 0.0, baseline, "none"
+    return float(alphas[j]), float(magnitudes[j]), "fallback-min"

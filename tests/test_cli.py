@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from drs_sim.cli import STEPS_CSV_COLUMNS, main
+from drs_sim.geometry import Vec3
 
 BASE_CONFIG = """
 # compact scenario for fast end-to-end checks
@@ -96,6 +97,14 @@ class TestRun:
             ("radio.tx_power = inf", "radio.tx_power"),
             ("scenario.rsu_z = 700", "scenario.rsu_z"),
             ("bounds.z_min = 1.0", "bounds.z_min"),
+            # far field of a 256 x 32 surface is ~1691 m, far below the flight box
+            ("ris.m_rows = 256", "bounds.z_min"),
+            # finite inputs whose best-case SINR overflows to inf
+            pytest.param(
+                "radio.noise_power = 5e-324\nradio.tx_power = 1e300\nscenario.interferer = none",
+                "radio.tx_power",
+                id="rate-overflow-radio.tx_power",
+            ),
         ],
     )
     def test_invalid_value_fails_up_front(self, line, key, tmp_path, capsys):
@@ -104,8 +113,22 @@ class TestRun:
         out = tmp_path / "out"
         code = main(["run", "--config", str(bad), "--steps", "50", "--out", str(out)])
         assert code == 1
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
         assert not out.exists()
+
+    def test_constraint_violation_exits_3(self, config_file, tmp_path, monkeypatch, capsys):
+        def teleport(position, target, limits, bounds):
+            return Vec3(position.x, position.y + 100.0, position.z)
+
+        monkeypatch.setattr("drs_sim.engine.step_towards", teleport)
+        code = main(["run", "--config", str(config_file), "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: constraint violated: displacement")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out" / "steps.csv").exists()
 
     def test_byte_identical_reruns(self, config_file, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -8,8 +8,10 @@ from drs_sim.channel import LinkGeometry, psi
 from drs_sim.engine import (
     ConstraintViolation,
     MODE_OFF,
+    PairedRun,
     SimConfig,
     _check_constraints,
+    aggregate_improvement,
     initial_state,
     paired_sweep,
     run_simulation,
@@ -208,3 +210,15 @@ class TestPairedSweep:
         assert len(warnings) == 1
         assert "serially" in warnings[0].getMessage()
         assert "no process pool here" in warnings[0].getMessage()
+
+    def test_zero_rate_runs_are_logged(self, caplog):
+        quiet = paired_sweep(SimConfig(scenario=QUIET, steps=200), [5, 6], jobs=1)
+        assert [(r.mean_rate_on, r.mean_rate_off) for r in quiet] == [(None, None)] * 2
+        runs = quiet + [PairedRun(9, 110.0, 100.0)]
+        with caplog.at_level(logging.WARNING, logger="drs_sim"):
+            assert aggregate_improvement(iter(runs)) == (110.0, 100.0, 10.0)
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        message = warnings[0].getMessage()
+        assert "seeds 5, 6" in message
+        assert "9" not in message

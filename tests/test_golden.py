@@ -13,13 +13,15 @@ from drs_sim.cli import main
 
 GOLDEN = [
     # (scenario.interferer, seed, sha256 of steps.csv); all other keys default
-    ("rsu", 1, "e25b775e76124fb0e720289639c3f1bc58536a760b0e1e82d422404773e82daf"),
-    ("rsu", 2, "b373d358c70ee5661cf33ab21b23680f6379e05ee4d8dd15c692afabd7423996"),
-    ("vehicle", 1, "488079970843a44c00df59bae3d5ae3957b6c4224087bc8c11f21bf1b04614ab"),
+    ("rsu", 1, "ef0bdd4553fbd3ea9595c276fc0b5f0260d78dfac8853dc95f35823094bbf72e"),
+    ("rsu", 2, "893b09e63cf2d3d44558616f7c9471dfd9232e3c343a3577e37679237a2a2fd2"),
+    ("vehicle", 1, "ec0b8330cd613672d271dbdf2599cee9708e81b56774916574610f3cb992c520"),
 ]
 
 
-@pytest.mark.parametrize("interferer, seed, digest", GOLDEN)
+@pytest.mark.parametrize(
+    "interferer, seed, digest", GOLDEN, ids=[f"{kind}-{seed}" for kind, seed, _ in GOLDEN]
+)
 def test_steps_csv_hash(interferer, seed, digest, tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text(f"scenario.interferer = {interferer}\n", encoding="utf-8")
@@ -30,7 +32,7 @@ def test_steps_csv_hash(interferer, seed, digest, tmp_path):
 
 
 # sha256 of sweep.csv from ``drs-sim sweep --seeds 1,2 --steps 2000 --jobs 1``
-SWEEP_GOLDEN = "9a383d4c5fee9e7ec3756735329c7d40ccbd8813ade1d96d0292bfb3c5d1a802"
+SWEEP_GOLDEN = "2e434c8686068059f4774252c47fb328b074f96afc1db8a6e02729aee76f67de"
 
 
 def test_sweep_csv_hash(tmp_path):

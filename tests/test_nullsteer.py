@@ -19,7 +19,7 @@ from drs_sim.nullsteer import (
     select_rotation,
 )
 
-from _oracles import exhaustive_candidate_alphas, rotated_factor_magnitude
+from _oracles import exhaustive_candidate_alphas, grid_fallback_min, rotated_factor_magnitude
 
 RIS = RisConfig()
 BOUND = 0.08725  # default per-step rotation budget
@@ -45,6 +45,12 @@ GRIDS = (
 )
 
 
+# the fallback search is also checked on a wide grid, at four budgets from a
+# tight one to a full radian
+FALLBACK_GRIDS = GRIDS + (RisConfig(m_rows=7, n_cols=40),)
+FALLBACK_BOUNDS = (0.001, BOUND, 0.3, 1.0)
+
+
 def oracle_candidates(inp):
     p, q = harmonic_coefficients(inp)
     ris = inp.ris
@@ -52,6 +58,48 @@ def oracle_candidates(inp):
         p, q, ris.m_rows, ris.n_cols, ris.dx, ris.dy, ris.wavelength,
         inp.alpha_bound, lambda a: psi_interference(inp, a),
     )
+
+
+def oracle_fallback(inp):
+    ris, i, r = inp.ris, inp.interferer, inp.receiver
+    return grid_fallback_min(
+        ris.m_rows, ris.n_cols, ris.dx, ris.dy, ris.wavelength,
+        i.theta, i.phi, r.theta, r.phi, inp.alpha_bound,
+    )
+
+
+def no_null_instances(seed, count):
+    """Seeded inputs with no analytic candidate, so select_rotation searches.
+
+    Two thirds draw small elevations, which keep the direction-cosine
+    amplitude below most null levels; the rest are unrestricted.
+    """
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        top = rng.choice((math.pi / 2, 0.05, 0.01))
+        inp = make_input(
+            rng.uniform(0.0, top),
+            rng.uniform(-math.pi, math.pi),
+            rng.uniform(0.0, top),
+            rng.uniform(-math.pi, math.pi),
+            bound=rng.choice(FALLBACK_BOUNDS),
+            ris=rng.choice(FALLBACK_GRIDS),
+        )
+        if not candidate_alphas(inp):
+            found.append(inp)
+    return found
+
+
+def assert_fallback_no_worse_than_grid(inp):
+    sol = select_rotation(inp)
+    _, grid_residual, _ = oracle_fallback(inp)
+    assert sol.mode in (MODE_FALLBACK, MODE_NONE)
+    assert sol.residual <= grid_residual + 1e-12
+    assert abs(sol.alpha) <= inp.alpha_bound + 1e-12
+    assert sol.residual == abs(psi_interference(inp, sol.alpha))
+    if sol.mode == MODE_NONE:
+        assert sol.alpha == 0.0
 
 
 def oracle_magnitudes(inp, alphas):
@@ -293,6 +341,29 @@ class TestSelectRotation:
         assert sol.residual == pytest.approx(
             abs(psi_interference(inp, sol.alpha)), abs=1e-15
         )
+
+    def test_fallback_no_worse_than_the_2001_point_grid(self):
+        for inp in no_null_instances(20260418, 10**4):
+            assert_fallback_no_worse_than_grid(inp)
+
+    def test_fallback_reaches_the_fine_grid_minimum(self):
+        for inp in no_null_instances(7, 200):
+            fine = oracle_magnitudes(inp, np.linspace(-inp.alpha_bound, inp.alpha_bound, 10**5))
+            assert select_rotation(inp).residual <= fine.min() + 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(st.floats(0.0, 0.03), elevations),
+        azimuths,
+        st.one_of(st.floats(0.0, 0.03), elevations),
+        azimuths,
+        st.floats(1e-4, 1.0),
+        st.sampled_from(FALLBACK_GRIDS),
+    )
+    def test_fallback_property(self, ti, pi_, tr, pr, bound, ris):
+        inp = make_input(ti, pi_, tr, pr, bound=bound, ris=ris)
+        assume(not candidate_alphas(inp))
+        assert_fallback_no_worse_than_grid(inp)
 
     def test_rejects_nonpositive_budget(self):
         with pytest.raises(ValueError):
