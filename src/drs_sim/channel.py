@@ -145,8 +145,9 @@ def path_loss_far_field(ris: RisConfig, link: LinkGeometry, psi_value: float) ->
         -----------------------------------------------------------------
         G_t G_r G M^2 N^2 dx dy lambda^2 F(theta_t) F(theta_r) A^2 |psi|^2
 
-    Returns NO_PATH when either elevation falls behind the surface
-    (element pattern zero) or the array factor is exactly nulled.
+    Returns NO_PATH (no usable path) when either elevation falls behind the
+    surface (element pattern zero), the array factor is exactly nulled, or
+    the denominator underflows to zero.
     """
     f_tx = radiation_pattern(link.tx.theta)
     f_rx = radiation_pattern(link.rx.theta)
@@ -167,6 +168,8 @@ def path_loss_far_field(ris: RisConfig, link: LinkGeometry, psi_value: float) ->
         * ris.amplitude**2
         * psi_value**2
     )
+    if denominator == 0.0:
+        return NO_PATH
     return numerator / denominator
 
 

@@ -159,6 +159,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         seeds = _parse_seeds(args.seeds)
     except ValueError as exc:
         raise ConfigError(f"bad --seeds value: {exc}") from None
+    if args.jobs is not None and args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     log.info("sweeping %d seeds x %d steps", len(seeds), config.sim.steps)

@@ -163,14 +163,17 @@ def apply_overrides(
 ) -> RunConfig:
     """Return a copy of ``config`` with any provided command-line overrides."""
     sim = config.sim
-    if seed is not None:
-        sim = replace(sim, scenario=replace(sim.scenario, seed=seed))
-    if steps is not None:
-        sim = replace(sim, steps=steps)
-    if orientation_control is not None:
-        sim = replace(sim, orientation_control=orientation_control)
-    if sinr_form is not None:
-        sim = replace(sim, sinr_form=sinr_form)
+    try:
+        if seed is not None:
+            sim = replace(sim, scenario=replace(sim.scenario, seed=seed))
+        if steps is not None:
+            sim = replace(sim, steps=steps)
+        if orientation_control is not None:
+            sim = replace(sim, orientation_control=orientation_control)
+        if sinr_form is not None:
+            sim = replace(sim, sinr_form=sinr_form)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return RunConfig(
         sim=sim, output_dir=output_dir if output_dir is not None else config.output_dir
     )

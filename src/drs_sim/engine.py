@@ -1,10 +1,12 @@
 """Time-stepped simulation loop tying traffic, planning, yaw control and the link budget.
 
 Each step advances traffic, moves the drone one bounded step toward the
-current optimal hover point, optionally rotates the surface to null the
-reflected interference, evaluates the served pair's link, and verifies the
-kinematic and box constraints.  A constraint violation raises: it indicates
-a bug in the controller, not a runtime condition.
+current optimal hover point, then for each yaw arm optionally rotates the
+surface to null the reflected interference and evaluates the served pair's
+link, and verifies the kinematic and box constraints.  A constraint violation
+raises: it indicates a bug in the controller, not a runtime condition.  Yaw
+moves neither traffic nor the drone, so the arms share one trajectory: a run
+evaluates one arm, and the paired sweep evaluates both in one pass per seed.
 
 The desired hop is beamformed (the element phases track the served pair),
 so its array factor stays at unit magnitude regardless of yaw; interference
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
@@ -64,8 +67,9 @@ class WorldState:
 
     clock: float
     step_index: int
-    drs: Pose
+    drs: Pose  # the first arm's pose
     traffic: TrafficModel
+    arms: tuple[bool, ...]  # orientation control per yaw arm; an "on" arm comes first
 
 
 @dataclass(frozen=True)
@@ -126,6 +130,12 @@ class SimConfig:
         nadir = AngularCoords(0.0, 0.0)
         closest = LinkGeometry(tx=nadir, rx=nadir, dist_tx=clearance, dist_rx=clearance)
         pl_best = path_loss_far_field(self.ris, closest, 1.0)
+        if not math.isfinite(pl_best):
+            raise ValueError(
+                f"the best-case path loss (both nodes {clearance} m straight below the "
+                "surface) is not finite: raise ris.gain_tx, ris.gain_rx, ris.gain_ris "
+                "or ris.amplitude"
+            )
         if not (
             pl_best > 0.0
             and math.isfinite(rate(self.radio, sinr(self.radio, pl_best, NO_PATH)))
@@ -137,11 +147,9 @@ class SimConfig:
             )
 
 
-def initial_state(config: SimConfig, seed: int | None = None) -> WorldState:
+def initial_state(config: SimConfig, arms: tuple[bool, ...] | None = None) -> WorldState:
     """Fresh world: empty road, drone centered at the flight-box floor, yaw 0."""
     scenario = config.scenario
-    if seed is not None:
-        scenario = replace(scenario, seed=seed)
     bounds = scenario.bounds
     start = Vec3(
         0.5 * (bounds.x_min + bounds.x_max),
@@ -153,6 +161,7 @@ def initial_state(config: SimConfig, seed: int | None = None) -> WorldState:
         step_index=0,
         drs=Pose(start, 0.0),
         traffic=TrafficModel(scenario, SplitMix64(scenario.seed)),
+        arms=(config.orientation_control,) if arms is None else arms,
     )
 
 
@@ -177,13 +186,15 @@ def _check_constraints(previous: Pose, current: Pose, config: SimConfig) -> None
         raise ConstraintViolation(f"position {current.position} outside flight box")
 
 
-def run_step(state: WorldState, config: SimConfig) -> StepRecord | None:
-    """Advance the world one step in place; return a record while a pair is served.
+def run_step(state: WorldState, config: SimConfig) -> list[StepRecord] | None:
+    """Advance the world one step in place; return one record per arm while a pair is served.
 
     Order: (1) vehicles move and leavers despawn, (2) arrivals spawn and a
     pairing event may start service, (3) the drone steps toward the optimal
-    hover point, (4) the surface rotates per the null-steering rule, (5) the
-    link is evaluated, (6) constraints are checked.
+    hover point, then per arm (4) the surface rotates per the arm's
+    null-steering rule and (5) the link is evaluated, (6) constraints are
+    checked on the first arm's move, which covers every arm: all share the
+    position and only the first may turn.
     """
     limits = config.scenario.limits
     previous = state.drs
@@ -195,80 +206,78 @@ def run_step(state: WorldState, config: SimConfig) -> StepRecord | None:
     traffic.spawn_arrivals(state.clock)
     traffic.maybe_start_pair(state.step_index)
 
-    record = None
+    records = None
     pair = traffic.active_pair
     if pair is not None:
         tx = traffic.position(pair.tx_id)
         rx = traffic.position(pair.rx_id)
 
         target = optimal_location(tx, rx, config.scenario.bounds)
-        pose = previous.moved_to(
-            step_towards(previous.position, target, limits, config.scenario.bounds)
-        )
-
+        position = step_towards(previous.position, target, limits, config.scenario.bounds)
+        dist_tx = tx.distance_to(position)
+        dist_rx = rx.distance_to(position)
         interferer = traffic.interferer_position()
-        alpha = 0.0
-        null_mode = MODE_OFF
-        if config.orientation_control and interferer is not None:
-            steer = select_rotation(
-                NullSteerInput(
-                    interferer=angles_to(pose, interferer),
-                    receiver=angles_to(pose, rx),
-                    ris=config.ris,
-                    alpha_bound=limits.yaw_budget,
+
+        records = []
+        for control in state.arms:
+            pose = previous.moved_to(position) if control else Pose(position)
+            alpha = 0.0
+            null_mode = MODE_OFF
+            if control and interferer is not None:
+                steer = select_rotation(
+                    NullSteerInput(
+                        interferer=angles_to(pose, interferer),
+                        receiver=angles_to(pose, rx),
+                        ris=config.ris,
+                        alpha_bound=limits.yaw_budget,
+                    )
                 )
-            )
-            alpha = steer.alpha
-            null_mode = steer.mode
-            # Rotating the surface by alpha shifts local azimuths by +alpha,
-            # which corresponds to a yaw decrease of alpha.
-            pose = pose.rotated(-alpha)
-        state.drs = pose
+                alpha = steer.alpha
+                null_mode = steer.mode
+                # Rotating the surface by alpha shifts local azimuths by +alpha,
+                # which corresponds to a yaw decrease of alpha.
+                pose = pose.rotated(-alpha)
 
-        dist_tx = tx.distance_to(pose.position)
-        dist_rx = rx.distance_to(pose.position)
-        desired = LinkGeometry(
-            tx=angles_to(pose, tx),
-            rx=angles_to(pose, rx),
-            dist_tx=dist_tx,
-            dist_rx=dist_rx,
-        )
-        pl_desired = path_loss_far_field(config.ris, desired, 1.0)
-
-        if interferer is not None:
-            hop = LinkGeometry(
-                tx=angles_to(pose, interferer),
-                rx=desired.rx,
-                dist_tx=interferer.distance_to(pose.position),
+            desired = LinkGeometry(
+                tx=angles_to(pose, tx),
+                rx=angles_to(pose, rx),
+                dist_tx=dist_tx,
                 dist_rx=dist_rx,
             )
-            pl_interference = path_loss_far_field(
-                config.ris, hop, psi(config.ris, hop)
-            )
-        else:
-            pl_interference = NO_PATH
+            pl_desired = path_loss_far_field(config.ris, desired, 1.0)
 
-        sinr_value = sinr(config.radio, pl_desired, pl_interference, config.sinr_form)
-        rate_value = rate(config.radio, sinr_value)
-        record = StepRecord(
-            step_index=state.step_index,
-            time_s=state.clock,
-            pair_id=pair.id,
-            cycle_index=state.step_index - pair.start_step,
-            tx_pos=tx,
-            rx_pos=rx,
-            drs=pose,
-            alpha_applied=alpha,
-            null_mode=null_mode,
-            pl_desired_db=db(pl_desired),
-            pl_interference_db=db(pl_interference),
-            sinr_db=db(sinr_value) if sinr_value > 0.0 else -math.inf,
-            rate_bps=rate_value,
-            control_on=config.orientation_control,
-        )
+            if interferer is not None:
+                hop = LinkGeometry(
+                    tx=angles_to(pose, interferer),
+                    rx=desired.rx,
+                    dist_tx=interferer.distance_to(position),
+                    dist_rx=dist_rx,
+                )
+                pl_interference = path_loss_far_field(config.ris, hop, psi(config.ris, hop))
+            else:
+                pl_interference = NO_PATH
+
+            sinr_value = sinr(config.radio, pl_desired, pl_interference, config.sinr_form)
+            records.append(StepRecord(
+                step_index=state.step_index,
+                time_s=state.clock,
+                pair_id=pair.id,
+                cycle_index=state.step_index - pair.start_step,
+                tx_pos=tx,
+                rx_pos=rx,
+                drs=pose,
+                alpha_applied=alpha,
+                null_mode=null_mode,
+                pl_desired_db=db(pl_desired),
+                pl_interference_db=db(pl_interference),
+                sinr_db=db(sinr_value) if sinr_value > 0.0 else -math.inf,
+                rate_bps=rate(config.radio, sinr_value),
+                control_on=control,
+            ))
+        state.drs = records[0].drs
 
     _check_constraints(previous, state.drs, config)
-    return record
+    return records
 
 
 @dataclass(frozen=True)
@@ -285,7 +294,7 @@ class RunSummary:
     rate_by_cycle: tuple[tuple[int, float, int], ...]  # (cycle, mean rate, samples)
 
 
-def summarize(config: SimConfig, records: Iterable[StepRecord]) -> RunSummary:
+def summarize(config: SimConfig, records: Iterable[StepRecord], control_on: bool) -> RunSummary:
     records = tuple(records)
     by_cycle: dict[int, list[float]] = {}
     for record in records:
@@ -297,7 +306,7 @@ def summarize(config: SimConfig, records: Iterable[StepRecord]) -> RunSummary:
     mean = math.fsum(r.rate_bps for r in records) / len(records) if records else None
     return RunSummary(
         seed=config.scenario.seed,
-        control_on=config.orientation_control,
+        control_on=control_on,
         sinr_form=config.sinr_form,
         steps=config.steps,
         records=records,
@@ -307,17 +316,22 @@ def summarize(config: SimConfig, records: Iterable[StepRecord]) -> RunSummary:
     )
 
 
-def run_simulation(config: SimConfig, seed: int | None = None) -> RunSummary:
-    """Run the configured number of steps; deterministic for a fixed seed."""
-    state = initial_state(config, seed)
-    records = []
-    for _ in range(config.steps):
-        record = run_step(state, config)
-        if record is not None:
-            records.append(record)
+def _simulate(config: SimConfig, seed: int | None, arms: tuple[bool, ...]) -> list[RunSummary]:
+    """Step one shared trajectory and summarize every yaw arm evaluated on it."""
     if seed is not None:
         config = replace(config, scenario=replace(config.scenario, seed=seed))
-    return summarize(config, records)
+    state = initial_state(config, arms)
+    records: list[list[StepRecord]] = [[] for _ in arms]
+    for _ in range(config.steps):
+        for arm_records, record in zip(records, run_step(state, config) or ()):
+            arm_records.append(record)
+    return [summarize(config, r, control) for r, control in zip(records, arms)]
+
+
+def run_simulation(config: SimConfig, seed: int | None = None) -> RunSummary:
+    """Run the configured number of steps; deterministic for a fixed seed."""
+    (summary,) = _simulate(config, seed, (config.orientation_control,))
+    return summary
 
 
 @dataclass(frozen=True)
@@ -335,10 +349,9 @@ class PairedRun:
         return 100.0 * (self.mean_rate_on - self.mean_rate_off) / self.mean_rate_off
 
 
-def _paired_worker(args: tuple[SimConfig, int]) -> PairedRun:
+def _paired_seed(args: tuple[SimConfig, int]) -> PairedRun:
     config, seed = args
-    on = run_simulation(replace(config, orientation_control=True), seed)
-    off = run_simulation(replace(config, orientation_control=False), seed)
+    on, off = _simulate(config, seed, (True, False))
     return PairedRun(seed, on.mean_rate_bps, off.mean_rate_bps)
 
 
@@ -347,32 +360,25 @@ def paired_sweep(
 ) -> list[PairedRun]:
     """Run control-on and control-off with identical traffic for every seed.
 
-    Both runs of a pair share the seed and therefore the exact traffic
-    trace, so the rate difference is attributable to orientation control
-    alone.  Seeds run in parallel processes when jobs > 1; results keep the
-    input seed order.
+    One pass per seed steps traffic and the drone once and evaluates both yaw
+    arms on that shared trajectory, so the rate difference is attributable to
+    orientation control alone.  Seeds run in parallel processes when jobs > 1;
+    results keep the input seed order.
     """
-    seeds = list(seeds)
     work = [(config, seed) for seed in seeds]
     if jobs is None:
-        jobs = min(len(work), _default_jobs())
+        jobs = min(len(work), os.cpu_count() or 1)
     if jobs > 1 and len(work) > 1:
         try:
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                return list(pool.map(_paired_worker, work))
+                return list(pool.map(_paired_seed, work))
         except OSError as exc:
             log.warning(
                 "process pool unavailable (%s); running %d seeds serially", exc, len(work)
             )
-    return [_paired_worker(item) for item in work]
-
-
-def _default_jobs() -> int:
-    import os
-
-    return max(1, os.cpu_count() or 1)
+    return [_paired_seed(item) for item in work]
 
 
 def aggregate_improvement(runs: Iterable[PairedRun]) -> tuple[float, float, float] | None:

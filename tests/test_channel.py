@@ -139,6 +139,12 @@ class TestPathLoss:
     def test_nulled_array_factor_gives_no_path(self):
         assert path_loss_far_field(RIS, link(0.5, 0.2, 0.4, -0.9), 0.0) == NO_PATH
 
+    def test_underflowing_denominator_gives_no_path(self):
+        geometry = link(0.5, 0.2, 0.4, -0.9)
+        assert path_loss_far_field(RIS, geometry, 1e-170) == NO_PATH
+        tiny_gains = RisConfig(gain_tx=1e-200, gain_rx=1e-200)
+        assert path_loss_far_field(tiny_gains, geometry, 1.0) == NO_PATH
+
     def test_spot_value(self):
         # frozen from independent term-by-term evaluation:
         # 64 pi^3 * 200^4 / (32^4 * 0.0254^2 * 0.0508^2 * cos^3(pi/6)^2)

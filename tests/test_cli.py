@@ -105,6 +105,13 @@ class TestRun:
                 "radio.tx_power",
                 id="rate-overflow-radio.tx_power",
             ),
+            # finite inputs whose best-case path-loss denominator underflows to 0
+            pytest.param(
+                "ris.gain_tx = 1e-200\nris.gain_rx = 1e-200",
+                "ris.gain_tx",
+                id="underflow-ris.gain_tx",
+            ),
+            ("ris.amplitude = 1e-170", "ris.amplitude"),
         ],
     )
     def test_invalid_value_fails_up_front(self, line, key, tmp_path, capsys):
@@ -115,6 +122,16 @@ class TestRun:
         assert code == 1
         err = capsys.readouterr().err
         assert key in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("steps", ["0", "-5"])
+    def test_bad_steps_flag_fails_up_front(self, steps, config_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(config_file), "--steps", steps, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "run.steps" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -179,6 +196,17 @@ class TestSweep:
             ])
             assert code == 1
             assert "--seeds" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_bad_jobs_value(self, config_file, tmp_path, capsys):
+        for jobs in ("0", "-1"):
+            out = tmp_path / f"sweep{jobs}"
+            code = main([
+                "sweep", "--config", str(config_file), "--seeds", "1,2", "--steps", "50",
+                "--jobs", jobs, "--out", str(out),
+            ])
+            assert code == 1
+            assert "--jobs" in capsys.readouterr().err
             assert not out.exists()
 
 

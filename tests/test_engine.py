@@ -1,6 +1,7 @@
 import concurrent.futures
 import logging
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +20,7 @@ from drs_sim.engine import (
 )
 from drs_sim.geometry import Pose, Vec3, angles_to, wrap_angle
 from drs_sim.nullsteer import MODE_ANALYTIC, MODE_FALLBACK, NullSteerInput, psi_interference
-from drs_sim.traffic import ScenarioConfig
+from drs_sim.traffic import ScenarioConfig, TrafficModel
 
 QUIET = ScenarioConfig(arrival_rate=0.0, v2v_rate=0.0)
 
@@ -195,6 +196,29 @@ class TestRunSimulation:
 
 
 class TestPairedSweep:
+    @pytest.mark.parametrize("interferer", ["rsu", "vehicle", "none"])
+    def test_single_pass_matches_two_separate_runs(self, interferer):
+        config = small_config(steps=2000, scenario=ScenarioConfig(interferer_kind=interferer))
+        off = replace(config, orientation_control=False)
+        for run in paired_sweep(config, [1, 2, 3, 4, 5], jobs=1):
+            assert run.mean_rate_on == run_simulation(config, run.seed).mean_rate_bps
+            assert run.mean_rate_off == run_simulation(off, run.seed).mean_rate_bps
+
+    def test_one_seed_advances_traffic_once_per_step(self, monkeypatch):
+        calls = 0
+        advance = TrafficModel.advance
+
+        def counted(self):
+            nonlocal calls
+            calls += 1
+            advance(self)
+
+        monkeypatch.setattr(TrafficModel, "advance", counted)
+        config = small_config(steps=300)
+        (run,) = paired_sweep(config, [3], jobs=1)
+        assert run.mean_rate_on is not None and run.mean_rate_off is not None
+        assert calls == config.steps
+
     def test_serial_fallback_is_logged(self, monkeypatch, caplog):
         class NoPool:
             def __init__(self, *args, **kwargs):
