@@ -138,22 +138,23 @@ def psi(ris: RisConfig, link: LinkGeometry) -> float:
     return array_factor(ris, *direction_cosine_sums(tx.theta, tx.phi, rx.theta, rx.phi))
 
 
-def path_loss_far_field(ris: RisConfig, link: LinkGeometry, psi_value: float) -> float:
+def path_loss(
+    ris: RisConfig, f_tx: float, f_rx: float, d_tx: float, d_rx: float, psi_value: float
+) -> float:
     """Far-field path loss of a reflected hop (linear, >= 1 in practice).
 
         64 pi^3 d_t^2 d_r^2
         -----------------------------------------------------------------
         G_t G_r G M^2 N^2 dx dy lambda^2 F(theta_t) F(theta_r) A^2 |psi|^2
 
+    ``f_tx`` and ``f_rx`` are the element patterns F at the two elevations.
     Returns NO_PATH (no usable path) when either elevation falls behind the
     surface (element pattern zero), the array factor is exactly nulled, or
     the denominator underflows to zero.
     """
-    f_tx = radiation_pattern(link.tx.theta)
-    f_rx = radiation_pattern(link.rx.theta)
     if f_tx == 0.0 or f_rx == 0.0 or psi_value == 0.0:
         return NO_PATH
-    numerator = 64.0 * math.pi**3 * link.dist_tx**2 * link.dist_rx**2
+    numerator = 64.0 * math.pi**3 * d_tx**2 * d_rx**2
     denominator = (
         ris.gain_tx
         * ris.gain_rx
@@ -171,6 +172,12 @@ def path_loss_far_field(ris: RisConfig, link: LinkGeometry, psi_value: float) ->
     if denominator == 0.0:
         return NO_PATH
     return numerator / denominator
+
+
+def path_loss_far_field(ris: RisConfig, link: LinkGeometry, psi_value: float) -> float:
+    """``path_loss`` of a hop given as a LinkGeometry."""
+    f_tx, f_rx = radiation_pattern(link.tx.theta), radiation_pattern(link.rx.theta)
+    return path_loss(ris, f_tx, f_rx, link.dist_tx, link.dist_rx, psi_value)
 
 
 def fraunhofer_distance(ris: RisConfig) -> float:

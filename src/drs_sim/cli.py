@@ -63,6 +63,9 @@ STEPS_CSV_COLUMNS = [
 
 SWEEP_CSV_COLUMNS = ["seed", "mean_rate_on", "mean_rate_off", "improvement_pct"]
 
+# Largest seed count ``--seeds N`` accepts; the sweep holds one result per seed.
+MAX_SEED_COUNT = 100_000
+
 
 def _fnum(value: float) -> str:
     # repr() is the shortest round-trip form, so identical runs serialize
@@ -148,8 +151,8 @@ def _parse_seeds(spec: str) -> list[int]:
             raise ValueError("empty seed list")
         return seeds
     count = int(spec)
-    if count < 1:
-        raise ValueError("seed count must be >= 1")
+    if not 1 <= count <= MAX_SEED_COUNT:
+        raise ValueError(f"seed count must be in [1, {MAX_SEED_COUNT}], got {count}")
     return list(range(1, count + 1))
 
 
@@ -323,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument(
         "--seeds",
         default="20",
-        help="seed count N (runs seeds 1..N) or explicit comma list",
+        help=f"seed count N <= {MAX_SEED_COUNT} (runs seeds 1..N) or explicit comma list",
     )
     sweep_p.add_argument("--jobs", type=int, default=None, help="parallel worker count")
     sweep_p.set_defaults(func=cmd_sweep)

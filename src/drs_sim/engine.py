@@ -7,6 +7,9 @@ link, and verifies the kinematic and box constraints.  A constraint violation
 raises: it indicates a bug in the controller, not a runtime condition.  Yaw
 moves neither traffic nor the drone, so the arms share one trajectory: a run
 evaluates one arm, and the paired sweep evaluates both in one pass per seed.
+Within a step the arms also share each node's geometry and element pattern
+and the desired hop's path loss, computed once on plain floats; an arm adds
+only the yaw-dependent interference hop, the SINR and the rate.
 
 The desired hop is beamformed (the element phases track the served pair),
 so its array factor stays at unit magnitude regardless of yaw; interference
@@ -29,9 +32,12 @@ from .channel import (
     LinkGeometry,
     RadioConfig,
     RisConfig,
+    array_factor,
+    direction_cosine_sums,
     fraunhofer_distance,
+    path_loss,
     path_loss_far_field,
-    psi,
+    radiation_pattern,
     rate,
     sinr,
 )
@@ -39,9 +45,11 @@ from .geometry import (
     AngularCoords,
     Pose,
     Vec3,
-    angles_to,
+    local_azimuth,
     rotation_between,
+    sight,
     step_displacement,
+    wrap_angle,
 )
 from .nullsteer import NullSteerInput, select_rotation
 from .planner import optimal_location, step_towards
@@ -72,7 +80,7 @@ class WorldState:
     arms: tuple[bool, ...]  # orientation control per yaw arm; an "on" arm comes first
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepRecord:
     """Per-step metrics while a pair is being served."""
 
@@ -191,10 +199,11 @@ def run_step(state: WorldState, config: SimConfig) -> list[StepRecord] | None:
 
     Order: (1) vehicles move and leavers despawn, (2) arrivals spawn and a
     pairing event may start service, (3) the drone steps toward the optimal
-    hover point, then per arm (4) the surface rotates per the arm's
-    null-steering rule and (5) the link is evaluated, (6) constraints are
-    checked on the first arm's move, which covers every arm: all share the
-    position and only the first may turn.
+    hover point and the geometry every arm shares is computed once, then per
+    arm (4) the surface rotates per the arm's null-steering rule and (5) the
+    yaw-dependent interference hop is evaluated, (6) constraints are checked
+    on the first arm's move, which covers every arm: all share the position
+    and only the first may turn.
     """
     limits = config.scenario.limits
     previous = state.drs
@@ -209,53 +218,45 @@ def run_step(state: WorldState, config: SimConfig) -> list[StepRecord] | None:
     records = None
     pair = traffic.active_pair
     if pair is not None:
+        ris = config.ris
         tx = traffic.position(pair.tx_id)
         rx = traffic.position(pair.rx_id)
 
         target = optimal_location(tx, rx, config.scenario.bounds)
         position = step_towards(previous.position, target, limits, config.scenario.bounds)
-        dist_tx = tx.distance_to(position)
-        dist_rx = rx.distance_to(position)
+        theta_tx, _, dist_tx = sight(position, tx)
+        theta_rx, bearing_rx, dist_rx = sight(position, rx)
+        f_rx = radiation_pattern(theta_rx)
+        # The desired hop is beamformed (|psi| = 1) and its loss is yaw-free.
+        pl_desired = path_loss(ris, radiation_pattern(theta_tx), f_rx, dist_tx, dist_rx, 1.0)
+        pl_desired_db = db(pl_desired)
         interferer = traffic.interferer_position()
+        if interferer is not None:
+            theta_i, bearing_i, dist_i = sight(position, interferer)
+            f_i = radiation_pattern(theta_i)
 
         records = []
         for control in state.arms:
-            pose = previous.moved_to(position) if control else Pose(position)
-            alpha = 0.0
-            null_mode = MODE_OFF
-            if control and interferer is not None:
-                steer = select_rotation(
-                    NullSteerInput(
-                        interferer=angles_to(pose, interferer),
-                        receiver=angles_to(pose, rx),
-                        ris=config.ris,
-                        alpha_bound=limits.yaw_budget,
-                    )
-                )
-                alpha = steer.alpha
-                null_mode = steer.mode
-                # Rotating the surface by alpha shifts local azimuths by +alpha,
-                # which corresponds to a yaw decrease of alpha.
-                pose = pose.rotated(-alpha)
-
-            desired = LinkGeometry(
-                tx=angles_to(pose, tx),
-                rx=angles_to(pose, rx),
-                dist_tx=dist_tx,
-                dist_rx=dist_rx,
-            )
-            pl_desired = path_loss_far_field(config.ris, desired, 1.0)
-
-            if interferer is not None:
-                hop = LinkGeometry(
-                    tx=angles_to(pose, interferer),
-                    rx=desired.rx,
-                    dist_tx=interferer.distance_to(position),
-                    dist_rx=dist_rx,
-                )
-                pl_interference = path_loss_far_field(config.ris, hop, psi(config.ris, hop))
-            else:
+            yaw = previous.yaw if control else 0.0
+            alpha, null_mode = 0.0, MODE_OFF
+            if interferer is None:
                 pl_interference = NO_PATH
+            else:
+                if control:
+                    steer = select_rotation(NullSteerInput(
+                        interferer=AngularCoords(theta_i, local_azimuth(bearing_i, yaw)),
+                        receiver=AngularCoords(theta_rx, local_azimuth(bearing_rx, yaw)),
+                        ris=ris,
+                        alpha_bound=limits.yaw_budget,
+                    ))
+                    alpha, null_mode = steer.alpha, steer.mode
+                    # Rotating the surface by alpha shifts local azimuths by
+                    # +alpha, which corresponds to a yaw decrease of alpha.
+                    yaw = wrap_angle(yaw - alpha)
+                phi_i, phi_rx = local_azimuth(bearing_i, yaw), local_azimuth(bearing_rx, yaw)
+                sums = direction_cosine_sums(theta_i, phi_i, theta_rx, phi_rx)
+                psi_value = array_factor(ris, *sums)
+                pl_interference = path_loss(ris, f_i, f_rx, dist_i, dist_rx, psi_value)
 
             sinr_value = sinr(config.radio, pl_desired, pl_interference, config.sinr_form)
             records.append(StepRecord(
@@ -265,10 +266,10 @@ def run_step(state: WorldState, config: SimConfig) -> list[StepRecord] | None:
                 cycle_index=state.step_index - pair.start_step,
                 tx_pos=tx,
                 rx_pos=rx,
-                drs=pose,
+                drs=Pose(position, yaw),
                 alpha_applied=alpha,
                 null_mode=null_mode,
-                pl_desired_db=db(pl_desired),
+                pl_desired_db=pl_desired_db,
                 pl_interference_db=db(pl_interference),
                 sinr_db=db(sinr_value) if sinr_value > 0.0 else -math.inf,
                 rate_bps=rate(config.radio, sinr_value),
@@ -363,8 +364,10 @@ def paired_sweep(
     One pass per seed steps traffic and the drone once and evaluates both yaw
     arms on that shared trajectory, so the rate difference is attributable to
     orientation control alone.  Seeds run in parallel processes when jobs > 1;
-    results keep the input seed order.
+    results keep the input seed order.  Raises ValueError when jobs < 1.
     """
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     work = [(config, seed) for seed in seeds]
     if jobs is None:
         jobs = min(len(work), os.cpu_count() or 1)

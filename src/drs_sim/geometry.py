@@ -30,20 +30,11 @@ class Vec3:
     y: float
     z: float
 
-    def __add__(self, other: Vec3) -> Vec3:
-        return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
-
     def __sub__(self, other: Vec3) -> Vec3:
         return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
 
-    def scaled(self, factor: float) -> Vec3:
-        return Vec3(self.x * factor, self.y * factor, self.z * factor)
-
     def norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-
-    def distance_to(self, other: Vec3) -> float:
-        return (other - self).norm()
 
 
 @dataclass(frozen=True)
@@ -60,9 +51,6 @@ class Pose:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "yaw", wrap_angle(self.yaw))
-
-    def moved_to(self, position: Vec3) -> Pose:
-        return Pose(position, self.yaw)
 
     def rotated(self, delta_yaw: float) -> Pose:
         return Pose(self.position, wrap_angle(self.yaw + delta_yaw))
@@ -86,27 +74,36 @@ class AngularCoords:
         object.__setattr__(self, "phi", wrap_angle(self.phi))
 
 
-def angles_to(ris: Pose, target: Vec3) -> AngularCoords:
-    """Elevation and azimuth of ``target`` relative to the surface at ``ris``.
+def sight(surface: Vec3, target: Vec3) -> tuple[float, float | None, float]:
+    """Elevation theta, world bearing and distance of ``target`` from the surface.
 
     theta = atan(d_2d / dh), where d_2d is the horizontal separation and dh
-    the height of the surface above the target; phi is the world bearing of
-    the target minus the yaw.  A target directly below gets phi = 0 by
-    convention (theta = 0 there, so the azimuth carries no information).
-
-    Raises ValueError unless the surface is strictly above the target.
+    the height of the surface above the target.  The bearing is None for a
+    target directly below (theta = 0 there, so the azimuth carries no
+    information).  Raises ValueError unless the surface is strictly above
+    the target.
     """
-    dh = ris.position.z - target.z
+    dh = surface.z - target.z
     if dh <= 0.0:
         raise ValueError(
-            f"surface must be above the target: surface z={ris.position.z}, target z={target.z}"
+            f"surface must be above the target: surface z={surface.z}, target z={target.z}"
         )
-    dx = target.x - ris.position.x
-    dy = target.y - ris.position.y
+    dx = target.x - surface.x
+    dy = target.y - surface.y
     d2d = math.hypot(dx, dy)
-    theta = math.atan2(d2d, dh)
-    phi = 0.0 if d2d == 0.0 else wrap_angle(math.atan2(dy, dx) - ris.yaw)
-    return AngularCoords(theta, phi)
+    bearing = None if d2d == 0.0 else math.atan2(dy, dx)
+    return math.atan2(d2d, dh), bearing, math.sqrt(dx * dx + dy * dy + dh * dh)
+
+
+def local_azimuth(bearing: float | None, yaw: float) -> float:
+    """Azimuth of a ``sight`` bearing in the frame yawed by ``yaw``; 0 straight below."""
+    return 0.0 if bearing is None else wrap_angle(bearing - yaw)
+
+
+def angles_to(ris: Pose, target: Vec3) -> AngularCoords:
+    """Elevation and yawed azimuth of ``target`` seen from the surface at ``ris``."""
+    theta, bearing, _ = sight(ris.position, target)
+    return AngularCoords(theta, local_azimuth(bearing, ris.yaw))
 
 
 def rotation_between(a: Pose, b: Pose) -> float:

@@ -7,9 +7,10 @@ sum then becomes a pure harmonic in alpha,
     u_x(alpha) = P cos(alpha) - Q sin(alpha) = R cos(alpha + atan2(Q, P)),
     u_y(alpha) = Q cos(alpha) + P sin(alpha) = R cos(alpha - atan2(P, Q)),
 
-with R = sqrt(P^2 + Q^2).  Over the rotation budget each sum sweeps an
-interval known in closed form; only the null levels inside it are solved.
-When no null is inside the budget, the rotation that minimizes |psi| is
+with R = sqrt(P^2 + Q^2).  Each sum is continuous in alpha, so the null
+closest to alpha = 0 lies on one of the two null levels nearest to the sum's
+value at alpha = 0; only those are solved, at most eight roots in all.  When
+none of them is inside the budget, the rotation that minimizes |psi| is
 found by a coarse scan whose bracketed minima are refined by golden-section
 search.
 """
@@ -26,14 +27,13 @@ MODE_ANALYTIC = "analytic-null"
 MODE_FALLBACK = "fallback-min"
 MODE_NONE = "none"
 
-# Analytic candidates must reach this residual; generically they land many
+# Analytic nulls must reach this residual; generically they land many
 # orders of magnitude lower and the filter only guards float pathologies.
 NULL_RESIDUAL_TOL = 1e-9
 
 _BOUND_SLACK = 1e-12
-# Relative widening of the searched null-level interval, far above the
-# ~1e-15 R by which rounding can move a level across its edge.
-_LEVEL_PAD = 1e-9
+# Null rotations at most _MERGE_GAP apart are one null.
+_MERGE_GAP = 1e-12
 # Fallback search: coarse intervals on each side of alpha = 0, and enough
 # golden-section steps to shrink a two-interval bracket (2 bound /
 # _COARSE_HALF wide) below 1e-9 bound.  A fixed step count rather than a
@@ -83,18 +83,17 @@ def harmonic_coefficients(inp: NullSteerInput) -> tuple[float, float]:
     return direction_cosine_sums(i.theta, i.phi, r.theta, r.phi)
 
 
-def candidate_alphas(inp: NullSteerInput) -> list[float]:
-    """All rotations within the budget that zero a row or column factor.
+def null_rotations(inp: NullSteerInput) -> list[float]:
+    """Rotations within the budget that solve the nearest null levels of each axis.
 
     The row factor vanishes where u_x(alpha) = k * wavelength / (M * dx)
     for a nonzero integer k not divisible by M (multiples of M are grating
-    lobes where the factor returns to full magnitude); the column condition
-    is the same with (N, dy) and u_y.  Over |alpha| <= bound, u = R cos(alpha
-    + shift) spans its values at +-bound, widened to R (-R) when the peak at
-    -shift (trough at pi - shift) is inside the budget; only the k whose
-    level lies in that span are solved (both acos branches, wrapped, bound-
-    and residual-filtered).  Sorted ascending, deduplicated; empty when
-    nothing lands inside the budget.
+    lobes where the factor returns to full magnitude) and |k| <= R / spacing;
+    the column condition is the same with (N, dy) and u_y.  As u = R cos(alpha
+    + shift) is continuous, the first level it crosses turning either way
+    from alpha = 0 is the nearest one at or below u(0) or at or above it, so
+    only those are solved (both acos branches, wrapped): at most eight roots,
+    row axis first and levels ascending.  Residuals are not checked here.
     """
     p, q = harmonic_coefficients(inp)
     amplitude = math.hypot(p, q)
@@ -102,32 +101,50 @@ def candidate_alphas(inp: NullSteerInput) -> list[float]:
         return []
     ris = inp.ris
     bound = inp.alpha_bound + _BOUND_SLACK
-    found: list[float] = []
+    roots: list[float] = []
     for count, pitch, shift in (
         (ris.m_rows, ris.dx, math.atan2(q, p)),
         (ris.n_cols, ris.dy, -math.atan2(p, q)),
     ):
-        ends = (amplitude * math.cos(shift - bound), amplitude * math.cos(shift + bound))
-        hi = amplitude if abs(wrap_angle(shift)) <= bound else max(ends)
-        lo = -amplitude if abs(wrap_angle(shift - math.pi)) <= bound else min(ends)
         null_spacing = ris.wavelength / (count * pitch)
         k_max = math.floor(amplitude / null_spacing)
-        k_lo = max(-k_max, math.ceil((lo - _LEVEL_PAD * amplitude) / null_spacing))
-        k_hi = min(k_max, math.floor((hi + _LEVEL_PAD * amplitude) / null_spacing))
-        for k in range(k_lo, k_hi + 1):
-            if k % count == 0:
+        level = amplitude * math.cos(shift) / null_spacing
+        below, above = math.floor(level), math.ceil(level)
+        if below % count == 0:
+            below -= 1
+        if above % count == 0:
+            above += 1
+        for k in sorted({below, above}):
+            if abs(k) > k_max or k % count == 0:  # k % 1 == 0: a lone row or column
                 continue
             branch = math.acos(max(-1.0, min(1.0, k * null_spacing / amplitude)))
             for alpha_raw in (branch, -branch):
                 alpha = wrap_angle(alpha_raw - shift)
-                if abs(alpha) <= bound and abs(psi_interference(inp, alpha)) <= NULL_RESIDUAL_TOL:
-                    found.append(alpha)
-    found.sort()
-    deduped: list[float] = []
-    for alpha in found:
-        if not deduped or alpha - deduped[-1] > 1e-12:
-            deduped.append(alpha)
-    return deduped
+                if abs(alpha) <= bound:
+                    roots.append(alpha)
+    return roots
+
+
+def nearest_null(inp: NullSteerInput) -> tuple[float, float] | None:
+    """Smallest-|alpha| null rotation within the budget and its residual, or None.
+
+    Roots with residual <= NULL_RESIDUAL_TOL are nulls; nulls at most 1e-12
+    apart are one null, kept at the lowest (ascending deduplication).  The
+    smallest |alpha| wins, the more negative one on a tie.
+    """
+    passing = sorted(
+        (
+            (alpha, residual)
+            for alpha in null_rotations(inp)
+            if (residual := abs(psi_interference(inp, alpha))) <= NULL_RESIDUAL_TOL
+        ),
+        key=lambda null: null[0],
+    )
+    kept: list[tuple[float, float]] = []
+    for alpha, residual in passing:
+        if not kept or alpha - kept[-1][0] > _MERGE_GAP:
+            kept.append((alpha, residual))
+    return min(kept, key=lambda null: (abs(null[0]), null[0]), default=None)
 
 
 def _golden_section_min(inp: NullSteerInput, lo: float, hi: float) -> tuple[float, float]:
@@ -154,9 +171,10 @@ def _golden_section_min(inp: NullSteerInput, lo: float, hi: float) -> tuple[floa
 def select_rotation(inp: NullSteerInput) -> NullSolution:
     """Pick the per-step rotation: exact null if reachable, else a searched minimum.
 
-    Among analytic candidates the smallest |alpha| wins (tie: the more
-    negative one) to preserve rotation budget for later steps.  With no
-    candidate, |psi| has no zero in the budget; it is scanned at
+    The analytic null of smallest |alpha| wins (tie: the more negative one)
+    to preserve rotation budget for later steps; ``nearest_null`` finds it
+    from the nearest null levels alone.  With no null inside the budget,
+    |psi| is scanned at
     2 * _COARSE_HALF + 1 uniform rotations over [-bound, bound] (alpha = 0
     is the middle one), and every scanned point no higher than its
     neighbours is refined by golden-section search over the bracket its
@@ -164,10 +182,9 @@ def select_rotation(inp: NullSteerInput) -> NullSolution:
     wins (a tie keeps alpha = 0, else the first found); if it does not
     improve on alpha = 0 by at least 1e-12 the pose is left alone.
     """
-    candidates = candidate_alphas(inp)
-    if candidates:
-        alpha = min(candidates, key=lambda a: (abs(a), a))
-        return NullSolution(alpha, abs(psi_interference(inp, alpha)), MODE_ANALYTIC)
+    null = nearest_null(inp)
+    if null is not None:
+        return NullSolution(*null, MODE_ANALYTIC)
 
     alphas = [
         inp.alpha_bound * (i - _COARSE_HALF) / _COARSE_HALF for i in range(2 * _COARSE_HALF + 1)

@@ -33,11 +33,12 @@ class WorldBounds:
             if not lo < hi:
                 raise ValueError(f"bounds.{axis}_min must be < bounds.{axis}_max")
 
-    def clamp(self, p: Vec3) -> Vec3:
+    def clamp(self, x: float, y: float, z: float) -> Vec3:
+        """Point of the box nearest to (x, y, z)."""
         return Vec3(
-            min(max(p.x, self.x_min), self.x_max),
-            min(max(p.y, self.y_min), self.y_max),
-            min(max(p.z, self.z_min), self.z_max),
+            min(max(x, self.x_min), self.x_max),
+            min(max(y, self.y_min), self.y_max),
+            min(max(z, self.z_min), self.z_max),
         )
 
     def contains(self, p: Vec3, tol: float = 0.0) -> bool:
@@ -97,8 +98,7 @@ def optimal_location(tx: Vec3, rx: Vec3, bounds: WorldBounds) -> Vec3:
     mid_x = 0.5 * (tx.x + rx.x)
     mid_y = 0.5 * (tx.y + rx.y)
     d_2d = 0.5 * math.hypot(rx.x - tx.x, rx.y - tx.y)
-    height = optimal_height(d_2d, bounds)
-    return bounds.clamp(Vec3(mid_x, mid_y, height))
+    return bounds.clamp(mid_x, mid_y, optimal_height(d_2d, bounds))
 
 
 def step_towards(
@@ -111,9 +111,10 @@ def step_towards(
     Clamping onto the box never lengthens the step (projection onto a
     convex set is non-expansive), so the displacement budget holds.
     """
-    offset = target - current
-    distance = offset.norm()
+    dx, dy, dz = target.x - current.x, target.y - current.y, target.z - current.z
+    distance = math.sqrt(dx * dx + dy * dy + dz * dz)
     step = limits.step_length
     if distance <= step:
-        return bounds.clamp(target)
-    return bounds.clamp(current + offset.scaled(step / distance))
+        return bounds.clamp(target.x, target.y, target.z)
+    scale = step / distance
+    return bounds.clamp(current.x + dx * scale, current.y + dy * scale, current.z + dz * scale)

@@ -2,7 +2,10 @@
 
 Everything here re-derives expected values from first principles (explicit
 phasor sums, dense grids, direct trigonometric evaluation) without calling
-into the code under test.
+into the code under test.  The one exception is ``candidate_alphas``, the
+full null enumeration the yaw controller used before it solved only the
+nearest null levels: it evaluates residuals with the library's
+``psi_interference`` so that its filter matches the controller's exactly.
 """
 
 from __future__ import annotations
@@ -11,6 +14,14 @@ import cmath
 import math
 
 import numpy as np
+
+from drs_sim.geometry import wrap_angle
+from drs_sim.nullsteer import (
+    NULL_RESIDUAL_TOL,
+    NullSteerInput,
+    harmonic_coefficients,
+    psi_interference,
+)
 
 
 def phasor_sum_psi(
@@ -64,10 +75,18 @@ def dirichlet_direct(count: int, x) -> np.ndarray:
 def rotated_factor_magnitude(
     m, n, dx, dy, wavelength, theta_i, phi_i, theta_r, phi_r, alphas
 ) -> np.ndarray:
-    """|rotated interference array factor| over an array of rotations."""
+    """|rotated interference array factor| over an array of rotations.
+
+    Each node's rotated azimuth phi + alpha enters through the angle-addition
+    formulas, so only the cosine and sine of alpha itself are evaluated per
+    rotation.
+    """
     alphas = np.asarray(alphas, dtype=float)
-    ux = np.sin(theta_i) * np.cos(phi_i + alphas) + np.sin(theta_r) * np.cos(phi_r + alphas)
-    uy = np.sin(theta_i) * np.sin(phi_i + alphas) + np.sin(theta_r) * np.sin(phi_r + alphas)
+    cos_a, sin_a = np.cos(alphas), np.sin(alphas)
+    s_i, cos_i, sin_i = np.sin(theta_i), np.cos(phi_i), np.sin(phi_i)
+    s_r, cos_r, sin_r = np.sin(theta_r), np.cos(phi_r), np.sin(phi_r)
+    ux = s_i * (cos_i * cos_a - sin_i * sin_a) + s_r * (cos_r * cos_a - sin_r * sin_a)
+    uy = s_i * (sin_i * cos_a + cos_i * sin_a) + s_r * (sin_r * cos_a + cos_r * sin_a)
     row = dirichlet_direct(m, np.pi * ux * dx / wavelength)
     col = dirichlet_direct(n, np.pi * uy * dy / wavelength)
     return np.abs(row * col)
@@ -183,3 +202,67 @@ def grid_fallback_min(
     if baseline - magnitudes[j] < 1e-12:
         return 0.0, baseline, "none"
     return float(alphas[j]), float(magnitudes[j]), "fallback-min"
+
+
+def candidate_alphas(inp: NullSteerInput) -> list[float]:
+    """All rotations within the budget that zero a row or column factor.
+
+    The row factor vanishes where u_x(alpha) = k * wavelength / (M * dx)
+    for a nonzero integer k not divisible by M (multiples of M are grating
+    lobes where the factor returns to full magnitude); the column condition
+    is the same with (N, dy) and u_y.  Over |alpha| <= bound, u = R cos(alpha
+    + shift) spans its values at +-bound, widened to R (-R) when the peak at
+    -shift (trough at pi - shift) is inside the budget; only the k whose
+    level lies in that span, widened by 1e-9 R, are solved (both acos
+    branches, wrapped, bound- and residual-filtered).  Sorted ascending,
+    deduplicated at 1e-12; empty when nothing lands inside the budget.
+    """
+    p, q = harmonic_coefficients(inp)
+    amplitude = math.hypot(p, q)
+    if amplitude == 0.0:
+        return []
+    ris = inp.ris
+    bound = inp.alpha_bound + 1e-12
+    found: list[float] = []
+    for count, pitch, shift in (
+        (ris.m_rows, ris.dx, math.atan2(q, p)),
+        (ris.n_cols, ris.dy, -math.atan2(p, q)),
+    ):
+        ends = (amplitude * math.cos(shift - bound), amplitude * math.cos(shift + bound))
+        hi = amplitude if abs(wrap_angle(shift)) <= bound else max(ends)
+        lo = -amplitude if abs(wrap_angle(shift - math.pi)) <= bound else min(ends)
+        null_spacing = ris.wavelength / (count * pitch)
+        k_max = math.floor(amplitude / null_spacing)
+        k_lo = max(-k_max, math.ceil((lo - 1e-9 * amplitude) / null_spacing))
+        k_hi = min(k_max, math.floor((hi + 1e-9 * amplitude) / null_spacing))
+        for k in range(k_lo, k_hi + 1):
+            if k % count == 0:
+                continue
+            branch = math.acos(max(-1.0, min(1.0, k * null_spacing / amplitude)))
+            for alpha_raw in (branch, -branch):
+                alpha = wrap_angle(alpha_raw - shift)
+                if (
+                    abs(alpha) <= bound
+                    and abs(psi_interference(inp, alpha)) <= NULL_RESIDUAL_TOL
+                ):
+                    found.append(alpha)
+    found.sort()
+    deduped: list[float] = []
+    for alpha in found:
+        if not deduped or alpha - deduped[-1] > 1e-12:
+            deduped.append(alpha)
+    return deduped
+
+
+def enumerated_selection(inp: NullSteerInput) -> tuple[float, float, str] | None:
+    """(alpha, |psi|, mode) the yaw controller picks from the full enumeration.
+
+    Among ``candidate_alphas`` the smallest |alpha| wins, the more negative
+    one on a tie; None when there is no candidate (the controller then
+    searches for a minimum instead).
+    """
+    candidates = candidate_alphas(inp)
+    if not candidates:
+        return None
+    alpha = min(candidates, key=lambda a: (abs(a), a))
+    return alpha, abs(psi_interference(inp, alpha)), "analytic-null"

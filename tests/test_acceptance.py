@@ -18,7 +18,6 @@ from drs_sim.geometry import AngularCoords, wrap_angle
 from drs_sim.nullsteer import (
     MODE_ANALYTIC,
     NullSteerInput,
-    candidate_alphas,
     harmonic_coefficients,
     select_rotation,
 )
@@ -26,7 +25,7 @@ from drs_sim.planner import WorldBounds, optimal_height
 from drs_sim.rng import SplitMix64
 from drs_sim.traffic import next_arrival_delta, sample_v2v_events
 
-from _oracles import clamp, rotated_factor_magnitude
+from _oracles import candidate_alphas, clamp, rotated_factor_magnitude
 
 YAW_BUDGET = 0.08725  # default rotation rate x default step duration
 

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from drs_sim.cli import STEPS_CSV_COLUMNS, main
+from drs_sim.cli import MAX_SEED_COUNT, STEPS_CSV_COLUMNS, main
 from drs_sim.geometry import Vec3
 
 BASE_CONFIG = """
@@ -197,6 +197,22 @@ class TestSweep:
             assert code == 1
             assert "--seeds" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_seed_count_above_the_limit(self, config_file, tmp_path, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr("drs_sim.cli.paired_sweep", no_sweep)
+        out = tmp_path / "sweep"
+        code = main([
+            "sweep", "--config", str(config_file), "--seeds", str(MAX_SEED_COUNT + 1),
+            "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--seeds" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_bad_jobs_value(self, config_file, tmp_path, capsys):
         for jobs in ("0", "-1"):

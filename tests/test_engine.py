@@ -235,6 +235,11 @@ class TestPairedSweep:
         assert "serially" in warnings[0].getMessage()
         assert "no process pool here" in warnings[0].getMessage()
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_rejects_jobs_below_one(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            paired_sweep(SimConfig(steps=50), [1, 2], jobs=jobs)
+
     def test_zero_rate_runs_are_logged(self, caplog):
         quiet = paired_sweep(SimConfig(scenario=QUIET, steps=200), [5, 6], jobs=1)
         assert [(r.mean_rate_on, r.mean_rate_off) for r in quiet] == [(None, None)] * 2

@@ -31,6 +31,33 @@ def test_steps_csv_hash(interferer, seed, digest, tmp_path):
     assert hashlib.sha256((out / "steps.csv").read_bytes()).hexdigest() == digest
 
 
+# (config lines, sha256 of steps.csv) for ``drs-sim run --seed 1 --steps 2000``:
+# control off, and a 1 mrad yaw budget with frequent pairing, where 1362 of
+# the 1995 served steps take the fallback search and 633 an analytic null.
+GOLDEN_CONFIGS = [
+    (
+        "run.orientation_control = off\n",
+        "f408873d906efa1d489baf4124205afe6d4dd9a31d21264efc7425debde68b76",
+    ),
+    (
+        "limits.rot_rate = 0.002\nscenario.v2v_rate = 3.0\n",
+        "cae986eb22bafc99e94a9eec25e3cf1bfa341ffeae052a59518d0fcb8db863ea",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "lines, digest", GOLDEN_CONFIGS, ids=["control-off", "fallback-heavy"]
+)
+def test_steps_csv_hash_of_config(lines, digest, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text(lines, encoding="utf-8")
+    out = tmp_path / "out"
+    args = ["run", "--config", str(config), "--seed", "1", "--steps", "2000"]
+    assert main(args + ["--out", str(out)]) == 0
+    assert hashlib.sha256((out / "steps.csv").read_bytes()).hexdigest() == digest
+
+
 # sha256 of sweep.csv from ``drs-sim sweep --seeds 1,2 --steps 2000 --jobs 1``
 SWEEP_GOLDEN = "2e434c8686068059f4774252c47fb328b074f96afc1db8a6e02729aee76f67de"
 

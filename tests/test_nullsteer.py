@@ -13,13 +13,19 @@ from drs_sim.nullsteer import (
     MODE_FALLBACK,
     MODE_NONE,
     NullSteerInput,
-    candidate_alphas,
     harmonic_coefficients,
+    null_rotations,
     psi_interference,
     select_rotation,
 )
 
-from _oracles import exhaustive_candidate_alphas, grid_fallback_min, rotated_factor_magnitude
+from _oracles import (
+    candidate_alphas,
+    enumerated_selection,
+    exhaustive_candidate_alphas,
+    grid_fallback_min,
+    rotated_factor_magnitude,
+)
 
 RIS = RisConfig()
 BOUND = 0.08725  # default per-step rotation budget
@@ -66,6 +72,17 @@ def oracle_fallback(inp):
         ris.m_rows, ris.n_cols, ris.dx, ris.dy, ris.wavelength,
         i.theta, i.phi, r.theta, r.phi, inp.alpha_bound,
     )
+
+
+def assert_matches_enumeration(inp):
+    """select_rotation picks what the full null enumeration picks, bit for bit."""
+    sol = select_rotation(inp)
+    expected = enumerated_selection(inp)
+    if expected is None:
+        assert sol.mode != MODE_ANALYTIC
+    else:
+        assert (sol.alpha, sol.residual, sol.mode) == expected
+        assert math.copysign(1.0, sol.alpha) == math.copysign(1.0, expected[0])
 
 
 def no_null_instances(seed, count):
@@ -181,30 +198,33 @@ class TestHarmonicCoefficients:
 class TestCandidateAlphas:
     def test_symmetric_example_contains_known_roots(self):
         inp = make_input(math.pi / 4, 0.0, math.pi / 4, math.pi / 2)
-        cands = candidate_alphas(inp)
-        assert cands
         expected = math.acos(11.0 / 16.0) - math.pi / 4
-        assert any(abs(a - expected) < 1e-9 for a in cands)
-        assert any(abs(a + expected) < 1e-9 for a in cands)
-        residuals = oracle_magnitudes(inp, np.array(cands))
-        assert np.all(residuals <= 1e-9)
-        assert all(abs(a) <= inp.alpha_bound + 1e-12 for a in cands)
+        for cands in (null_rotations(inp), candidate_alphas(inp)):
+            assert any(abs(a - expected) < 1e-9 for a in cands)
+            assert any(abs(a + expected) < 1e-9 for a in cands)
+            residuals = oracle_magnitudes(inp, np.array(cands))
+            assert np.all(residuals <= 1e-9)
+            assert all(abs(a) <= inp.alpha_bound + 1e-12 for a in cands)
 
     def test_zero_amplitude_has_no_candidates(self):
         inp = make_input(math.pi / 2, 0.0, math.pi / 2, math.pi)
+        assert null_rotations(inp) == []
         assert candidate_alphas(inp) == []
 
     @settings(max_examples=100, deadline=None)
     @given(elevations, azimuths, elevations, azimuths)
     def test_unconstrained_candidates_are_true_nulls(self, ti, pi_, tr, pr):
         inp = make_input(ti, pi_, tr, pr, bound=math.pi)
-        cands = candidate_alphas(inp)
+        sol = select_rotation(inp)
         p, q = harmonic_coefficients(inp)
         if math.hypot(p, q) >= inp.ris.wavelength / (inp.ris.m_rows * inp.ris.dx):
-            assert cands  # a row null is always admissible at full freedom
-        if cands:
-            residuals = oracle_magnitudes(inp, np.array(cands))
-            assert np.all(residuals <= 1e-9)
+            # a row null is always admissible at full freedom
+            assert sol.mode == MODE_ANALYTIC
+        if sol.mode == MODE_ANALYTIC:
+            assert oracle_magnitudes(inp, np.array([sol.alpha]))[0] <= 1e-9
+        roots = [a for a in null_rotations(inp) if abs(psi_interference(inp, a)) <= 1e-9]
+        if roots:
+            assert np.all(oracle_magnitudes(inp, np.array(roots)) <= 1e-9)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -249,6 +269,7 @@ class TestCandidateAlphas:
     def test_matches_exhaustive_enumeration(self, ti, pi_, tr, pr, bound, ris):
         inp = make_input(ti, pi_, tr, pr, bound=bound, ris=ris)
         assert candidate_alphas(inp) == oracle_candidates(inp)
+        assert_matches_enumeration(inp)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -270,6 +291,7 @@ class TestCandidateAlphas:
         assume(bound > 0.0)
         inp = make_input(ti, pi_, tr, pr, bound=bound, ris=ris)
         assert candidate_alphas(inp) == oracle_candidates(inp)
+        assert_matches_enumeration(inp)
 
     def test_matches_enumeration_on_seeded_instances(self):
         rng = random.Random(20250326)
@@ -283,12 +305,13 @@ class TestCandidateAlphas:
                 ris=rng.choice(GRIDS),
             )
             assert candidate_alphas(inp) == oracle_candidates(inp)
+            assert_matches_enumeration(inp)
 
     @settings(max_examples=100, deadline=None)
     @given(elevations, azimuths, elevations, azimuths)
     def test_bound_respected(self, ti, pi_, tr, pr):
         inp = make_input(ti, pi_, tr, pr)
-        for alpha in candidate_alphas(inp):
+        for alpha in null_rotations(inp) + candidate_alphas(inp):
             assert abs(alpha) <= inp.alpha_bound + 1e-12
 
 
@@ -368,3 +391,80 @@ class TestSelectRotation:
     def test_rejects_nonpositive_budget(self):
         with pytest.raises(ValueError):
             make_input(0.5, 0.0, 0.5, 1.0, bound=0.0)
+
+
+def merging_roots(kind):
+    """Inputs whose nearest null is a row root and a column root less than 1e-12 apart.
+
+    With the receiver straight below and sin(theta_i) = 5/16, the sum
+    u = (3/16, 4/16) zeroes both the row and the column factor of the default
+    grid (a 3-4-5 triangle), so one rotation solves a row and a column level
+    and the two computed roots differ by rounding only.  ``kind`` "negative"
+    turns that common root to about -delta; "straddling" keeps it at zero,
+    where the two roots fall on either side.  Only inputs where the rounding
+    makes the closer root differ from the one the enumeration keeps are
+    returned.
+    """
+    theta = math.asin(0.3125)
+    azimuth = math.atan2(4.0, 3.0)
+    if kind == "negative":
+        shapes = [(theta, azimuth + 0.002 * j) for j in range(1, 40)]
+    else:
+        shapes = [
+            (theta + i * 2e-16, azimuth + j * 1.1e-16) for i in range(-8, 8) for j in range(-8, 8)
+        ]
+    found = []
+    for theta_i, phi_i in shapes:
+        inp = make_input(theta_i, phi_i, 0.0, 0.0)
+        passing = sorted(
+            a for a in null_rotations(inp) if abs(psi_interference(inp, a)) <= 1e-9
+        )
+        pairs = [(a, b) for a, b in zip(passing, passing[1:]) if 0.0 < b - a <= 1e-12]
+        if not pairs:
+            continue
+        low, high = pairs[0]
+        side = high < 0.0 if kind == "negative" else low < 0.0 < high
+        if side and abs(high) < abs(low):
+            found.append(inp)
+    return found
+
+
+class TestNearestNull:
+    """select_rotation against the full enumeration of every null level."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(0.0, math.pi, allow_nan=False),
+        azimuths,
+        st.floats(0.0, math.pi, allow_nan=False),
+        azimuths,
+        st.one_of(
+            st.floats(1e-6, math.pi, allow_nan=False),
+            st.floats(math.pi, 10.0, allow_nan=False),
+        ),
+        st.sampled_from(FALLBACK_GRIDS),
+    )
+    def test_selection_matches_enumeration(self, ti, pi_, tr, pr, bound, ris):
+        assert_matches_enumeration(make_input(ti, pi_, tr, pr, bound=bound, ris=ris))
+
+    def test_selection_matches_enumeration_on_seeded_instances(self):
+        rng = random.Random(20261018)
+        grids = FALLBACK_GRIDS + (RisConfig(m_rows=64, n_cols=2, dx=0.01, dy=0.05),)
+        for _ in range(10**4):
+            top = rng.choice((math.pi / 2, math.pi / 2, 0.3, math.pi))
+            inp = make_input(
+                rng.uniform(0.0, top),
+                rng.uniform(-math.pi, math.pi),
+                rng.uniform(0.0, top),
+                rng.uniform(-math.pi, math.pi),
+                bound=rng.choice((0.001, BOUND, 0.3, 1.0, math.pi, rng.uniform(1e-6, 4.0))),
+                ris=rng.choice(grids),
+            )
+            assert_matches_enumeration(inp)
+
+    @pytest.mark.parametrize("kind", ["negative", "straddling"])
+    def test_roots_closer_than_the_merge_gap(self, kind):
+        cases = merging_roots(kind)
+        assert len(cases) >= 5
+        for inp in cases:
+            assert_matches_enumeration(inp)
