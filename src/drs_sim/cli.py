@@ -17,6 +17,7 @@ import logging
 import math
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .config import (
@@ -149,6 +150,9 @@ def _parse_seeds(spec: str) -> list[int]:
         seeds = [int(part) for part in spec.split(",") if part.strip()]
         if not seeds:
             raise ValueError("empty seed list")
+        repeated = sorted(seed for seed, n in Counter(seeds).items() if n > 1)
+        if repeated:
+            raise ValueError(f"repeated seed(s) {', '.join(map(str, repeated))}")
         return seeds
     count = int(spec)
     if not 1 <= count <= MAX_SEED_COUNT:
@@ -213,10 +217,13 @@ def _read_plot_rows(paths: list[Path]) -> list[dict]:
                 raise PlotError(f"{path}: missing column(s) {', '.join(missing)}")
             for lineno, raw in enumerate(reader, start=2):
                 try:
+                    rate_bps = float(raw["rate_bps"])
+                    if not math.isfinite(rate_bps):
+                        raise ValueError(f"rate_bps must be finite, got {raw['rate_bps']}")
                     rows.append(
                         {
                             "cycle_index": int(raw["cycle_index"]),
-                            "rate_bps": float(raw["rate_bps"]),
+                            "rate_bps": rate_bps,
                             "control": raw["control"],
                         }
                     )

@@ -11,6 +11,10 @@ Within a step the arms also share each node's geometry and element pattern
 and the desired hop's path loss, computed once on plain floats; an arm adds
 only the yaw-dependent interference hop, the SINR and the rate.
 
+The step loop is one generator of served steps with two consumers: a run
+collects its arm's records and summarizes them, while the paired sweep keeps
+only each arm's per-step rates, which are all its mean rates need.
+
 The desired hop is beamformed (the element phases track the served pair),
 so its array factor stays at unit magnitude regardless of yaw; interference
 reflects passively and sees the yaw-dependent array factor.  This is why
@@ -23,7 +27,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .channel import (
     NO_PATH,
@@ -80,7 +84,7 @@ class WorldState:
     arms: tuple[bool, ...]  # orientation control per yaw arm; an "on" arm comes first
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class StepRecord:
     """Per-step metrics while a pair is being served."""
 
@@ -295,16 +299,18 @@ class RunSummary:
     rate_by_cycle: tuple[tuple[int, float, int], ...]  # (cycle, mean rate, samples)
 
 
+def _mean(values: list[float]) -> float | None:
+    return math.fsum(values) / len(values) if values else None
+
+
 def summarize(config: SimConfig, records: Iterable[StepRecord], control_on: bool) -> RunSummary:
     records = tuple(records)
     by_cycle: dict[int, list[float]] = {}
     for record in records:
         by_cycle.setdefault(record.cycle_index, []).append(record.rate_bps)
     rate_by_cycle = tuple(
-        (cycle, math.fsum(rates) / len(rates), len(rates))
-        for cycle, rates in sorted(by_cycle.items())
+        (cycle, _mean(rates), len(rates)) for cycle, rates in sorted(by_cycle.items())
     )
-    mean = math.fsum(r.rate_bps for r in records) / len(records) if records else None
     return RunSummary(
         seed=config.scenario.seed,
         control_on=control_on,
@@ -312,27 +318,25 @@ def summarize(config: SimConfig, records: Iterable[StepRecord], control_on: bool
         steps=config.steps,
         records=records,
         n_pairs=len({r.pair_id for r in records}),
-        mean_rate_bps=mean,
+        mean_rate_bps=_mean([r.rate_bps for r in records]),
         rate_by_cycle=rate_by_cycle,
     )
 
 
-def _simulate(config: SimConfig, seed: int | None, arms: tuple[bool, ...]) -> list[RunSummary]:
-    """Step one shared trajectory and summarize every yaw arm evaluated on it."""
-    if seed is not None:
-        config = replace(config, scenario=replace(config.scenario, seed=seed))
+def _simulate(config: SimConfig, arms: tuple[bool, ...]) -> Iterator[list[StepRecord]]:
+    """Step one seed's shared trajectory, yielding every served step's per-arm records."""
     state = initial_state(config, arms)
-    records: list[list[StepRecord]] = [[] for _ in arms]
-    for _ in range(config.steps):
-        for arm_records, record in zip(records, run_step(state, config) or ()):
-            arm_records.append(record)
-    return [summarize(config, r, control) for r, control in zip(records, arms)]
+    steps = (run_step(state, config) for _ in range(config.steps))
+    return (records for records in steps if records is not None)
 
 
 def run_simulation(config: SimConfig, seed: int | None = None) -> RunSummary:
     """Run the configured number of steps; deterministic for a fixed seed."""
-    (summary,) = _simulate(config, seed, (config.orientation_control,))
-    return summary
+    if seed is not None:
+        config = replace(config, scenario=replace(config.scenario, seed=seed))
+    control = config.orientation_control
+    records = [record for record, in _simulate(config, (control,))]
+    return summarize(config, records, control)
 
 
 @dataclass(frozen=True)
@@ -350,10 +354,12 @@ class PairedRun:
         return 100.0 * (self.mean_rate_on - self.mean_rate_off) / self.mean_rate_off
 
 
-def _paired_seed(args: tuple[SimConfig, int]) -> PairedRun:
-    config, seed = args
-    on, off = _simulate(config, seed, (True, False))
-    return PairedRun(seed, on.mean_rate_bps, off.mean_rate_bps)
+def _paired_seed(config: SimConfig) -> PairedRun:
+    rates_on, rates_off = [], []
+    for on, off in _simulate(config, (True, False)):
+        rates_on.append(on.rate_bps)
+        rates_off.append(off.rate_bps)
+    return PairedRun(config.scenario.seed, _mean(rates_on), _mean(rates_off))
 
 
 def paired_sweep(
@@ -368,7 +374,7 @@ def paired_sweep(
     """
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    work = [(config, seed) for seed in seeds]
+    work = [replace(config, scenario=replace(config.scenario, seed=seed)) for seed in seeds]
     if jobs is None:
         jobs = min(len(work), os.cpu_count() or 1)
     if jobs > 1 and len(work) > 1:

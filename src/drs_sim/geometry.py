@@ -37,7 +37,7 @@ class Vec3:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Pose:
     """Drone position plus yaw about the world vertical axis.
 
@@ -50,13 +50,13 @@ class Pose:
     yaw: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "yaw", wrap_angle(self.yaw))
+        self.yaw = wrap_angle(self.yaw)
 
     def rotated(self, delta_yaw: float) -> Pose:
         return Pose(self.position, wrap_angle(self.yaw + delta_yaw))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AngularCoords:
     """Direction of a node as seen from the surface.
 
@@ -71,7 +71,7 @@ class AngularCoords:
     def __post_init__(self) -> None:
         if math.isnan(self.theta) or not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta must be in [0, pi], got {self.theta}")
-        object.__setattr__(self, "phi", wrap_angle(self.phi))
+        self.phi = wrap_angle(self.phi)
 
 
 def sight(surface: Vec3, target: Vec3) -> tuple[float, float | None, float]:
@@ -118,4 +118,5 @@ def rotation_between(a: Pose, b: Pose) -> float:
 
 def step_displacement(a: Vec3, b: Vec3) -> float:
     """Euclidean distance in meters traveled when moving from ``a`` to ``b``."""
-    return (b - a).norm()
+    dx, dy, dz = b.x - a.x, b.y - a.y, b.z - a.z
+    return math.sqrt(dx * dx + dy * dy + dz * dz)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .channel import RisConfig, array_factor, direction_cosine_sums
 from .geometry import AngularCoords, wrap_angle
@@ -43,7 +44,7 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _REFINE_STEPS = math.ceil(math.log(1e-9 * _COARSE_HALF / 2.0) / math.log(_INV_PHI))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NullSteerInput:
     """Geometry seen from the current pose plus the per-step rotation budget."""
 
@@ -57,7 +58,7 @@ class NullSteerInput:
             raise ValueError("alpha_bound must be > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NullSolution:
     alpha: float
     residual: float  # |array factor| at alpha
@@ -130,21 +131,21 @@ def nearest_null(inp: NullSteerInput) -> tuple[float, float] | None:
 
     Roots with residual <= NULL_RESIDUAL_TOL are nulls; nulls at most 1e-12
     apart are one null, kept at the lowest (ascending deduplication).  The
-    smallest |alpha| wins, the more negative one on a tie.
+    smallest |alpha| wins, the more negative (the first kept) on a tie.
     """
-    passing = sorted(
-        (
-            (alpha, residual)
-            for alpha in null_rotations(inp)
-            if (residual := abs(psi_interference(inp, alpha))) <= NULL_RESIDUAL_TOL
-        ),
-        key=lambda null: null[0],
-    )
-    kept: list[tuple[float, float]] = []
+    passing = []
+    for alpha in null_rotations(inp):
+        residual = abs(psi_interference(inp, alpha))
+        if residual <= NULL_RESIDUAL_TOL:
+            passing.append((alpha, residual))
+    passing.sort(key=itemgetter(0))
+    best, kept = None, -math.inf
     for alpha, residual in passing:
-        if not kept or alpha - kept[-1][0] > _MERGE_GAP:
-            kept.append((alpha, residual))
-    return min(kept, key=lambda null: (abs(null[0]), null[0]), default=None)
+        if alpha - kept > _MERGE_GAP:
+            kept = alpha
+            if best is None or abs(alpha) < abs(best[0]):
+                best = (alpha, residual)
+    return best
 
 
 def _golden_section_min(inp: NullSteerInput, lo: float, hi: float) -> tuple[float, float]:

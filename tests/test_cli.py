@@ -198,6 +198,22 @@ class TestSweep:
             assert "--seeds" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_repeated_seed_fails_up_front(self, config_file, tmp_path, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr("drs_sim.cli.paired_sweep", no_sweep)
+        out = tmp_path / "sweep"
+        code = main([
+            "sweep", "--config", str(config_file), "--seeds", "3,3,", "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--seeds" in err
+        assert "repeated seed(s) 3" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_seed_count_above_the_limit(self, config_file, tmp_path, capsys, monkeypatch):
         def no_sweep(*args, **kwargs):
             raise AssertionError("the sweep started")
@@ -275,6 +291,20 @@ class TestPlot:
         assert main(["plot", str(bad), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "cycle_index" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_rate_fails(self, value, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "cycle_index,rate_bps,control\r\n0,5.0,on\r\n1," + value + ",on\r\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "plots"
+        assert main(["plot", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}:3: bad row" in err
+        assert "rate_bps" in err
+        assert not out.exists()
 
     def test_missing_file_fails(self, tmp_path):
         assert main(["plot", str(tmp_path / "ghost.csv"), "--out", str(tmp_path)]) == 1

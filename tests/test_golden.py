@@ -62,8 +62,10 @@ def test_steps_csv_hash_of_config(lines, digest, tmp_path):
 SWEEP_GOLDEN = "2e434c8686068059f4774252c47fb328b074f96afc1db8a6e02729aee76f67de"
 
 
-def test_sweep_csv_hash(tmp_path):
+# The serial sweep and the process pool must write the same bytes.
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_csv_hash(jobs, tmp_path):
     out = tmp_path / "out"
-    args = ["sweep", "--seeds", "1,2", "--steps", "2000", "--jobs", "1", "--out", str(out)]
+    args = ["sweep", "--seeds", "1,2", "--steps", "2000", "--jobs", jobs, "--out", str(out)]
     assert main(args) == 0
     assert hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest() == SWEEP_GOLDEN
