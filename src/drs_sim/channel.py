@@ -120,9 +120,11 @@ def direction_cosine_sums(
     theta_t: float, phi_t: float, theta_r: float, phi_r: float
 ) -> tuple[float, float]:
     """Sums of the incident and exit direction cosines along local x and y."""
-    ux = math.sin(theta_t) * math.cos(phi_t) + math.sin(theta_r) * math.cos(phi_r)
-    uy = math.sin(theta_t) * math.sin(phi_t) + math.sin(theta_r) * math.sin(phi_r)
-    return ux, uy
+    sin_t, sin_r = math.sin(theta_t), math.sin(theta_r)
+    return (
+        sin_t * math.cos(phi_t) + sin_r * math.cos(phi_r),
+        sin_t * math.sin(phi_t) + sin_r * math.sin(phi_r),
+    )
 
 
 def array_factor(ris: RisConfig, ux: float, uy: float) -> float:

@@ -36,6 +36,7 @@ from .engine import (
     paired_sweep,
     run_simulation,
 )
+from .rng import SEED_LIMIT
 from .svgplot import bar_chart, line_chart
 
 log = logging.getLogger("drs_sim")
@@ -150,6 +151,9 @@ def _parse_seeds(spec: str) -> list[int]:
         seeds = [int(part) for part in spec.split(",") if part.strip()]
         if not seeds:
             raise ValueError("empty seed list")
+        outside = [seed for seed in seeds if not 0 <= seed < SEED_LIMIT]
+        if outside:
+            raise ValueError(f"seed(s) {', '.join(map(str, outside))} not in [0, 2**64)")
         repeated = sorted(seed for seed, n in Counter(seeds).items() if n > 1)
         if repeated:
             raise ValueError(f"repeated seed(s) {', '.join(map(str, repeated))}")

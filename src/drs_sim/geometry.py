@@ -22,9 +22,14 @@ def wrap_angle(angle: float) -> float:
     return r
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Vec3:
-    """Point or displacement in meters: x lateral, y longitudinal, z vertical."""
+    """Point or displacement in meters: x lateral, y longitudinal, z vertical.
+
+    Not frozen: a served step builds several, and a frozen dataclass pays
+    three ``object.__setattr__`` calls per construction.  Nothing mutates or
+    hashes one.
+    """
 
     x: float
     y: float

@@ -9,10 +9,11 @@ sum then becomes a pure harmonic in alpha,
 
 with R = sqrt(P^2 + Q^2).  Each sum is continuous in alpha, so the null
 closest to alpha = 0 lies on one of the two null levels nearest to the sum's
-value at alpha = 0; only those are solved, at most eight roots in all.  When
-none of them is inside the budget, the rotation that minimizes |psi| is
-found by a coarse scan whose bracketed minima are refined by golden-section
-search.
+value at alpha = 0; only those are solved, at most eight roots in all, and
+they are tested nearest-first, so a lone nearest null costs one residual.
+When none of them is a null inside the budget, the rotation that minimizes
+|psi| is found by a coarse scan whose bracketed minima are refined by
+golden-section search.
 """
 
 from __future__ import annotations
@@ -132,11 +133,20 @@ def nearest_null(inp: NullSteerInput) -> tuple[float, float] | None:
     Roots with residual <= NULL_RESIDUAL_TOL are nulls; nulls at most 1e-12
     apart are one null, kept at the lowest (ascending deduplication).  The
     smallest |alpha| wins, the more negative (the first kept) on a tie.
+
+    Roots are tested nearest-first.  The first null p is the answer when the
+    next root's |alpha| exceeds |p| by more than _MERGE_GAP: every other null
+    is then more than _MERGE_GAP from p and farther from 0, so the rule
+    below would keep p and pick it.  Otherwise the remaining roots are
+    tested and the rule runs.
     """
+    roots = sorted(null_rotations(inp), key=abs)
     passing = []
-    for alpha in null_rotations(inp):
+    for i, alpha in enumerate(roots):
         residual = abs(psi_interference(inp, alpha))
         if residual <= NULL_RESIDUAL_TOL:
+            if not passing and (i + 1 == len(roots) or abs(roots[i + 1]) - abs(alpha) > _MERGE_GAP):
+                return alpha, residual
             passing.append((alpha, residual))
     passing.sort(key=itemgetter(0))
     best, kept = None, -math.inf
@@ -174,8 +184,8 @@ def select_rotation(inp: NullSteerInput) -> NullSolution:
 
     The analytic null of smallest |alpha| wins (tie: the more negative one)
     to preserve rotation budget for later steps; ``nearest_null`` finds it
-    from the nearest null levels alone.  With no null inside the budget,
-    |psi| is scanned at
+    from the nearest null levels alone, testing their roots nearest-first.
+    With no null inside the budget, |psi| is scanned at
     2 * _COARSE_HALF + 1 uniform rotations over [-bound, bound] (alpha = 0
     is the middle one), and every scanned point no higher than its
     neighbours is refined by golden-section search over the bracket its

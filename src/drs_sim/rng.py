@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 
 _MASK64 = (1 << 64) - 1
+# Seeds are one 64-bit state word: the valid ones are range(SEED_LIMIT).
+SEED_LIMIT = 1 << 64
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .geometry import Vec3
 from .planner import MotionLimits, WorldBounds
-from .rng import SplitMix64
+from .rng import SEED_LIMIT, SplitMix64
 
 ANTENNA_HEIGHT_MIN = 1.5  # [m]
 ANTENNA_HEIGHT_MAX = 2.0  # [m]
@@ -52,7 +52,7 @@ class ScenarioConfig:
     v2v_rate: float = 0.02  # pairing events per step
     bounds: WorldBounds = field(default_factory=WorldBounds)
     limits: MotionLimits = field(default_factory=MotionLimits)
-    rsu_position: Vec3 = Vec3(250.0, 2500.0, 5.0)
+    rsu_position: Vec3 = field(default_factory=lambda: Vec3(250.0, 2500.0, 5.0))
     seed: int = 1
     interferer_kind: str = INTERFERER_RSU
 
@@ -61,6 +61,8 @@ class ScenarioConfig:
             raise ValueError("scenario.arrival_rate must be >= 0")
         if self.v2v_rate < 0.0:
             raise ValueError("scenario.v2v_rate must be >= 0")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError(f"scenario.seed must be in [0, 2**64), got {self.seed}")
         if self.interferer_kind not in INTERFERER_KINDS:
             raise ValueError(
                 f"scenario.interferer must be one of {INTERFERER_KINDS}, got {self.interferer_kind!r}"

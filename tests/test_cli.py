@@ -4,8 +4,12 @@ import math
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from drs_sim.cli import MAX_SEED_COUNT, STEPS_CSV_COLUMNS, main
+from drs_sim.cli import MAX_SEED_COUNT, STEPS_CSV_COLUMNS, main, summary_as_dict
+from drs_sim.config import ConfigError, parse_config_text
+from drs_sim.engine import run_simulation
 from drs_sim.geometry import Vec3
 
 BASE_CONFIG = """
@@ -112,6 +116,8 @@ class TestRun:
                 id="underflow-ris.gain_tx",
             ),
             ("ris.amplitude = 1e-170", "ris.amplitude"),
+            ("scenario.seed = -1", "scenario.seed"),
+            (f"scenario.seed = {2**64}", "scenario.seed"),
         ],
     )
     def test_invalid_value_fails_up_front(self, line, key, tmp_path, capsys):
@@ -132,6 +138,17 @@ class TestRun:
         assert code == 1
         err = capsys.readouterr().err
         assert "run.steps" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_fails_up_front(self, seed, config_file, tmp_path, capsys):
+        # SplitMix64 would reduce the seed mod 2**64 and silently run another seed
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(config_file), "--seed", seed, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "scenario.seed" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -189,13 +206,16 @@ class TestSweep:
             )
 
     def test_bad_seed_spec(self, config_file, tmp_path, capsys):
-        for spec in ("0", ",", " , "):
-            out = tmp_path / f"sweep-{len(spec)}"
+        # seeds outside [0, 2**64) would wrap: 2**64 + 1 runs seed 1 a second time
+        for i, spec in enumerate(("0", ",", " , ", "-1,2", f"1,{2**64}", f"1,{2**64 + 1},")):
+            out = tmp_path / f"sweep-{i}"
             code = main([
-                "sweep", "--config", str(config_file), "--seeds", spec, "--out", str(out),
+                "sweep", "--config", str(config_file), f"--seeds={spec}", "--out", str(out),
             ])
             assert code == 1
-            assert "--seeds" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "--seeds" in err
+            assert "Traceback" not in err
             assert not out.exists()
 
     def test_repeated_seed_fails_up_front(self, config_file, tmp_path, capsys, monkeypatch):
@@ -308,3 +328,58 @@ class TestPlot:
 
     def test_missing_file_fails(self, tmp_path):
         assert main(["plot", str(tmp_path / "ghost.csv"), "--out", str(tmp_path)]) == 1
+
+
+def _log_floats(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+# Drafts of every config key but run.steps and run.output_dir, wide enough
+# that about half fail validation: the property is about the ones that pass.
+CONFIG_DRAFTS = {
+    "scenario.arrival_rate": st.floats(0.0, 5.0),
+    "scenario.v2v_rate": st.floats(0.0, 2.0),
+    "scenario.seed": st.integers(0, 2**64 - 1),
+    "scenario.interferer": st.sampled_from(["rsu", "vehicle", "none"]),
+    "scenario.rsu_x": st.floats(-1000.0, 1000.0),
+    "scenario.rsu_y": st.floats(-1000.0, 6000.0),
+    "scenario.rsu_z": st.floats(-10.0, 200.0),
+    "bounds.x_min": st.floats(-500.0, 100.0),
+    "bounds.x_max": st.floats(0.0, 1000.0),
+    "bounds.y_min": st.floats(-1000.0, 1000.0),
+    "bounds.y_max": st.floats(0.0, 8000.0),
+    "bounds.z_min": st.floats(1.0, 400.0),
+    "bounds.z_max": st.floats(50.0, 2000.0),
+    "limits.v_drone": st.floats(0.0, 100.0),
+    "limits.rot_rate": _log_floats(-4.0, 1.0),
+    "limits.time_step": _log_floats(-2.0, 1.0),
+    "limits.v_vehicle": st.floats(0.0, 40.0),
+    "ris.m_rows": st.integers(1, 64),
+    "ris.n_cols": st.integers(1, 64),
+    "ris.dx": _log_floats(-3.0, -1.0),
+    "ris.dy": _log_floats(-3.0, -1.0),
+    "ris.wavelength": _log_floats(-3.0, 0.0),
+    "ris.gain_tx": _log_floats(-3.0, 3.0),
+    "ris.gain_rx": _log_floats(-3.0, 3.0),
+    "ris.gain_ris": _log_floats(-3.0, 3.0),
+    "ris.amplitude": st.floats(0.0, 1.0),
+    "radio.tx_power": _log_floats(-6.0, 3.0),
+    "radio.noise_power": _log_floats(-25.0, -5.0),
+    "radio.efficiency": st.floats(0.0, 1.0),
+    "radio.eff_bandwidth": _log_floats(3.0, 9.0),
+    "run.orientation_control": st.sampled_from(["on", "off"]),
+    "run.sinr_form": st.sampled_from(["standard", "paper-literal"]),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.fixed_dictionaries({}, optional=CONFIG_DRAFTS))
+def test_every_valid_config_runs_finite(draft):
+    text = "".join(f"{key} = {value}\n" for key, value in draft.items())
+    try:
+        config = parse_config_text(text + "run.steps = 500\n")
+    except ConfigError:
+        reject()
+    summary = run_simulation(config.sim)
+    assert all(math.isfinite(record.rate_bps) for record in summary.records)
+    json.dumps(summary_as_dict(config, summary), allow_nan=False)

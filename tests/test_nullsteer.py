@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from drs_sim.channel import LinkGeometry, RisConfig, psi
+from drs_sim import nullsteer
 from drs_sim.geometry import AngularCoords, wrap_angle
 from drs_sim.nullsteer import (
     MODE_ANALYTIC,
@@ -14,6 +15,7 @@ from drs_sim.nullsteer import (
     MODE_NONE,
     NullSteerInput,
     harmonic_coefficients,
+    nearest_null,
     null_rotations,
     psi_interference,
     select_rotation,
@@ -468,3 +470,19 @@ class TestNearestNull:
         assert len(cases) >= 5
         for inp in cases:
             assert_matches_enumeration(inp)
+
+    def test_an_isolated_nearest_null_stops_after_one_residual(self, monkeypatch):
+        inp = make_input(0.6, 0.3, 0.4, -1.0)
+        roots = sorted(null_rotations(inp), key=abs)
+        assert len(roots) == 3
+        assert abs(roots[1]) - abs(roots[0]) > 1e-12
+        expected = enumerated_selection(inp)[:2]
+        calls = []
+
+        def counted(inp, alpha):
+            calls.append(alpha)
+            return psi_interference(inp, alpha)
+
+        monkeypatch.setattr(nullsteer, "psi_interference", counted)
+        assert nearest_null(inp) == expected
+        assert calls == [roots[0]]
