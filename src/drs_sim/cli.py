@@ -1,7 +1,7 @@
 """Command-line front end: run one simulation, sweep seeds, plot results.
 
 Subcommands:
-  run    execute one simulation, write steps.csv + summary.json
+  run    execute one simulation, streaming steps.csv, then write summary.json
   sweep  paired control-on/control-off runs across seeds, write sweep.csv
   plot   render steps.csv files into SVG charts
 
@@ -16,9 +16,11 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .config import (
     ConfigError,
@@ -34,7 +36,8 @@ from .engine import (
     StepRecord,
     aggregate_improvement,
     paired_sweep,
-    run_simulation,
+    simulate,
+    summarize,
 )
 from .rng import SEED_LIMIT
 from .svgplot import bar_chart, line_chart
@@ -99,12 +102,12 @@ def _record_row(record: StepRecord) -> list[str]:
     ]
 
 
-def write_steps_csv(path: Path, summary: RunSummary) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(STEPS_CSV_COLUMNS)
-        for record in summary.records:
-            writer.writerow(_record_row(record))
+def _write_rows(writer, records: Iterable[StepRecord]) -> Iterator[StepRecord]:
+    """Write the steps.csv header, then each record's row as it arrives, passing it on."""
+    writer.writerow(STEPS_CSV_COLUMNS)
+    for record in records:
+        writer.writerow(_record_row(record))
+        yield record
 
 
 def summary_as_dict(config: RunConfig, summary: RunSummary) -> dict:
@@ -112,9 +115,9 @@ def summary_as_dict(config: RunConfig, summary: RunSummary) -> dict:
     return {
         "seed": summary.seed,
         "mode": mode,
-        "sinr_form": summary.sinr_form,
-        "steps": summary.steps,
-        "n_records": len(summary.records),
+        "sinr_form": config.sim.sinr_form,
+        "steps": config.sim.steps,
+        "n_records": summary.n_records,
         "n_pairs": summary.n_pairs,
         "mean_rate_bps": {mode: summary.mean_rate_bps},
         "improvement_pct": None,
@@ -133,12 +136,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     log.info("running %d steps with seed %d", config.sim.steps, config.sim.scenario.seed)
-    summary = run_simulation(config.sim)
-    write_steps_csv(out_dir / "steps.csv", summary)
+    # Rows are written as the steps run, to a file that becomes steps.csv
+    # only when the run succeeds: a failed run leaves no partial steps.csv.
+    steps_path, partial = out_dir / "steps.csv", out_dir / "steps.csv.partial"
+    try:
+        with open(partial, "w", newline="", encoding="utf-8") as fh:
+            summary = summarize(config.sim, _write_rows(csv.writer(fh), simulate(config.sim)))
+        partial.replace(steps_path)
+    finally:
+        partial.unlink(missing_ok=True)
     write_summary_json(out_dir / "summary.json", summary_as_dict(config, summary))
     mean = summary.mean_rate_bps
     print(
-        f"wrote {out_dir / 'steps.csv'} ({len(summary.records)} records, "
+        f"wrote {steps_path} ({summary.n_records} records, "
         f"{summary.n_pairs} pairs, mean rate "
         f"{'n/a' if mean is None else f'{mean:.1f} bit/s'})"
     )
@@ -208,8 +218,9 @@ class PlotError(ValueError):
     """Input CSV unusable for plotting."""
 
 
-def _read_plot_rows(paths: list[Path]) -> list[dict]:
-    rows: list[dict] = []
+def _read_rates(paths: list[Path]) -> dict[str, dict[int, list[float]]]:
+    """Rates from steps.csv files, grouped by control mode, then by cycle index."""
+    rates: dict[str, dict[int, list[float]]] = {}
     for path in paths:
         if not path.is_file():
             raise PlotError(f"input CSV not found: {path}")
@@ -224,55 +235,34 @@ def _read_plot_rows(paths: list[Path]) -> list[dict]:
                     rate_bps = float(raw["rate_bps"])
                     if not math.isfinite(rate_bps):
                         raise ValueError(f"rate_bps must be finite, got {raw['rate_bps']}")
-                    rows.append(
-                        {
-                            "cycle_index": int(raw["cycle_index"]),
-                            "rate_bps": rate_bps,
-                            "control": raw["control"],
-                        }
-                    )
+                    cycle = int(raw["cycle_index"])
                 except (TypeError, ValueError) as exc:
                     raise PlotError(f"{path}:{lineno}: bad row: {exc}") from None
-    if not rows:
+                rates.setdefault(raw["control"], {}).setdefault(cycle, []).append(rate_bps)
+    if not rates:
         raise PlotError("no data rows in input CSV")
-    return rows
-
-
-def mean_rate_by_mode(rows: list[dict]) -> dict[str, float]:
-    by_mode: dict[str, list[float]] = {}
-    for row in rows:
-        by_mode.setdefault(row["control"], []).append(row["rate_bps"])
-    return {mode: math.fsum(v) / len(v) for mode, v in sorted(by_mode.items())}
-
-
-def rate_by_cycle_by_mode(rows: list[dict]) -> dict[str, list[tuple[float, float]]]:
-    acc: dict[str, dict[int, list[float]]] = {}
-    for row in rows:
-        acc.setdefault(row["control"], {}).setdefault(row["cycle_index"], []).append(
-            row["rate_bps"]
-        )
-    return {
-        mode: [(cycle, math.fsum(v) / len(v)) for cycle, v in sorted(cycles.items())]
-        for mode, cycles in sorted(acc.items())
-    }
+    return rates
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    rows = _read_plot_rows([Path(p) for p in args.csv])
+    rates = _read_rates([Path(p) for p in args.csv])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    series = [
-        (f"control {mode}", points)
-        for mode, points in rate_by_cycle_by_mode(rows).items()
-    ]
+    # fsum is correctly rounded, so a mode's mean over its cycle lists equals
+    # its mean over the rows in file order.
+    series, bars = [], []
+    for mode, cycles in sorted(rates.items()):
+        label = f"control {mode}"
+        series.append((label, [(c, math.fsum(v) / len(v)) for c, v in sorted(cycles.items())]))
+        mode_rates = [rate_bps for v in cycles.values() for rate_bps in v]
+        bars.append((label, math.fsum(mode_rates) / len(mode_rates)))
     line_svg = line_chart(
         series,
         title="Relayed rate vs. cycle index",
         xlabel="cycle index (steps since pair start)",
         ylabel="mean rate [bit/s]",
     )
-    bars = [(f"control {mode}", value) for mode, value in mean_rate_by_mode(rows).items()]
     bar_svg = bar_chart(bars, title="Mean relayed rate per mode", ylabel="rate [bit/s]")
 
     line_path = out_dir / "rate_vs_cycle.svg"
@@ -321,8 +311,20 @@ def _add_config_args(sub: argparse.ArgumentParser, with_seed: bool) -> None:
     sub.add_argument("--out", help="output directory (default from config)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads anything that starts like a negative number (``--seeds -1,2``) as a
+    value, and reports usage errors as bad input (exit 1), like a bad config."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="drs-sim",
         description="Drone-mounted reflecting-surface relay simulator for highway V2V links",
     )
@@ -353,9 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     level = os.environ.get("DRS_SIM_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, PlotError) as exc:
         print(f"error: {exc}", file=sys.stderr)

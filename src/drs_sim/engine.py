@@ -12,8 +12,9 @@ and the desired hop's path loss, computed once on plain floats; an arm adds
 only the yaw-dependent interference hop, the SINR and the rate.
 
 The step loop is one generator of served steps with two consumers: a run
-collects its arm's records and summarizes them, while the paired sweep keeps
-only each arm's per-step rates, which are all its mean rates need.
+streams its arm's records (the CLI writes each as a CSV row) into a summary
+that keeps only their rates, and the paired sweep keeps only each arm's
+per-step rates.  Neither keeps a record once it is consumed.
 
 The desired hop is beamformed (the element phases track the served pair),
 so its array factor stays at unit magnitude regardless of yaw; interference
@@ -287,39 +288,32 @@ def run_step(state: WorldState, config: SimConfig) -> list[StepRecord] | None:
 
 @dataclass(frozen=True)
 class RunSummary:
-    """Records plus the aggregates the experiment front end consumes."""
+    """The aggregates of one run that the experiment front end reports."""
 
     seed: int
     control_on: bool
-    sinr_form: str
-    steps: int
-    records: tuple[StepRecord, ...]
+    n_records: int
     n_pairs: int
     mean_rate_bps: float | None
-    rate_by_cycle: tuple[tuple[int, float, int], ...]  # (cycle, mean rate, samples)
 
 
 def _mean(values: list[float]) -> float | None:
     return math.fsum(values) / len(values) if values else None
 
 
-def summarize(config: SimConfig, records: Iterable[StepRecord], control_on: bool) -> RunSummary:
-    records = tuple(records)
-    by_cycle: dict[int, list[float]] = {}
+def summarize(config: SimConfig, records: Iterable[StepRecord]) -> RunSummary:
+    """Aggregate a run's records in one pass, keeping only their rates and pair ids."""
+    rates: list[float] = []
+    pairs: set[int] = set()
     for record in records:
-        by_cycle.setdefault(record.cycle_index, []).append(record.rate_bps)
-    rate_by_cycle = tuple(
-        (cycle, _mean(rates), len(rates)) for cycle, rates in sorted(by_cycle.items())
-    )
+        rates.append(record.rate_bps)
+        pairs.add(record.pair_id)
     return RunSummary(
         seed=config.scenario.seed,
-        control_on=control_on,
-        sinr_form=config.sinr_form,
-        steps=config.steps,
-        records=records,
-        n_pairs=len({r.pair_id for r in records}),
-        mean_rate_bps=_mean([r.rate_bps for r in records]),
-        rate_by_cycle=rate_by_cycle,
+        control_on=config.orientation_control,
+        n_records=len(rates),
+        n_pairs=len(pairs),
+        mean_rate_bps=_mean(rates),
     )
 
 
@@ -330,13 +324,16 @@ def _simulate(config: SimConfig, arms: tuple[bool, ...]) -> Iterator[list[StepRe
     return (records for records in steps if records is not None)
 
 
+def simulate(config: SimConfig) -> Iterator[StepRecord]:
+    """Yield the configured arm's record for every served step, as the step is run."""
+    return (record for record, in _simulate(config, (config.orientation_control,)))
+
+
 def run_simulation(config: SimConfig, seed: int | None = None) -> RunSummary:
     """Run the configured number of steps; deterministic for a fixed seed."""
     if seed is not None:
         config = replace(config, scenario=replace(config.scenario, seed=seed))
-    control = config.orientation_control
-    records = [record for record, in _simulate(config, (control,))]
-    return summarize(config, records, control)
+    return summarize(config, simulate(config))
 
 
 @dataclass(frozen=True)

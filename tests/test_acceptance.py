@@ -13,7 +13,7 @@ import numpy as np
 
 from drs_sim.channel import LinkGeometry, RisConfig, path_loss_far_field, psi
 from drs_sim.cli import main
-from drs_sim.engine import SimConfig, aggregate_improvement, paired_sweep, run_simulation
+from drs_sim.engine import SimConfig, aggregate_improvement, paired_sweep, simulate
 from drs_sim.geometry import AngularCoords, wrap_angle
 from drs_sim.nullsteer import (
     MODE_ANALYTIC,
@@ -23,7 +23,7 @@ from drs_sim.nullsteer import (
 )
 from drs_sim.planner import WorldBounds, optimal_height
 from drs_sim.rng import SplitMix64
-from drs_sim.traffic import next_arrival_delta, sample_v2v_events
+from drs_sim.traffic import ScenarioConfig, next_arrival_delta, sample_v2v_events
 
 from _oracles import candidate_alphas, clamp, rotated_factor_magnitude
 
@@ -170,13 +170,14 @@ def test_criterion_04_array_factor_matches_phasor_sum():
 
 def test_criterion_05_constraints_hold_over_long_run():
     """10^4-step run: zero violations of motion, rotation and box constraints."""
-    config = SimConfig(steps=10000)
-    summary = run_simulation(config, seed=11)  # raises on any internal violation
+    config = SimConfig(scenario=ScenarioConfig(seed=11), steps=10000)
     limits = config.scenario.limits
     bounds = config.scenario.bounds
     violations = 0
+    served = 0
     previous = None
-    for record in summary.records:
+    for record in simulate(config):  # raises on any internal violation
+        served += 1
         pose = record.drs
         if not bounds.contains(pose.position, tol=1e-9):
             violations += 1
@@ -186,12 +187,12 @@ def test_criterion_05_constraints_hold_over_long_run():
             if abs(wrap_angle(pose.yaw - previous.yaw)) > limits.yaw_budget + 1e-12:
                 violations += 1
         previous = pose
-    ok = violations == 0 and len(summary.records) > 1000
+    ok = violations == 0 and served > 1000
     _report(
         5,
         "constraint suite over 10^4 steps",
         ok,
-        f"{violations} violations across {len(summary.records)} served steps",
+        f"{violations} violations across {served} served steps",
     )
 
 

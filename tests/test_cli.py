@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from drs_sim.cli import MAX_SEED_COUNT, STEPS_CSV_COLUMNS, main, summary_as_dict
+from drs_sim.cli import MAX_SEED_COUNT, STEPS_CSV_COLUMNS, _record_row, main, summary_as_dict
 from drs_sim.config import ConfigError, parse_config_text
-from drs_sim.engine import run_simulation
+from drs_sim.engine import simulate, summarize
 from drs_sim.geometry import Vec3
 
 BASE_CONFIG = """
@@ -131,13 +131,18 @@ class TestRun:
         assert "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("steps", ["0", "-5"])
-    def test_bad_steps_flag_fails_up_front(self, steps, config_file, tmp_path, capsys):
+    # a value argparse cannot read is a usage error: bad input, exit 1, not 2
+    @pytest.mark.parametrize(
+        "steps, name",
+        [("0", "run.steps"), ("-5", "run.steps"), ("abc", "--steps")],
+        ids=["0", "-5", "abc"],
+    )
+    def test_bad_steps_flag_fails_up_front(self, steps, name, config_file, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["run", "--config", str(config_file), "--steps", steps, "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
-        assert "run.steps" in err
+        assert name in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -163,6 +168,23 @@ class TestRun:
         assert err.startswith("error: constraint violated: displacement")
         assert err.count("\n") == 1
         assert not (tmp_path / "out" / "steps.csv").exists()
+
+    def test_io_error_mid_run_leaves_no_partial_csv(self, config_file, tmp_path, monkeypatch, capsys):
+        rows = 0
+
+        def full_disk(record):
+            nonlocal rows
+            rows += 1
+            if rows > 10:
+                raise OSError(28, "No space left on device")
+            return _record_row(record)
+
+        monkeypatch.setattr("drs_sim.cli._record_row", full_disk)
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(config_file), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("i/o error:")
+        assert list(out.iterdir()) == []
 
     def test_byte_identical_reruns(self, config_file, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -207,11 +229,12 @@ class TestSweep:
 
     def test_bad_seed_spec(self, config_file, tmp_path, capsys):
         # seeds outside [0, 2**64) would wrap: 2**64 + 1 runs seed 1 a second time
-        for i, spec in enumerate(("0", ",", " , ", "-1,2", f"1,{2**64}", f"1,{2**64 + 1},")):
+        specs = ("0", ",", " , ", "-1,2", f"1,{2**64}", f"1,{2**64 + 1},")
+        # a list that starts with a negative seed is the value of --seeds, not an option
+        flags = [[f"--seeds={spec}"] for spec in specs] + [["--seeds", "-1,2"]]
+        for i, seeds in enumerate(flags):
             out = tmp_path / f"sweep-{i}"
-            code = main([
-                "sweep", "--config", str(config_file), f"--seeds={spec}", "--out", str(out),
-            ])
+            code = main(["sweep", "--config", str(config_file), *seeds, "--out", str(out)])
             assert code == 1
             err = capsys.readouterr().err
             assert "--seeds" in err
@@ -380,6 +403,7 @@ def test_every_valid_config_runs_finite(draft):
         config = parse_config_text(text + "run.steps = 500\n")
     except ConfigError:
         reject()
-    summary = run_simulation(config.sim)
-    assert all(math.isfinite(record.rate_bps) for record in summary.records)
+    records = list(simulate(config.sim))
+    assert all(math.isfinite(record.rate_bps) for record in records)
+    summary = summarize(config.sim, records)
     json.dumps(summary_as_dict(config, summary), allow_nan=False)

@@ -1,6 +1,7 @@
 import concurrent.futures
 import logging
 import math
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -17,6 +18,7 @@ from drs_sim.engine import (
     paired_sweep,
     run_simulation,
     run_step,
+    simulate,
 )
 from drs_sim.geometry import Pose, Vec3, angles_to, wrap_angle
 from drs_sim.nullsteer import MODE_ANALYTIC, MODE_FALLBACK, NullSteerInput, psi_interference
@@ -28,6 +30,11 @@ QUIET = ScenarioConfig(arrival_rate=0.0, v2v_rate=0.0)
 def small_config(**kwargs):
     scenario = kwargs.pop("scenario", ScenarioConfig())
     return SimConfig(scenario=scenario, steps=kwargs.pop("steps", 1000), **kwargs)
+
+
+def records_of(config, seed):
+    """The run's records, streamed from the step loop."""
+    return list(simulate(replace(config, scenario=replace(config.scenario, seed=seed))))
 
 
 class TestRunStep:
@@ -48,39 +55,37 @@ class TestRunStep:
         assert state.drs == start
 
     def test_cycle_index_starts_at_zero_per_pair(self):
-        summary = run_simulation(small_config(steps=2000), seed=3)
         first_seen = {}
-        for record in summary.records:
+        for record in records_of(small_config(steps=2000), 3):
             first_seen.setdefault(record.pair_id, record.cycle_index)
         assert all(cycle == 0 for cycle in first_seen.values())
 
     def test_interferer_absent_control_is_inert(self):
         scenario = ScenarioConfig(interferer_kind="none")
-        on = run_simulation(SimConfig(scenario=scenario, steps=1500, orientation_control=True), seed=8)
-        off = run_simulation(SimConfig(scenario=scenario, steps=1500, orientation_control=False), seed=8)
-        assert len(on.records) == len(off.records)
-        for a, b in zip(on.records, off.records):
+        on = records_of(SimConfig(scenario=scenario, steps=1500, orientation_control=True), 8)
+        off = records_of(SimConfig(scenario=scenario, steps=1500, orientation_control=False), 8)
+        assert len(on) == len(off)
+        for a, b in zip(on, off):
             assert a.rate_bps == b.rate_bps
             assert a.null_mode == MODE_OFF
-        assert all(math.isinf(r.pl_interference_db) for r in on.records)
+        assert all(math.isinf(r.pl_interference_db) for r in on)
 
 
 class TestControlEffect:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_paired_cumulative_rate_never_worse(self, seed):
-        on = run_simulation(small_config(orientation_control=True), seed=seed)
-        off = run_simulation(small_config(orientation_control=False), seed=seed)
-        total_on = math.fsum(r.rate_bps for r in on.records)
-        total_off = math.fsum(r.rate_bps for r in off.records)
+        on = records_of(small_config(orientation_control=True), seed)
+        off = records_of(small_config(orientation_control=False), seed)
+        total_on = math.fsum(r.rate_bps for r in on)
+        total_off = math.fsum(r.rate_bps for r in off)
         assert total_on >= total_off - 1e-9
 
     def test_rotation_only_reduces_interference_factor(self):
-        summary = run_simulation(small_config(steps=1500), seed=4)
         config = small_config(steps=1500)
         rsu = config.scenario.rsu_position
         budget = config.scenario.limits.yaw_budget
         checked = 0
-        for record in summary.records:
+        for record in records_of(config, 4):
             if record.null_mode not in (MODE_ANALYTIC, MODE_FALLBACK):
                 continue
             before = Pose(record.drs.position, wrap_angle(record.drs.yaw + record.alpha_applied))
@@ -110,8 +115,8 @@ class TestControlEffect:
         assert checked > 50
 
     def test_analytic_nulls_annihilate_interference(self):
-        summary = run_simulation(small_config(steps=1500), seed=6)
-        analytic = [r for r in summary.records if r.null_mode == MODE_ANALYTIC]
+        records = records_of(small_config(steps=1500), 6)
+        analytic = [r for r in records if r.null_mode == MODE_ANALYTIC]
         assert analytic
         for record in analytic:
             assert record.pl_interference_db > 200.0  # > 20 orders of magnitude
@@ -120,12 +125,12 @@ class TestControlEffect:
 class TestConstraints:
     def test_recorded_motion_stays_within_budgets(self):
         config = small_config(steps=2000)
-        summary = run_simulation(config, seed=12)
+        records = records_of(config, 12)
         limits = config.scenario.limits
         bounds = config.scenario.bounds
-        assert summary.records
+        assert records
         previous = None
-        for record in summary.records:
+        for record in records:
             pose = record.drs
             assert bounds.contains(pose.position, tol=1e-9)
             assert abs(record.alpha_applied) <= limits.yaw_budget + 1e-12
@@ -161,31 +166,41 @@ class TestConstraints:
 class TestRunSimulation:
     def test_zero_arrivals_empty_aggregates(self):
         summary = run_simulation(SimConfig(scenario=QUIET, steps=200))
-        assert summary.records == ()
+        assert summary.n_records == 0
         assert summary.mean_rate_bps is None
-        assert summary.rate_by_cycle == ()
         assert summary.n_pairs == 0
+        assert list(simulate(SimConfig(scenario=QUIET, steps=200))) == []
 
     def test_deterministic_records(self):
+        assert records_of(small_config(), 5) == records_of(small_config(), 5)
         a = run_simulation(small_config(), seed=5)
         b = run_simulation(small_config(), seed=5)
-        assert a.records == b.records
-        assert a.mean_rate_bps == b.mean_rate_bps
+        assert a == b
 
     def test_summary_consistency(self):
         summary = run_simulation(small_config(steps=1500), seed=9)
-        assert summary.records
-        mean = math.fsum(r.rate_bps for r in summary.records) / len(summary.records)
-        assert summary.mean_rate_bps == pytest.approx(mean, rel=1e-12)
-        total_samples = sum(count for _, _, count in summary.rate_by_cycle)
-        assert total_samples == len(summary.records)
-        assert summary.n_pairs == len({r.pair_id for r in summary.records})
+        records = records_of(small_config(steps=1500), 9)
+        assert records
+        assert summary.n_records == len(records)
+        assert summary.mean_rate_bps == math.fsum(r.rate_bps for r in records) / len(records)
+        assert summary.n_pairs == len({r.pair_id for r in records})
+
+    def test_records_are_not_buffered(self):
+        # About 2.4 MB when every record was kept; the streamed run holds only
+        # its rates and pair ids, about 0.15 MB.
+        tracemalloc.start()
+        try:
+            run_simulation(SimConfig(steps=4000), seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_vehicle_interferer_mode_runs(self):
         scenario = ScenarioConfig(interferer_kind="vehicle", v2v_rate=0.1)
-        summary = run_simulation(SimConfig(scenario=scenario, steps=1500), seed=10)
-        assert summary.records
-        finite = [r for r in summary.records if not math.isinf(r.pl_interference_db)]
+        records = records_of(SimConfig(scenario=scenario, steps=1500), 10)
+        assert records
+        finite = [r for r in records if not math.isinf(r.pl_interference_db)]
         assert finite  # some bystander actually interfered
 
     def test_rejects_bad_steps(self):

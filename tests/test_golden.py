@@ -69,3 +69,39 @@ def test_sweep_csv_hash(jobs, tmp_path):
     args = ["sweep", "--seeds", "1,2", "--steps", "2000", "--jobs", jobs, "--out", str(out)]
     assert main(args) == 0
     assert hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest() == SWEEP_GOLDEN
+
+
+# sha256 of summary.json from ``drs-sim run --seed 1 --steps 2000 --out out``
+# on the default config, run from a fixed directory so the echoed
+# run.output_dir is the relative "out".
+SUMMARY_GOLDEN = "79d07a2fabf3398bcba9ef3d0391a1e3e75a0182f10e5b0dafa93e21f1c75ecc"
+
+
+def test_summary_json_hash(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--seed", "1", "--steps", "2000", "--out", "out"]) == 0
+    digest = hashlib.sha256((tmp_path / "out" / "summary.json").read_bytes()).hexdigest()
+    assert digest == SUMMARY_GOLDEN
+
+
+# sha256 of the two charts ``drs-sim plot`` draws from the steps.csv of
+# ``drs-sim run --seed 1 --steps 2000`` with control on and with control off.
+PLOT_GOLDEN = {
+    "rate_vs_cycle.svg": "b52b7cada493ce2dedf47c5f7edfef6de776d63e0e9f6f878798b031d63c3e73",
+    "mean_rate.svg": "d7e6a276788a48505987f501c425538a38c2517ce5c1f19ff6e8c616da59e2b2",
+}
+
+
+def test_plot_svg_hashes(tmp_path):
+    csvs = []
+    for mode in ("on", "off"):
+        out = tmp_path / mode
+        args = ["run", "--seed", "1", "--steps", "2000", "--orientation-control", mode]
+        assert main(args + ["--out", str(out)]) == 0
+        csvs.append(str(out / "steps.csv"))
+    plots = tmp_path / "plots"
+    assert main(["plot", *csvs, "--out", str(plots)]) == 0
+    digests = {
+        name: hashlib.sha256((plots / name).read_bytes()).hexdigest() for name in PLOT_GOLDEN
+    }
+    assert digests == PLOT_GOLDEN
