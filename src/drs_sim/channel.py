@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import AngularCoords
-
 # Path-loss value for a hop with no usable path (element pattern zero or a
 # perfectly nulled array factor).  Propagates through sinr() as zero power.
 NO_PATH = math.inf
@@ -54,20 +52,6 @@ class RisConfig:
                 raise ValueError(f"ris.{name} must be > 0")
         if not 0.0 < self.amplitude <= 1.0:
             raise ValueError("ris.amplitude must be in (0, 1]")
-
-
-@dataclass(frozen=True)
-class LinkGeometry:
-    """Angles and distances of one transmitter -> surface -> receiver hop."""
-
-    tx: AngularCoords
-    rx: AngularCoords
-    dist_tx: float  # transmitter-to-surface distance [m]
-    dist_rx: float  # surface-to-receiver distance [m]
-
-    def __post_init__(self) -> None:
-        if self.dist_tx <= 0.0 or self.dist_rx <= 0.0:
-            raise ValueError("link distances must be > 0")
 
 
 @dataclass(frozen=True)
@@ -128,16 +112,10 @@ def direction_cosine_sums(
 
 
 def array_factor(ris: RisConfig, ux: float, uy: float) -> float:
-    """Row times column Dirichlet ratio at sums (ux, uy); 1 when both vanish (specular)."""
+    """Array factor psi: row times column Dirichlet ratio at sums (ux, uy); 1 when specular."""
     row = dirichlet_ratio(ris.m_rows, math.pi * ux * ris.dx / ris.wavelength)
     col = dirichlet_ratio(ris.n_cols, math.pi * uy * ris.dy / ris.wavelength)
     return row * col
-
-
-def psi(ris: RisConfig, link: LinkGeometry) -> float:
-    """Array factor of the element grid for the hop's angle pair, in [-1, 1]."""
-    tx, rx = link.tx, link.rx
-    return array_factor(ris, *direction_cosine_sums(tx.theta, tx.phi, rx.theta, rx.phi))
 
 
 def path_loss(
@@ -174,12 +152,6 @@ def path_loss(
     if denominator == 0.0:
         return NO_PATH
     return numerator / denominator
-
-
-def path_loss_far_field(ris: RisConfig, link: LinkGeometry, psi_value: float) -> float:
-    """``path_loss`` of a hop given as a LinkGeometry."""
-    f_tx, f_rx = radiation_pattern(link.tx.theta), radiation_pattern(link.rx.theta)
-    return path_loss(ris, f_tx, f_rx, link.dist_tx, link.dist_rx, psi_value)
 
 
 def fraunhofer_distance(ris: RisConfig) -> float:

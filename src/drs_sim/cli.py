@@ -27,7 +27,6 @@ from .config import (
     RunConfig,
     apply_overrides,
     config_as_dict,
-    default_config,
     load_config,
 )
 from .engine import (
@@ -146,6 +145,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     finally:
         partial.unlink(missing_ok=True)
     write_summary_json(out_dir / "summary.json", summary_as_dict(config, summary))
+    if summary.n_records == 0:
+        scenario = config.sim.scenario
+        if scenario.arrival_rate == 0.0:
+            why = "no vehicle arrives (scenario.arrival_rate = 0)"
+        elif scenario.v2v_rate == 0.0:
+            why = "no pair starts (scenario.v2v_rate = 0)"
+        else:
+            why = f"no pairing event found a partner within run.steps = {config.sim.steps}"
+        log.warning("the run served no step: %s", why)
     mean = summary.mean_rate_bps
     print(
         f"wrote {steps_path} ({summary.n_records} records, "
@@ -209,7 +217,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         print(
             f"wrote {out_dir / 'sweep.csv'}: mean rate on={aggregate[0]:.1f} "
-            f"off={aggregate[1]:.1f} bit/s, improvement {aggregate[2]:+.4f}%"
+            f"off={aggregate[1]:.1f} bit/s, improvement {aggregate[2]:+.3g}%"
         )
     return 0
 
@@ -236,9 +244,12 @@ def _read_rates(paths: list[Path]) -> dict[str, dict[int, list[float]]]:
                     if not math.isfinite(rate_bps):
                         raise ValueError(f"rate_bps must be finite, got {raw['rate_bps']}")
                     cycle = int(raw["cycle_index"])
+                    control = raw["control"]
+                    if control is None:
+                        raise ValueError("no control field (the row is shorter than the header)")
                 except (TypeError, ValueError) as exc:
                     raise PlotError(f"{path}:{lineno}: bad row: {exc}") from None
-                rates.setdefault(raw["control"], {}).setdefault(cycle, []).append(rate_bps)
+                rates.setdefault(control, {}).setdefault(cycle, []).append(rate_bps)
     if not rates:
         raise PlotError("no data rows in input CSV")
     return rates
@@ -274,10 +285,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 
 def _load_with_overrides(args: argparse.Namespace) -> RunConfig:
-    if args.config is not None:
-        config = load_config(args.config)
-    else:
-        config = default_config()
+    config = RunConfig() if args.config is None else load_config(args.config)
     control = None
     if getattr(args, "orientation_control", None) is not None:
         control = args.orientation_control == "on"

@@ -32,10 +32,6 @@ class RunConfig:
     output_dir: str = "."
 
 
-def default_config() -> RunConfig:
-    return RunConfig()
-
-
 def _parse_bool(raw: str) -> bool:
     lowered = raw.lower()
     if lowered in ("true", "on", "yes", "1"):

@@ -34,14 +34,12 @@ from .channel import (
     NO_PATH,
     SINR_FORMS,
     SINR_FORM_STANDARD,
-    LinkGeometry,
     RadioConfig,
     RisConfig,
     array_factor,
     direction_cosine_sums,
     fraunhofer_distance,
     path_loss,
-    path_loss_far_field,
     radiation_pattern,
     rate,
     sinr,
@@ -138,11 +136,9 @@ class SimConfig:
                 f"got {scenario.bounds.z_min}"
             )
         # Path loss grows with distance, elevation and array-factor loss, so
-        # a hop straight down at the clearance with |psi| = 1 and no
-        # interference bounds every rate the run can produce.
-        nadir = AngularCoords(0.0, 0.0)
-        closest = LinkGeometry(tx=nadir, rx=nadir, dist_tx=clearance, dist_rx=clearance)
-        pl_best = path_loss_far_field(self.ris, closest, 1.0)
+        # a hop straight down at the clearance (element pattern 1) with
+        # |psi| = 1 and no interference bounds every rate the run can produce.
+        pl_best = path_loss(self.ris, 1.0, 1.0, clearance, clearance, 1.0)
         if not math.isfinite(pl_best):
             raise ValueError(
                 f"the best-case path loss (both nodes {clearance} m straight below the "

@@ -35,12 +35,6 @@ class Vec3:
     y: float
     z: float
 
-    def __sub__(self, other: Vec3) -> Vec3:
-        return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-
 
 @dataclass(slots=True)
 class Pose:
@@ -56,9 +50,6 @@ class Pose:
 
     def __post_init__(self) -> None:
         self.yaw = wrap_angle(self.yaw)
-
-    def rotated(self, delta_yaw: float) -> Pose:
-        return Pose(self.position, wrap_angle(self.yaw + delta_yaw))
 
 
 @dataclass(slots=True)
@@ -103,12 +94,6 @@ def sight(surface: Vec3, target: Vec3) -> tuple[float, float | None, float]:
 def local_azimuth(bearing: float | None, yaw: float) -> float:
     """Azimuth of a ``sight`` bearing in the frame yawed by ``yaw``; 0 straight below."""
     return 0.0 if bearing is None else wrap_angle(bearing - yaw)
-
-
-def angles_to(ris: Pose, target: Vec3) -> AngularCoords:
-    """Elevation and yawed azimuth of ``target`` seen from the surface at ``ris``."""
-    theta, bearing, _ = sight(ris.position, target)
-    return AngularCoords(theta, local_azimuth(bearing, ris.yaw))
 
 
 def rotation_between(a: Pose, b: Pose) -> float:

@@ -41,11 +41,11 @@ class WorldBounds:
             min(max(z, self.z_min), self.z_max),
         )
 
-    def contains(self, p: Vec3, tol: float = 0.0) -> bool:
+    def contains(self, p: Vec3) -> bool:
         return (
-            self.x_min - tol <= p.x <= self.x_max + tol
-            and self.y_min - tol <= p.y <= self.y_max + tol
-            and self.z_min - tol <= p.z <= self.z_max + tol
+            self.x_min <= p.x <= self.x_max
+            and self.y_min <= p.y <= self.y_max
+            and self.z_min <= p.z <= self.z_max
         )
 
 

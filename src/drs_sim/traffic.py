@@ -79,16 +79,6 @@ class ScenarioConfig:
             )
 
 
-def next_arrival_delta(rng: SplitMix64, arrival_rate: float) -> float:
-    """Seconds until the next arrival on a lane; infinite for rate zero."""
-    return rng.expovariate(arrival_rate)
-
-
-def sample_v2v_events(rng: SplitMix64, v2v_rate: float) -> int:
-    """Number of pairing events triggered this step."""
-    return rng.poisson(v2v_rate)
-
-
 class TrafficModel:
     """Owns the vehicle population, arrival clocks and the single active pair.
 
@@ -113,10 +103,8 @@ class TrafficModel:
             (bounds.x_max, bounds.y_max, -stride),
         )
         self.lanes: tuple[deque[int], deque[int]] = (deque(), deque())  # ids, head first
-        self._next_arrival = [
-            next_arrival_delta(rng, config.arrival_rate),
-            next_arrival_delta(rng, config.arrival_rate),
-        ]
+        # Seconds until the next arrival per lane; infinite for rate zero.
+        self._next_arrival = [rng.expovariate(config.arrival_rate) for _ in range(2)]
         self._next_vehicle_id = 0
 
     def position(self, vehicle_id: int) -> Vec3:
@@ -148,9 +136,7 @@ class TrafficModel:
                 self.vehicles[vehicle_id] = Vehicle(vehicle_id, lane, self.step, height)
                 self.lanes[lane].append(vehicle_id)
                 self._next_vehicle_id += 1
-                self._next_arrival[lane] += next_arrival_delta(
-                    self.rng, self.config.arrival_rate
-                )
+                self._next_arrival[lane] += self.rng.expovariate(self.config.arrival_rate)
 
     def maybe_start_pair(self, step_index: int) -> V2VPair | None:
         """Sample this step's pairing events and start a pair when possible.
@@ -160,7 +146,7 @@ class TrafficModel:
         is drawn uniformly over all vehicles; the receiver is its nearest
         opposite-lane neighbor.
         """
-        events = sample_v2v_events(self.rng, self.config.v2v_rate)
+        events = self.rng.poisson(self.config.v2v_rate)
         if events == 0 or self.active_pair is not None or not self.vehicles:
             return None
         ids = list(self.vehicles)

@@ -8,10 +8,17 @@ reference sequences), not from the code under test.
 
 import math
 import os
+from dataclasses import astuple
 
 import numpy as np
 
-from drs_sim.channel import LinkGeometry, RisConfig, path_loss_far_field, psi
+from drs_sim.channel import (
+    RisConfig,
+    array_factor,
+    direction_cosine_sums,
+    path_loss,
+    radiation_pattern,
+)
 from drs_sim.cli import main
 from drs_sim.engine import SimConfig, aggregate_improvement, paired_sweep, simulate
 from drs_sim.geometry import AngularCoords, wrap_angle
@@ -23,7 +30,7 @@ from drs_sim.nullsteer import (
 )
 from drs_sim.planner import WorldBounds, optimal_height
 from drs_sim.rng import SplitMix64
-from drs_sim.traffic import ScenarioConfig, next_arrival_delta, sample_v2v_events
+from drs_sim.traffic import ScenarioConfig
 
 from _oracles import candidate_alphas, clamp, rotated_factor_magnitude
 
@@ -99,16 +106,17 @@ def test_criterion_02_null_quality():
         )
         assert float(scan.min()) >= sol.residual - 1e-9
 
-        def hop(alpha: float) -> LinkGeometry:
-            return LinkGeometry(
-                tx=AngularCoords(inp.interferer.theta, inp.interferer.phi + alpha),
-                rx=AngularCoords(inp.receiver.theta, inp.receiver.phi + alpha),
-                dist_tx=200.0,
-                dist_rx=200.0,
-            )
+        # interference path loss over 200 m hops, with the surface rotated by alpha
+        ti, pi_ = inp.interferer.theta, inp.interferer.phi
+        tr, pr = inp.receiver.theta, inp.receiver.phi
+        f_i, f_r = radiation_pattern(ti), radiation_pattern(tr)
 
-        pl_nulled = path_loss_far_field(ris, hop(sol.alpha), psi(ris, hop(sol.alpha)))
-        pl_baseline = path_loss_far_field(ris, hop(0.0), psi(ris, hop(0.0)))
+        def hop_loss(alpha: float) -> float:
+            sums = direction_cosine_sums(ti, wrap_angle(pi_ + alpha), tr, wrap_angle(pr + alpha))
+            return path_loss(ris, f_i, f_r, 200.0, 200.0, array_factor(ris, *sums))
+
+        pl_nulled = hop_loss(sol.alpha)
+        pl_baseline = hop_loss(0.0)
         if pl_nulled > 1e3 * pl_baseline:
             ratio_hits += 1
 
@@ -152,17 +160,8 @@ def test_criterion_04_array_factor_matches_phasor_sum():
                 m, n, ris.dx, ris.dy, ris.wavelength, theta_t, phi_t, theta_r, phi_r
             )
             for i in range(1000):
-                got = abs(
-                    psi(
-                        ris,
-                        LinkGeometry(
-                            tx=AngularCoords(theta_t[i], phi_t[i]),
-                            rx=AngularCoords(theta_r[i], phi_r[i]),
-                            dist_tx=1.0,
-                            dist_rx=1.0,
-                        ),
-                    )
-                )
+                sums = direction_cosine_sums(theta_t[i], phi_t[i], theta_r[i], phi_r[i])
+                got = abs(array_factor(ris, *sums))
                 worst = max(worst, abs(got - oracle[i]))
     ok = worst <= 1e-9
     _report(4, "array factor vs phasor-sum oracle", ok, f"worst |diff| {worst:.2e}")
@@ -179,10 +178,15 @@ def test_criterion_05_constraints_hold_over_long_run():
     for record in simulate(config):  # raises on any internal violation
         served += 1
         pose = record.drs
-        if not bounds.contains(pose.position, tol=1e-9):
+        p = pose.position
+        if not (
+            bounds.x_min - 1e-9 <= p.x <= bounds.x_max + 1e-9
+            and bounds.y_min - 1e-9 <= p.y <= bounds.y_max + 1e-9
+            and bounds.z_min - 1e-9 <= p.z <= bounds.z_max + 1e-9
+        ):
             violations += 1
         if previous is not None:
-            if (pose.position - previous.position).norm() > limits.step_length + 1e-9:
+            if math.dist(astuple(p), astuple(previous.position)) > limits.step_length + 1e-9:
                 violations += 1
             if abs(wrap_angle(pose.yaw - previous.yaw)) > limits.yaw_budget + 1e-12:
                 violations += 1
@@ -234,8 +238,8 @@ def test_criterion_08_sampler_moments():
     """10^5 draws: exponential and Poisson sample means within 2% of targets."""
     rng = SplitMix64(5772156649)
     n = 100_000
-    exp_mean = math.fsum(next_arrival_delta(rng, 0.1) for _ in range(n)) / n
-    poisson_mean = math.fsum(sample_v2v_events(rng, 0.5) for _ in range(n)) / n
+    exp_mean = math.fsum(rng.expovariate(0.1) for _ in range(n)) / n
+    poisson_mean = math.fsum(rng.poisson(0.5) for _ in range(n)) / n
     exp_err = abs(exp_mean - 10.0) / 10.0
     poi_err = abs(poisson_mean - 0.5) / 0.5
     ok = exp_err < 0.02 and poi_err < 0.02

@@ -6,20 +6,20 @@ from hypothesis import strategies as st
 
 from drs_sim.channel import (
     NO_PATH,
-    LinkGeometry,
     RadioConfig,
     RisConfig,
     SINR_FORM_PAPER_LITERAL,
     SINR_FORM_STANDARD,
+    array_factor,
+    direction_cosine_sums,
     dirichlet_ratio,
     fraunhofer_distance,
-    path_loss_far_field,
-    psi,
+    path_loss,
     radiation_pattern,
     rate,
     sinr,
 )
-from drs_sim.geometry import AngularCoords
+from drs_sim.geometry import Vec3, sight
 
 from _oracles import phasor_sum_psi_scalar
 
@@ -28,14 +28,8 @@ RIS = RisConfig()
 elevations = st.floats(0.0, math.pi / 2 - 1e-3, allow_nan=False)
 azimuths = st.floats(-math.pi, math.pi, allow_nan=False, exclude_min=True)
 
-
-def link(theta_t, phi_t, theta_r, phi_r, d1=200.0, d2=200.0):
-    return LinkGeometry(
-        tx=AngularCoords(theta_t, phi_t),
-        rx=AngularCoords(theta_r, phi_r),
-        dist_tx=d1,
-        dist_rx=d2,
-    )
+# Element patterns of the hop most path-loss tests use: elevations 0.5 and 0.4.
+F_T, F_R = radiation_pattern(0.5), radiation_pattern(0.4)
 
 
 class TestRadiationPattern:
@@ -91,15 +85,16 @@ class TestDirichletRatio:
 
 class TestPsi:
     def test_specular_pair_is_unity(self):
-        assert psi(RIS, link(0.7, 0.3, 0.7, 0.3 + math.pi)) == 1.0
+        assert array_factor(RIS, *direction_cosine_sums(0.7, 0.3, 0.7, 0.3 + math.pi)) == 1.0
 
     def test_single_element_any_angles(self):
         one = RisConfig(m_rows=1, n_cols=1)
-        assert psi(one, link(0.5, 1.1, 1.2, -2.0)) == 1.0
+        assert array_factor(one, *direction_cosine_sums(0.5, 1.1, 1.2, -2.0)) == 1.0
 
     def test_spot_value_against_phasor_sum(self):
         ris = RisConfig(m_rows=8, n_cols=8)
-        got = abs(psi(ris, link(math.pi / 4, 0.0, math.pi / 4, math.pi / 3)))
+        sums = direction_cosine_sums(math.pi / 4, 0.0, math.pi / 4, math.pi / 3)
+        got = abs(array_factor(ris, *sums))
         # frozen from the explicit 64-element phasor sum
         assert got == pytest.approx(0.01304806761775329, abs=1e-12)
         oracle = phasor_sum_psi_scalar(
@@ -118,7 +113,7 @@ class TestPsi:
     )
     def test_matches_phasor_sum(self, m, n, theta_t, phi_t, theta_r, phi_r):
         ris = RisConfig(m_rows=m, n_cols=n)
-        got = abs(psi(ris, link(theta_t, phi_t, theta_r, phi_r)))
+        got = abs(array_factor(ris, *direction_cosine_sums(theta_t, phi_t, theta_r, phi_r)))
         oracle = phasor_sum_psi_scalar(
             m, n, ris.dx, ris.dy, ris.wavelength, theta_t, phi_t, theta_r, phi_r
         )
@@ -128,29 +123,28 @@ class TestPsi:
 
 class TestPathLoss:
     def test_quadratic_in_first_distance(self):
-        near = path_loss_far_field(RIS, link(0.5, 0.2, 0.4, -0.9, d1=100.0), 1.0)
-        far = path_loss_far_field(RIS, link(0.5, 0.2, 0.4, -0.9, d1=200.0), 1.0)
+        near = path_loss(RIS, F_T, F_R, 100.0, 200.0, 1.0)
+        far = path_loss(RIS, F_T, F_R, 200.0, 200.0, 1.0)
         assert far == pytest.approx(4.0 * near, rel=1e-12)
 
     def test_blocked_when_elevation_behind_surface(self):
-        assert path_loss_far_field(RIS, link(1.6, 0.0, 0.4, 0.0), 1.0) == NO_PATH
-        assert math.isinf(path_loss_far_field(RIS, link(0.4, 0.0, 1.6, 0.0), 1.0))
+        f_behind = radiation_pattern(1.6)
+        assert path_loss(RIS, f_behind, radiation_pattern(0.4), 200.0, 200.0, 1.0) == NO_PATH
+        assert math.isinf(path_loss(RIS, radiation_pattern(0.4), f_behind, 200.0, 200.0, 1.0))
 
     def test_nulled_array_factor_gives_no_path(self):
-        assert path_loss_far_field(RIS, link(0.5, 0.2, 0.4, -0.9), 0.0) == NO_PATH
+        assert path_loss(RIS, F_T, F_R, 200.0, 200.0, 0.0) == NO_PATH
 
     def test_underflowing_denominator_gives_no_path(self):
-        geometry = link(0.5, 0.2, 0.4, -0.9)
-        assert path_loss_far_field(RIS, geometry, 1e-170) == NO_PATH
+        assert path_loss(RIS, F_T, F_R, 200.0, 200.0, 1e-170) == NO_PATH
         tiny_gains = RisConfig(gain_tx=1e-200, gain_rx=1e-200)
-        assert path_loss_far_field(tiny_gains, geometry, 1.0) == NO_PATH
+        assert path_loss(tiny_gains, F_T, F_R, 200.0, 200.0, 1.0) == NO_PATH
 
     def test_spot_value(self):
         # frozen from independent term-by-term evaluation:
         # 64 pi^3 * 200^4 / (32^4 * 0.0254^2 * 0.0508^2 * cos^3(pi/6)^2)
-        got = path_loss_far_field(
-            RIS, link(math.pi / 6, 0.0, math.pi / 6, math.pi), 1.0
-        )
+        f = radiation_pattern(math.pi / 6)
+        got = path_loss(RIS, f, f, 200.0, 200.0, 1.0)
         assert got == pytest.approx(4310930422200.9893, rel=1e-12)
 
     @given(
@@ -158,10 +152,9 @@ class TestPathLoss:
         st.floats(0.1, 0.99, allow_nan=False),
     )
     def test_monotonic_in_gain_and_array_factor(self, gain, smaller_psi):
-        geometry = link(0.5, 0.2, 0.4, -0.9)
-        base = path_loss_far_field(RIS, geometry, 1.0)
-        assert path_loss_far_field(RisConfig(gain_ris=gain), geometry, 1.0) < base
-        assert path_loss_far_field(RIS, geometry, smaller_psi) > base
+        base = path_loss(RIS, F_T, F_R, 200.0, 200.0, 1.0)
+        assert path_loss(RisConfig(gain_ris=gain), F_T, F_R, 200.0, 200.0, 1.0) < base
+        assert path_loss(RIS, F_T, F_R, 200.0, 200.0, smaller_psi) > base
 
 
 class TestFraunhofer:
@@ -247,5 +240,10 @@ class TestConfigValidation:
             RadioConfig(efficiency=1.2)
 
     def test_link_rejects_nonpositive_distance(self):
+        # Hop distances come from sight(), which refuses a node level with the
+        # surface; a zero-distance hop's path loss is refused by sinr().
         with pytest.raises(ValueError):
-            link(0.3, 0.0, 0.3, 0.0, d1=0.0)
+            sight(Vec3(0.0, 0.0, 100.0), Vec3(0.0, 0.0, 100.0))
+        f = radiation_pattern(0.3)
+        with pytest.raises(ValueError):
+            sinr(RadioConfig(), path_loss(RIS, f, f, 0.0, 200.0, 1.0), NO_PATH)

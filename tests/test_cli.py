@@ -1,6 +1,8 @@
 import csv
 import json
+import logging
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -192,6 +194,38 @@ class TestRun:
             assert main(["run", "--config", str(config_file), "--out", str(out)]) == 0
         assert (out_a / "steps.csv").read_bytes() == (out_b / "steps.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "line, steps, reason",
+        [
+            ("scenario.arrival_rate = 0", "400", "scenario.arrival_rate = 0"),
+            ("scenario.v2v_rate = 0", "400", "scenario.v2v_rate = 0"),
+            ("", "1", "no pairing event found a partner within run.steps = 1"),
+        ],
+    )
+    def test_empty_run_logs_why(self, line, steps, reason, config_file, tmp_path, caplog):
+        config_file.write_text(BASE_CONFIG + line + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING, logger="drs_sim"):
+            code = main([
+                "run", "--config", str(config_file), "--steps", steps, "--out", str(out),
+            ])
+        assert code == 0
+        assert (out / "steps.csv").read_bytes() == ",".join(STEPS_CSV_COLUMNS).encode() + b"\r\n"
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["n_records"] == 0
+        assert summary["mean_rate_bps"] == {"on": None}
+        warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert len(warnings) == 1
+        assert warnings[0].name == "drs_sim"
+        assert "served no step" in warnings[0].getMessage()
+        assert reason in warnings[0].getMessage()
+
+    def test_served_run_logs_no_warning(self, config_file, tmp_path, caplog):
+        with caplog.at_level(logging.WARNING, logger="drs_sim"):
+            assert main(["run", "--config", str(config_file), "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "summary.json").read_text())["n_records"] > 0
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
 
 class TestSweep:
     def test_rows_plus_aggregate(self, config_file, tmp_path):
@@ -206,6 +240,22 @@ class TestSweep:
         for row in rows:
             assert float(row["mean_rate_on"]) > 0.0
             assert float(row["mean_rate_off"]) > 0.0
+
+    def test_headline_in_significant_figures(self, config_file, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert main([
+            "sweep", "--config", str(config_file), "--seeds", "2", "--steps", "250",
+            "--jobs", "1", "--out", str(out),
+        ]) == 0
+        line = capsys.readouterr().out.strip()
+        match = re.fullmatch(
+            r"wrote \S+sweep\.csv: mean rate on=\d+\.\d off=\d+\.\d bit/s, "
+            r"improvement ([+-]\d(?:\.\d{1,2})?(?:e[+-]\d\d)?)%",
+            line,
+        )
+        assert match, line
+        aggregate = read_rows(out / "sweep.csv")[-1]
+        assert match.group(1) == f"{float(aggregate['improvement_pct']):+.3g}"
 
     def test_explicit_seed_list_matches_two_runs(self, config_file, tmp_path):
         out = tmp_path / "sweep"
@@ -347,6 +397,22 @@ class TestPlot:
         err = capsys.readouterr().err
         assert f"{bad}:3: bad row" in err
         assert "rate_bps" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [["0,5.0", "1,6.0,on"], ["0,5.0"]],
+        ids=["short-row-among-full-rows", "lone-short-row"],
+    )
+    def test_short_row_fails(self, rows, tmp_path, capsys):
+        bad = tmp_path / "short.csv"
+        bad.write_text("cycle_index,rate_bps,control\r\n" + "\r\n".join(rows) + "\r\n", encoding="utf-8")
+        out = tmp_path / "plots"
+        assert main(["plot", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}:2: bad row" in err
+        assert "control" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_missing_file_fails(self, tmp_path):

@@ -2,11 +2,11 @@ import concurrent.futures
 import logging
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 
-from drs_sim.channel import LinkGeometry, psi
+from drs_sim.channel import array_factor, direction_cosine_sums
 from drs_sim.engine import (
     ConstraintViolation,
     MODE_OFF,
@@ -20,7 +20,7 @@ from drs_sim.engine import (
     run_step,
     simulate,
 )
-from drs_sim.geometry import Pose, Vec3, angles_to, wrap_angle
+from drs_sim.geometry import AngularCoords, Pose, Vec3, local_azimuth, sight, wrap_angle
 from drs_sim.nullsteer import MODE_ANALYTIC, MODE_FALLBACK, NullSteerInput, psi_interference
 from drs_sim.traffic import ScenarioConfig, TrafficModel
 
@@ -88,10 +88,12 @@ class TestControlEffect:
         for record in records_of(config, 4):
             if record.null_mode not in (MODE_ANALYTIC, MODE_FALLBACK):
                 continue
-            before = Pose(record.drs.position, wrap_angle(record.drs.yaw + record.alpha_applied))
+            theta_i, bearing_i, _ = sight(record.drs.position, rsu)
+            theta_r, bearing_r, _ = sight(record.drs.position, record.rx_pos)
+            before = wrap_angle(record.drs.yaw + record.alpha_applied)
             inp = NullSteerInput(
-                interferer=angles_to(before, rsu),
-                receiver=angles_to(before, record.rx_pos),
+                interferer=AngularCoords(theta_i, local_azimuth(bearing_i, before)),
+                receiver=AngularCoords(theta_r, local_azimuth(bearing_r, before)),
                 ris=config.ris,
                 alpha_bound=budget,
             )
@@ -99,17 +101,10 @@ class TestControlEffect:
             baseline = abs(psi_interference(inp, 0.0))
             assert applied <= baseline + 1e-12
             # the rotated pose realizes exactly the factor the controller chose
-            realized = abs(
-                psi(
-                    config.ris,
-                    LinkGeometry(
-                        tx=angles_to(record.drs, rsu),
-                        rx=angles_to(record.drs, record.rx_pos),
-                        dist_tx=1.0,
-                        dist_rx=1.0,
-                    ),
-                )
-            )
+            yaw = record.drs.yaw
+            realized = abs(array_factor(config.ris, *direction_cosine_sums(
+                theta_i, local_azimuth(bearing_i, yaw), theta_r, local_azimuth(bearing_r, yaw)
+            )))
             assert realized == pytest.approx(applied, abs=1e-12)
             checked += 1
         assert checked > 50
@@ -132,10 +127,13 @@ class TestConstraints:
         previous = None
         for record in records:
             pose = record.drs
-            assert bounds.contains(pose.position, tol=1e-9)
+            p = pose.position
+            assert bounds.x_min - 1e-9 <= p.x <= bounds.x_max + 1e-9
+            assert bounds.y_min - 1e-9 <= p.y <= bounds.y_max + 1e-9
+            assert bounds.z_min - 1e-9 <= p.z <= bounds.z_max + 1e-9
             assert abs(record.alpha_applied) <= limits.yaw_budget + 1e-12
             if previous is not None:
-                moved = (pose.position - previous.position).norm()
+                moved = math.dist(astuple(p), astuple(previous.position))
                 assert moved <= limits.step_length + 1e-9
                 turned = abs(wrap_angle(pose.yaw - previous.yaw))
                 assert turned <= limits.yaw_budget + 1e-12

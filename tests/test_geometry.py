@@ -8,8 +8,9 @@ from drs_sim.geometry import (
     AngularCoords,
     Pose,
     Vec3,
-    angles_to,
+    local_azimuth,
     rotation_between,
+    sight,
     step_displacement,
     wrap_angle,
 )
@@ -34,42 +35,47 @@ class TestWrapAngle:
         assert wrap_angle(wrap_angle(angle)) == wrap_angle(angle)
 
 
+# Elevation and yawed azimuth of a node, as the step kernel computes them:
+# sight() from the surface, then local_azimuth() of its bearing.
 class TestAnglesTo:
     def test_directly_below(self):
-        out = angles_to(Pose(Vec3(0, 0, 100), 0.0), Vec3(0, 0, 1.5))
-        assert out.theta == 0.0
-        assert out.phi == 0.0
+        theta, bearing, _ = sight(Vec3(0, 0, 100), Vec3(0, 0, 1.5))
+        assert theta == 0.0
+        assert local_azimuth(bearing, 0.0) == 0.0
 
     def test_forty_five_degrees(self):
-        out = angles_to(Pose(Vec3(0, 0, 100), 0.0), Vec3(98.5, 0, 1.5))
-        assert out.theta == pytest.approx(math.pi / 4, abs=1e-12)
-        assert out.phi == 0.0
+        theta, bearing, _ = sight(Vec3(0, 0, 100), Vec3(98.5, 0, 1.5))
+        assert theta == pytest.approx(math.pi / 4, abs=1e-12)
+        assert local_azimuth(bearing, 0.0) == 0.0
 
     def test_yaw_subtracts_from_azimuth(self):
-        out = angles_to(Pose(Vec3(0, 0, 100), math.pi / 2), Vec3(98.5, 0, 1.5))
-        assert out.theta == pytest.approx(math.pi / 4, abs=1e-12)
-        assert out.phi == pytest.approx(-math.pi / 2, abs=1e-12)
+        theta, bearing, _ = sight(Vec3(0, 0, 100), Vec3(98.5, 0, 1.5))
+        assert theta == pytest.approx(math.pi / 4, abs=1e-12)
+        assert local_azimuth(bearing, math.pi / 2) == pytest.approx(-math.pi / 2, abs=1e-12)
 
     def test_rejects_target_at_or_above(self):
-        pose = Pose(Vec3(0, 0, 100), 0.0)
+        surface = Vec3(0, 0, 100)
         with pytest.raises(ValueError):
-            angles_to(pose, Vec3(5, 5, 100))
+            sight(surface, Vec3(5, 5, 100))
         with pytest.raises(ValueError):
-            angles_to(pose, Vec3(5, 5, 101))
+            sight(surface, Vec3(5, 5, 101))
 
     @given(coords, coords, coords, coords, heights, yaws)
     def test_elevation_in_front_quarter(self, px, py, tx, ty, dh, yaw):
         pose = Pose(Vec3(px, py, 50.0), yaw)
-        out = angles_to(pose, Vec3(tx, ty, 50.0 - dh))
-        assert 0.0 <= out.theta < math.pi / 2
-        assert -math.pi < out.phi <= math.pi
+        theta, bearing, _ = sight(pose.position, Vec3(tx, ty, 50.0 - dh))
+        assert 0.0 <= theta < math.pi / 2
+        assert -math.pi < local_azimuth(bearing, pose.yaw) <= math.pi
 
     @given(coords, coords, coords, coords, heights, yaws, yaws)
     def test_yaw_changes_only_azimuth(self, px, py, tx, ty, dh, yaw_a, yaw_b):
-        target = Vec3(tx, ty, 50.0 - dh)
-        a = angles_to(Pose(Vec3(px, py, 50.0), yaw_a), target)
-        b = angles_to(Pose(Vec3(px, py, 50.0), yaw_b), target)
-        assert a.theta == b.theta
+        # sight() takes no yaw, so the elevation cannot depend on it; the
+        # azimuths in the two frames differ by exactly the yaw difference.
+        _, bearing, _ = sight(Vec3(px, py, 50.0), Vec3(tx, ty, 50.0 - dh))
+        a = local_azimuth(bearing, Pose(Vec3(px, py, 50.0), yaw_a).yaw)
+        b = local_azimuth(bearing, Pose(Vec3(px, py, 50.0), yaw_b).yaw)
+        if bearing is not None:
+            assert abs(wrap_angle(a - b - (yaw_b - yaw_a))) < 1e-9
 
     @given(
         st.floats(-math.pi, math.pi, allow_nan=False),
@@ -83,10 +89,10 @@ class TestAnglesTo:
             pose.position.y + radius * math.sin(phi0),
             1.5,
         )
-        out = angles_to(pose, target)
+        _, bearing, _ = sight(pose.position, target)
         expected = wrap_angle(phi0 - yaw)
         # compare as directions to avoid the branch point at +/- pi
-        assert abs(wrap_angle(out.phi - expected)) < 1e-9
+        assert abs(wrap_angle(local_azimuth(bearing, pose.yaw) - expected)) < 1e-9
 
 
 class TestRotationBetween:
@@ -137,7 +143,9 @@ class TestPose:
 
     @given(yaws, yaws)
     def test_rotated_accumulates_and_wraps(self, yaw, delta):
-        pose = Pose(Vec3(0, 0, 1), yaw).rotated(delta)
+        # the engine turns a pose by building a new one from the wrapped yaw
+        start = Pose(Vec3(0, 0, 1), yaw)
+        pose = Pose(start.position, start.yaw + delta)
         assert -math.pi < pose.yaw <= math.pi
         assert abs(wrap_angle(pose.yaw - (yaw + delta))) < 1e-9
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from drs_sim.channel import LinkGeometry, RisConfig, psi
+from drs_sim.channel import RisConfig, array_factor, direction_cosine_sums
 from drs_sim import nullsteer
 from drs_sim.geometry import AngularCoords, wrap_angle
 from drs_sim.nullsteer import (
@@ -139,9 +139,10 @@ def oracle_magnitudes(inp, alphas):
 class TestPsiInterference:
     def test_zero_rotation_is_identity(self):
         inp = make_input(0.7, 0.4, 0.9, -1.2)
-        unrotated = psi(
+        interferer, receiver = inp.interferer, inp.receiver
+        unrotated = array_factor(
             RIS,
-            LinkGeometry(tx=inp.interferer, rx=inp.receiver, dist_tx=1.0, dist_rx=1.0),
+            *direction_cosine_sums(interferer.theta, interferer.phi, receiver.theta, receiver.phi),
         )
         assert psi_interference(inp, 0.0) == unrotated
 

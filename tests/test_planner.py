@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import pytest
 from hypothesis import assume, given, settings
@@ -118,7 +119,7 @@ class TestStepTowards:
         current = Vec3(cx, cy, cz)
         target = Vec3(tx, ty, tz)
         got = step_towards(current, target, LIMITS, BOUNDS)
-        assert (got - current).norm() <= LIMITS.step_length + 1e-9
+        assert math.dist(astuple(got), astuple(current)) <= LIMITS.step_length + 1e-9
         assert BOUNDS.contains(got)
 
     @settings(max_examples=100, deadline=None)
@@ -133,7 +134,7 @@ class TestStepTowards:
     def test_reaches_target_in_ceil_steps(self, cx, cy, cz, tx, ty, tz):
         current = Vec3(cx, cy, cz)
         target = Vec3(tx, ty, tz)
-        distance = (target - current).norm()
+        distance = math.dist(astuple(target), astuple(current))
         ratio = distance / LIMITS.step_length
         # stay away from exact multiples where float rounding flips the ceil
         assume(abs(ratio - round(ratio)) > 1e-6)

@@ -12,8 +12,6 @@ from drs_sim.traffic import (
     TrafficModel,
     V2VPair,
     Vehicle,
-    next_arrival_delta,
-    sample_v2v_events,
 )
 
 from _oracles import summed_lane_trace
@@ -68,39 +66,39 @@ class _FixedUniform(SplitMix64):
 class TestArrivalSampler:
     def test_inverse_cdf_spot_value(self):
         rng = _FixedUniform(1.0 / math.e)
-        assert next_arrival_delta(rng, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert rng.expovariate(1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_rate_never_arrives(self):
-        assert next_arrival_delta(SplitMix64(1), 0.0) == math.inf
+        assert SplitMix64(1).expovariate(0.0) == math.inf
 
     def test_fixed_seed_reproduces_sequence(self):
-        a = [next_arrival_delta(SplitMix64(123), 0.2)]
-        b = [next_arrival_delta(SplitMix64(123), 0.2)]
+        a = [SplitMix64(123).expovariate(0.2)]
+        b = [SplitMix64(123).expovariate(0.2)]
         assert a == b
 
     def test_sample_mean(self):
         rng = SplitMix64(2024)
         n = 100_000
-        mean = math.fsum(next_arrival_delta(rng, 0.1) for _ in range(n)) / n
+        mean = math.fsum(rng.expovariate(0.1) for _ in range(n)) / n
         assert abs(mean - 10.0) / 10.0 < 0.02
 
 
 class TestEventSampler:
     def test_zero_rate_draws_nothing(self):
         rng = SplitMix64(9)
-        assert sample_v2v_events(rng, 0.0) == 0
+        assert rng.poisson(0.0) == 0
         assert rng.next_u64() == SplitMix64(9).next_u64()
 
     def test_sample_mean(self):
         rng = SplitMix64(77)
         n = 100_000
-        mean = math.fsum(sample_v2v_events(rng, 0.5) for _ in range(n)) / n
+        mean = math.fsum(rng.poisson(0.5) for _ in range(n)) / n
         assert abs(mean - 0.5) / 0.5 < 0.02
 
     def test_fixed_seed_reproduces_trace(self):
         rng_a, rng_b = SplitMix64(4), SplitMix64(4)
-        assert [sample_v2v_events(rng_a, 0.8) for _ in range(50)] == [
-            sample_v2v_events(rng_b, 0.8) for _ in range(50)
+        assert [rng_a.poisson(0.8) for _ in range(50)] == [
+            rng_b.poisson(0.8) for _ in range(50)
         ]
 
 
