@@ -10,7 +10,6 @@ per-element gain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 # Path-loss value for a hop with no usable path (element pattern zero or a
 # perfectly nulled array factor).  Propagates through sinr() as zero power.
@@ -25,7 +24,6 @@ SINR_FORMS = (SINR_FORM_STANDARD, SINR_FORM_PAPER_LITERAL)
 _SINGULARITY_SNAP = 1e-8
 
 
-@dataclass(frozen=True)
 class RisConfig:
     """Reflecting-surface geometry and link gains (linear units).
 
@@ -34,40 +32,47 @@ class RisConfig:
     boundary (~52 m) sits well below the minimum flight altitude.
     """
 
-    m_rows: int = 32
-    n_cols: int = 32
-    dx: float = 0.0254  # element pitch along local x [m]
-    dy: float = 0.0254  # element pitch along local y [m]
-    wavelength: float = 0.0508  # carrier wavelength [m]
-    gain_tx: float = 1.0
-    gain_rx: float = 1.0
-    gain_ris: float = 1.0
-    amplitude: float = 1.0  # element reflection amplitude, in (0, 1]
-
-    def __post_init__(self) -> None:
-        if self.m_rows < 1 or self.n_cols < 1:
+    def __init__(
+        self,
+        m_rows: int = 32,
+        n_cols: int = 32,
+        dx: float = 0.0254,  # element pitch along local x [m]
+        dy: float = 0.0254,  # element pitch along local y [m]
+        wavelength: float = 0.0508,  # carrier wavelength [m]
+        gain_tx: float = 1.0,
+        gain_rx: float = 1.0,
+        gain_ris: float = 1.0,
+        amplitude: float = 1.0,  # element reflection amplitude, in (0, 1]
+    ) -> None:
+        self.m_rows, self.n_cols = m_rows, n_cols
+        self.dx, self.dy, self.wavelength = dx, dy, wavelength
+        self.gain_tx, self.gain_rx, self.gain_ris = gain_tx, gain_rx, gain_ris
+        self.amplitude = amplitude
+        if m_rows < 1 or n_cols < 1:
             raise ValueError("ris.m_rows and ris.n_cols must be >= 1")
         for name in ("dx", "dy", "wavelength", "gain_tx", "gain_rx", "gain_ris"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"ris.{name} must be > 0")
-        if not 0.0 < self.amplitude <= 1.0:
+        if not 0.0 < amplitude <= 1.0:
             raise ValueError("ris.amplitude must be in (0, 1]")
 
 
-@dataclass(frozen=True)
 class RadioConfig:
     """Transmit power, noise floor and the rate-model coefficients."""
 
-    tx_power: float = 0.2  # [W]
-    noise_power: float = 1e-13  # [W]
-    efficiency: float = 0.8  # link effectiveness, in (0, 1]
-    eff_bandwidth: float = 1e7  # [Hz]
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        tx_power: float = 0.2,  # [W]
+        noise_power: float = 1e-13,  # [W]
+        efficiency: float = 0.8,  # link effectiveness, in (0, 1]
+        eff_bandwidth: float = 1e7,  # [Hz]
+    ) -> None:
+        self.tx_power, self.noise_power = tx_power, noise_power
+        self.efficiency, self.eff_bandwidth = efficiency, eff_bandwidth
         for name in ("tx_power", "noise_power", "efficiency", "eff_bandwidth"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"radio.{name} must be > 0")
-        if self.efficiency > 1.0:
+        if efficiency > 1.0:
             raise ValueError("radio.efficiency must be <= 1")
 
 

@@ -5,7 +5,7 @@ Subcommands:
   sweep  paired control-on/control-off runs across seeds, write sweep.csv
   plot   render steps.csv files into SVG charts
 
-Set DRS_SIM_LOG=debug|info|warning to control log verbosity.
+Set DRS_SIM_LOG=debug|info|warning|error to control log verbosity.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .engine import (
     summarize,
 )
 from .rng import SEED_LIMIT
-from .svgplot import bar_chart, line_chart
 
 log = logging.getLogger("drs_sim")
 
@@ -69,6 +68,9 @@ SWEEP_CSV_COLUMNS = ["seed", "mean_rate_on", "mean_rate_off", "improvement_pct"]
 
 # Largest seed count ``--seeds N`` accepts; the sweep holds one result per seed.
 MAX_SEED_COUNT = 100_000
+
+# DRS_SIM_LOG values, matched case-insensitively.
+LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
 def _fnum(value: float) -> str:
@@ -232,30 +234,35 @@ def _read_rates(paths: list[Path]) -> dict[str, dict[int, list[float]]]:
     for path in paths:
         if not path.is_file():
             raise PlotError(f"input CSV not found: {path}")
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            fields = reader.fieldnames or []
-            missing = [c for c in ("cycle_index", "rate_bps", "control") if c not in fields]
-            if missing:
-                raise PlotError(f"{path}: missing column(s) {', '.join(missing)}")
-            for lineno, raw in enumerate(reader, start=2):
-                try:
-                    rate_bps = float(raw["rate_bps"])
-                    if not math.isfinite(rate_bps):
-                        raise ValueError(f"rate_bps must be finite, got {raw['rate_bps']}")
-                    cycle = int(raw["cycle_index"])
-                    control = raw["control"]
-                    if control is None:
-                        raise ValueError("no control field (the row is shorter than the header)")
-                except (TypeError, ValueError) as exc:
-                    raise PlotError(f"{path}:{lineno}: bad row: {exc}") from None
-                rates.setdefault(control, {}).setdefault(cycle, []).append(rate_bps)
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                reader = csv.DictReader(fh)
+                fields = reader.fieldnames or []
+                missing = [c for c in ("cycle_index", "rate_bps", "control") if c not in fields]
+                if missing:
+                    raise PlotError(f"{path}: missing column(s) {', '.join(missing)}")
+                for lineno, raw in enumerate(reader, start=2):
+                    try:
+                        rate_bps = float(raw["rate_bps"])
+                        if not math.isfinite(rate_bps):
+                            raise ValueError(f"rate_bps must be finite, got {raw['rate_bps']}")
+                        cycle = int(raw["cycle_index"])
+                        control = raw["control"]
+                        if control is None:
+                            raise ValueError("no control field (the row is shorter than the header)")
+                    except (TypeError, ValueError) as exc:
+                        raise PlotError(f"{path}:{lineno}: bad row: {exc}") from None
+                    rates.setdefault(control, {}).setdefault(cycle, []).append(rate_bps)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise PlotError(f"{path}: unreadable CSV: {exc}") from None
     if not rates:
         raise PlotError("no data rows in input CSV")
     return rates
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
+    from .svgplot import bar_chart, line_chart
+
     rates = _read_rates([Path(p) for p in args.csv])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -361,9 +368,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("DRS_SIM_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     try:
+        level = os.environ.get("DRS_SIM_LOG", "warning")
+        if level.lower() not in LOG_LEVELS:
+            raise ConfigError(f"DRS_SIM_LOG must be one of {', '.join(LOG_LEVELS)}, got {level!r}")
+        logging.basicConfig(level=level.upper())
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, PlotError) as exc:

@@ -9,12 +9,11 @@ the defaults.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from .channel import RadioConfig, RisConfig, SINR_FORMS
-from .engine import SimConfig
+from .engine import SimConfig, replace
 from .geometry import Vec3
 from .planner import MotionLimits, WorldBounds
 from .traffic import INTERFERER_KINDS, ScenarioConfig
@@ -24,11 +23,10 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """SimConfig plus front-end concerns (where to write results)."""
 
-    sim: SimConfig = field(default_factory=SimConfig)
+    sim: SimConfig = SimConfig()
     output_dir: str = "."
 
 
@@ -146,7 +144,11 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    return parse_config_text(path.read_text(encoding="utf-8"), source=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+    return parse_config_text(text, source=str(path))
 
 
 def apply_overrides(

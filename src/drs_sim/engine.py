@@ -27,8 +27,7 @@ from __future__ import annotations
 import logging
 import math
 import os
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .channel import (
     NO_PATH,
@@ -47,6 +46,7 @@ from .channel import (
 from .geometry import (
     AngularCoords,
     Pose,
+    Value,
     Vec3,
     local_azimuth,
     rotation_between,
@@ -72,49 +72,91 @@ class ConstraintViolation(RuntimeError):
     """A per-step kinematic or box constraint was breached (controller bug)."""
 
 
-@dataclass
+def replace(config, **changes):
+    """Copy of a config object with ``changes`` applied, validated by its ``__init__``.
+
+    Config objects are shared, default instances included, so none is
+    changed in place: a changed config is always a copy.
+    """
+    return type(config)(**{**vars(config), **changes})
+
+
 class WorldState:
     """Mutable simulation state advanced by run_step."""
 
-    clock: float
-    step_index: int
-    drs: Pose  # the first arm's pose
-    traffic: TrafficModel
-    arms: tuple[bool, ...]  # orientation control per yaw arm; an "on" arm comes first
+    __slots__ = ("clock", "step_index", "drs", "traffic", "arms")
+
+    def __init__(
+        self,
+        clock: float,
+        step_index: int,
+        drs: Pose,  # the first arm's pose
+        traffic: TrafficModel,
+        arms: tuple[bool, ...],  # orientation control per yaw arm; an "on" arm comes first
+    ) -> None:
+        self.clock = clock
+        self.step_index = step_index
+        self.drs = drs
+        self.traffic = traffic
+        self.arms = arms
 
 
-@dataclass(slots=True)
-class StepRecord:
+class StepRecord(Value):
     """Per-step metrics while a pair is being served."""
 
-    step_index: int
-    time_s: float
-    pair_id: int
-    cycle_index: int  # steps since the pair started
-    tx_pos: Vec3
-    rx_pos: Vec3
-    drs: Pose
-    alpha_applied: float
-    null_mode: str
-    pl_desired_db: float
-    pl_interference_db: float
-    sinr_db: float
-    rate_bps: float
-    control_on: bool
+    __slots__ = (
+        "step_index", "time_s", "pair_id", "cycle_index", "tx_pos", "rx_pos", "drs",
+        "alpha_applied", "null_mode", "pl_desired_db", "pl_interference_db", "sinr_db",
+        "rate_bps", "control_on",
+    )
+
+    def __init__(
+        self,
+        step_index: int,
+        time_s: float,
+        pair_id: int,
+        cycle_index: int,  # steps since the pair started
+        tx_pos: Vec3,
+        rx_pos: Vec3,
+        drs: Pose,
+        alpha_applied: float,
+        null_mode: str,
+        pl_desired_db: float,
+        pl_interference_db: float,
+        sinr_db: float,
+        rate_bps: float,
+        control_on: bool,
+    ) -> None:
+        self.step_index = step_index
+        self.time_s = time_s
+        self.pair_id = pair_id
+        self.cycle_index = cycle_index
+        self.tx_pos = tx_pos
+        self.rx_pos = rx_pos
+        self.drs = drs
+        self.alpha_applied = alpha_applied
+        self.null_mode = null_mode
+        self.pl_desired_db = pl_desired_db
+        self.pl_interference_db = pl_interference_db
+        self.sinr_db = sinr_db
+        self.rate_bps = rate_bps
+        self.control_on = control_on
 
 
-@dataclass(frozen=True)
 class SimConfig:
     """Everything one simulation run needs."""
 
-    scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
-    radio: RadioConfig = field(default_factory=RadioConfig)
-    ris: RisConfig = field(default_factory=RisConfig)
-    steps: int = 10000
-    orientation_control: bool = True
-    sinr_form: str = SINR_FORM_STANDARD
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        scenario: ScenarioConfig = ScenarioConfig(),
+        radio: RadioConfig = RadioConfig(),
+        ris: RisConfig = RisConfig(),
+        steps: int = 10000,
+        orientation_control: bool = True,
+        sinr_form: str = SINR_FORM_STANDARD,
+    ) -> None:
+        self.scenario, self.radio, self.ris = scenario, radio, ris
+        self.steps, self.orientation_control, self.sinr_form = steps, orientation_control, sinr_form
         if self.steps < 1:
             raise ValueError("run.steps must be >= 1")
         if self.sinr_form not in SINR_FORMS:
@@ -123,7 +165,6 @@ class SimConfig:
             )
         # The link budget is the far-field model: every node the surface sees
         # must be at least the Fraunhofer distance below it.
-        scenario = self.scenario
         top = ANTENNA_HEIGHT_MAX
         if scenario.interferer_kind == INTERFERER_RSU:
             top = max(top, scenario.rsu_position.z)
@@ -282,8 +323,7 @@ def run_step(state: WorldState, config: SimConfig) -> list[StepRecord] | None:
     return records
 
 
-@dataclass(frozen=True)
-class RunSummary:
+class RunSummary(NamedTuple):
     """The aggregates of one run that the experiment front end reports."""
 
     seed: int
@@ -332,8 +372,7 @@ def run_simulation(config: SimConfig, seed: int | None = None) -> RunSummary:
     return summarize(config, simulate(config))
 
 
-@dataclass(frozen=True)
-class PairedRun:
+class PairedRun(NamedTuple):
     """Same-seed comparison isolating the orientation-control effect."""
 
     seed: int
@@ -362,25 +401,29 @@ def paired_sweep(
 
     One pass per seed steps traffic and the drone once and evaluates both yaw
     arms on that shared trajectory, so the rate difference is attributable to
-    orientation control alone.  Seeds run in parallel processes when jobs > 1;
+    orientation control alone.  Seeds run in min(jobs, seeds, cores) worker
+    processes when that is more than one (jobs None adds no cap of its own);
     results keep the input seed order.  Raises ValueError when jobs < 1.
     """
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     work = [replace(config, scenario=replace(config.scenario, seed=seed)) for seed in seeds]
-    if jobs is None:
-        jobs = min(len(work), os.cpu_count() or 1)
-    if jobs > 1 and len(work) > 1:
+    workers = min(jobs or len(work), len(work), os.cpu_count() or 1)
+    if workers > 1:
         try:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                return list(pool.map(_paired_seed, work))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                runs = list(pool.map(_paired_seed, work))
+            log.info("%d seeds ran in a pool of %d worker processes", len(work), workers)
+            return runs
         except OSError as exc:
             log.warning(
                 "process pool unavailable (%s); running %d seeds serially", exc, len(work)
             )
-    return [_paired_seed(item) for item in work]
+    runs = [_paired_seed(item) for item in work]
+    log.info("%d seeds ran serially", len(work))
+    return runs
 
 
 def aggregate_improvement(runs: Iterable[PairedRun]) -> tuple[float, float, float] | None:

@@ -9,7 +9,6 @@ the surface's local horizontal frame, which rotates with the drone's yaw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
 
@@ -22,22 +21,36 @@ def wrap_angle(angle: float) -> float:
     return r
 
 
-@dataclass(slots=True)
-class Vec3:
-    """Point or displacement in meters: x lateral, y longitudinal, z vertical.
+class Value:
+    """Field-wise ``==`` and a ``Name(field=value, ...)`` repr over ``__slots__``."""
 
-    Not frozen: a served step builds several, and a frozen dataclass pays
-    three ``object.__setattr__`` calls per construction.  Nothing mutates or
-    hashes one.
-    """
+    __slots__ = ()
 
-    x: float
-    y: float
-    z: float
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
-@dataclass(slots=True)
-class Pose:
+class Vec3(Value):
+    """Point or displacement in meters: x lateral, y longitudinal, z vertical."""
+
+    __slots__ = ("x", "y", "z")
+
+    def __init__(self, x: float, y: float, z: float) -> None:
+        self.x = x
+        self.y = y
+        self.z = z
+
+
+class Pose(Value):
     """Drone position plus yaw about the world vertical axis.
 
     Rotation of the surface is restricted to the horizontal plane, so the
@@ -45,14 +58,13 @@ class Pose:
     on construction.
     """
 
-    position: Vec3
-    yaw: float = 0.0
+    __slots__ = ("position", "yaw")
 
-    def __post_init__(self) -> None:
-        self.yaw = wrap_angle(self.yaw)
+    def __init__(self, position: Vec3, yaw: float = 0.0) -> None:
+        self.position = position
+        self.yaw = wrap_angle(yaw)
 
 
-@dataclass(slots=True)
 class AngularCoords:
     """Direction of a node as seen from the surface.
 
@@ -61,13 +73,13 @@ class AngularCoords:
     local frame, wrapped to (-pi, pi] on construction.
     """
 
-    theta: float
-    phi: float
+    __slots__ = ("theta", "phi")
 
-    def __post_init__(self) -> None:
-        if math.isnan(self.theta) or not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must be in [0, pi], got {self.theta}")
-        self.phi = wrap_angle(self.phi)
+    def __init__(self, theta: float, phi: float) -> None:
+        if math.isnan(theta) or not 0.0 <= theta <= math.pi:
+            raise ValueError(f"theta must be in [0, pi], got {theta}")
+        self.theta = theta
+        self.phi = wrap_angle(phi)
 
 
 def sight(surface: Vec3, target: Vec3) -> tuple[float, float | None, float]:

@@ -19,7 +19,6 @@ golden-section search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .channel import RisConfig, array_factor, direction_cosine_sums
@@ -45,25 +44,33 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _REFINE_STEPS = math.ceil(math.log(1e-9 * _COARSE_HALF / 2.0) / math.log(_INV_PHI))
 
 
-@dataclass(slots=True)
 class NullSteerInput:
     """Geometry seen from the current pose plus the per-step rotation budget."""
 
-    interferer: AngularCoords
-    receiver: AngularCoords
-    ris: RisConfig
-    alpha_bound: float  # [rad], rotation rate times step duration
+    __slots__ = ("interferer", "receiver", "ris", "alpha_bound")
 
-    def __post_init__(self) -> None:
-        if self.alpha_bound <= 0.0:
+    def __init__(
+        self,
+        interferer: AngularCoords,
+        receiver: AngularCoords,
+        ris: RisConfig,
+        alpha_bound: float,  # [rad], rotation rate times step duration
+    ) -> None:
+        if alpha_bound <= 0.0:
             raise ValueError("alpha_bound must be > 0")
+        self.interferer = interferer
+        self.receiver = receiver
+        self.ris = ris
+        self.alpha_bound = alpha_bound
 
 
-@dataclass(slots=True)
 class NullSolution:
-    alpha: float
-    residual: float  # |array factor| at alpha
-    mode: str
+    __slots__ = ("alpha", "residual", "mode")
+
+    def __init__(self, alpha: float, residual: float, mode: str) -> None:
+        self.alpha = alpha
+        self.residual = residual  # |array factor| at alpha
+        self.mode = mode
 
 
 def psi_interference(inp: NullSteerInput, alpha: float) -> float:

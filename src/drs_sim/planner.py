@@ -10,23 +10,25 @@ altitude is that value clamped into the flight box.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .geometry import Vec3
 
 
-@dataclass(frozen=True)
 class WorldBounds:
     """Axis-aligned flight box the drone must stay inside."""
 
-    x_min: float = 0.0
-    x_max: float = 500.0
-    y_min: float = 0.0
-    y_max: float = 5000.0
-    z_min: float = 100.0
-    z_max: float = 600.0
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        x_min: float = 0.0,
+        x_max: float = 500.0,
+        y_min: float = 0.0,
+        y_max: float = 5000.0,
+        z_min: float = 100.0,
+        z_max: float = 600.0,
+    ) -> None:
+        self.x_min, self.x_max = x_min, x_max
+        self.y_min, self.y_max = y_min, y_max
+        self.z_min, self.z_max = z_min, z_max
         for axis in ("x", "y", "z"):
             lo = getattr(self, f"{axis}_min")
             hi = getattr(self, f"{axis}_max")
@@ -49,20 +51,22 @@ class WorldBounds:
         )
 
 
-@dataclass(frozen=True)
 class MotionLimits:
     """Per-step kinematic budgets of the drone and the vehicle speed."""
 
-    v_drone: float = 18.0  # max drone speed [m/s]
-    rot_rate: float = 0.1745  # max yaw rate [rad/s]
-    time_step: float = 0.5  # planning step [s]
-    v_vehicle: float = 15.0  # vehicle speed magnitude [m/s]
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        v_drone: float = 18.0,  # max drone speed [m/s]
+        rot_rate: float = 0.1745,  # max yaw rate [rad/s]
+        time_step: float = 0.5,  # planning step [s]
+        v_vehicle: float = 15.0,  # vehicle speed magnitude [m/s]
+    ) -> None:
+        self.v_drone, self.rot_rate = v_drone, rot_rate
+        self.time_step, self.v_vehicle = time_step, v_vehicle
         for name in ("v_drone", "rot_rate", "time_step", "v_vehicle"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"limits.{name} must be > 0")
-        if self.v_drone < self.v_vehicle:
+        if v_drone < v_vehicle:
             raise ValueError("limits.v_drone must be >= limits.v_vehicle")
 
     @property

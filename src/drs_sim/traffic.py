@@ -11,7 +11,6 @@ arrivals, event count, pair draws), so a seed fully determines the trace.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 from .geometry import Vec3
 from .planner import MotionLimits, WorldBounds
@@ -26,37 +25,44 @@ INTERFERER_NONE = "none"
 INTERFERER_KINDS = (INTERFERER_RSU, INTERFERER_VEHICLE, INTERFERER_NONE)
 
 
-@dataclass(frozen=True)
 class Vehicle:
     """One vehicle; it enters its lane at spawn_step and moves at constant speed."""
 
-    id: int
-    lane: int  # 0: x = x_min, travels +y; 1: x = x_max, travels -y
-    spawn_step: int
-    antenna_height: float
+    __slots__ = ("id", "lane", "spawn_step", "antenna_height")
+
+    def __init__(self, id: int, lane: int, spawn_step: int, antenna_height: float) -> None:
+        self.id = id
+        self.lane = lane  # 0: x = x_min, travels +y; 1: x = x_max, travels -y
+        self.spawn_step = spawn_step
+        self.antenna_height = antenna_height
 
 
-@dataclass(frozen=True)
 class V2VPair:
-    id: int
-    tx_id: int
-    rx_id: int
-    start_step: int
+    __slots__ = ("id", "tx_id", "rx_id", "start_step")
+
+    def __init__(self, id: int, tx_id: int, rx_id: int, start_step: int) -> None:
+        self.id = id
+        self.tx_id = tx_id
+        self.rx_id = rx_id
+        self.start_step = start_step
 
 
-@dataclass(frozen=True)
 class ScenarioConfig:
     """Scenario shape: rates, geometry, kinematics, interferer, seed."""
 
-    arrival_rate: float = 0.2  # vehicles per second per lane
-    v2v_rate: float = 0.02  # pairing events per step
-    bounds: WorldBounds = field(default_factory=WorldBounds)
-    limits: MotionLimits = field(default_factory=MotionLimits)
-    rsu_position: Vec3 = field(default_factory=lambda: Vec3(250.0, 2500.0, 5.0))
-    seed: int = 1
-    interferer_kind: str = INTERFERER_RSU
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        arrival_rate: float = 0.2,  # vehicles per second per lane
+        v2v_rate: float = 0.02,  # pairing events per step
+        bounds: WorldBounds = WorldBounds(),
+        limits: MotionLimits = MotionLimits(),
+        rsu_position: Vec3 = Vec3(250.0, 2500.0, 5.0),
+        seed: int = 1,
+        interferer_kind: str = INTERFERER_RSU,
+    ) -> None:
+        self.arrival_rate, self.v2v_rate = arrival_rate, v2v_rate
+        self.bounds, self.limits, self.rsu_position = bounds, limits, rsu_position
+        self.seed, self.interferer_kind = seed, interferer_kind
         if self.arrival_rate < 0.0:
             raise ValueError("scenario.arrival_rate must be >= 0")
         if self.v2v_rate < 0.0:

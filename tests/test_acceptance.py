@@ -8,7 +8,6 @@ reference sequences), not from the code under test.
 
 import math
 import os
-from dataclasses import astuple
 
 import numpy as np
 
@@ -186,7 +185,8 @@ def test_criterion_05_constraints_hold_over_long_run():
         ):
             violations += 1
         if previous is not None:
-            if math.dist(astuple(p), astuple(previous.position)) > limits.step_length + 1e-9:
+            q = previous.position
+            if math.dist((p.x, p.y, p.z), (q.x, q.y, q.z)) > limits.step_length + 1e-9:
                 violations += 1
             if abs(wrap_angle(pose.yaw - previous.yaw)) > limits.yaw_budget + 1e-12:
                 violations += 1

@@ -1,9 +1,17 @@
+import contextlib
 import csv
+import io
 import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, reject, settings
@@ -335,6 +343,37 @@ class TestSweep:
             assert not out.exists()
 
 
+class TestLogLevel:
+    @pytest.mark.parametrize("value", ["basic_format", "verbose", ""])
+    def test_unknown_value_fails_up_front(self, value, config_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("DRS_SIM_LOG", value)
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(config_file), "--steps", "5", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: DRS_SIM_LOG must be one of debug, info, warning, error")
+        assert repr(value) in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["debug", "INFO", "Warning", "eRRor"])
+    def test_known_levels_in_any_case(self, value, config_file, tmp_path, monkeypatch):
+        monkeypatch.setenv("DRS_SIM_LOG", value)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_file), "--steps", "5", "--out", str(out)]) == 0
+        assert (out / "summary.json").is_file()
+
+    def test_level_takes_effect_in_a_fresh_process(self, tmp_path):
+        # In-process, the test runner's own log handlers make basicConfig a no-op.
+        env = dict(os.environ, DRS_SIM_LOG="Info")
+        result = subprocess.run(
+            [sys.executable, "-m", "drs_sim.cli", "run", "--steps", "5", "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "INFO:drs_sim:running 5 steps with seed 1" in result.stderr
+
+
 class TestPlot:
     def make_paired_csvs(self, config_file, tmp_path):
         paths = []
@@ -473,3 +512,90 @@ def test_every_valid_config_runs_finite(draft):
     assert all(math.isfinite(record.rate_bps) for record in records)
     summary = summarize(config.sim, records)
     json.dumps(summary_as_dict(config, summary), allow_nan=False)
+
+
+def mostly(good, bad):
+    """Draw from ``good`` three times in four, so that most examples get far."""
+    return st.integers(0, 3).flatmap(lambda n: bad if n == 0 else good)
+
+
+# Command-line inputs for the whole-CLI property.  Flags come before the
+# final --out, which always points into a scratch directory; none asks for
+# more than one worker or more than a few steps, so no process pool starts
+# and every example stays short.
+EXTRA_FLAGS = st.sampled_from([
+    ["--bogus"], ["--seed", "-1"], ["--seed", "x"], ["--seed", "3"], ["--steps", "0"],
+    ["--steps", "x"], ["--steps", "2"], ["--jobs", "0"], ["--jobs", "x"], ["--jobs", "1"],
+    ["--seeds", "2,2"], ["--seeds", "x"], ["--seeds", "1,"], ["--orientation-control", "maybe"],
+    ["--orientation-control", "off"], ["--sinr-form", "nope"], ["--sinr-form", "paper-literal"],
+    ["--config"],
+])
+JUNK_TOKENS = st.text(alphabet="abc,.=_ 019", min_size=1, max_size=6).map(lambda t: [t])
+EXTRAS = mostly(st.just([]), st.lists(st.one_of(EXTRA_FLAGS, JUNK_TOKENS), min_size=1, max_size=2))
+TEXT = st.characters(exclude_categories=("Cs",), exclude_characters="\x00")
+CONFIG_TEXT = st.tuples(
+    st.fixed_dictionaries({}, optional=CONFIG_DRAFTS),
+    mostly(st.just([]), st.lists(st.text(TEXT, max_size=20), min_size=1, max_size=2)),
+).map(lambda parts: "".join(f"{k} = {v}\n" for k, v in parts[0].items()) + "\n".join(parts[1]))
+CSV_ROWS = mostly(
+    st.lists(st.tuples(st.sampled_from(["0", "3"]), st.sampled_from(["2.5", "0", "1e3"]),
+                       st.sampled_from(["on", "off"])), max_size=5),
+    st.lists(st.lists(st.sampled_from(["0", "-1", "2.5", "nan", "inf", "on", "", "x", '"']),
+                      max_size=4), max_size=5),
+)
+CSV_TEXT = st.tuples(
+    mostly(st.just("cycle_index,rate_bps,control"),
+           st.sampled_from([",".join(STEPS_CSV_COLUMNS), "rate_bps", ""])),
+    CSV_ROWS,
+).map(lambda parts: "\n".join([parts[0]] + [",".join(row) for row in parts[1]]) + "\n")
+LOG_VALUES = mostly(
+    st.sampled_from([None, "debug", "INFO", "Warning", "error"]),
+    st.one_of(st.sampled_from(["verbose", "basic_format", ""]), st.text(TEXT, max_size=8)),
+)
+OUTPUT_NAMES = {"steps.csv", "summary.json", "sweep.csv", "rate_vs_cycle.svg", "mean_rate.svg"}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "plot"])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    with_config=st.booleans(),
+    data=st.data(),
+    undecodable=mostly(st.just(False), st.just(True)),
+    steps=st.integers(1, 20),
+    seeds=st.sampled_from(["1", "2", "1,2", "3,"]),
+    extras=EXTRAS,
+    log_value=LOG_VALUES,
+)
+def test_main_exits_cleanly_for_any_input(
+    command, with_config, data, undecodable, steps, seeds, extras, log_value
+):
+    text = data.draw(CSV_TEXT if command == "plot" else CONFIG_TEXT)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        source = root / ("steps.csv" if command == "plot" else "drafted.cfg")
+        source.write_bytes(text.encode("utf-8") + (b"\xff\n" if undecodable else b""))
+        out = root / "out"
+        if command == "plot":
+            argv = ["plot", str(source)]
+        else:
+            argv = [command] + (["--config", str(source)] if with_config else [])
+            argv += ["--steps", str(steps)]
+            if command == "sweep":
+                argv += ["--seeds", seeds, "--jobs", "1"]
+        argv += [token for extra in extras for token in extra] + ["--out", str(out)]
+        stderr = io.StringIO()
+        with mock.patch.dict(os.environ), contextlib.redirect_stderr(stderr), \
+                contextlib.redirect_stdout(io.StringIO()):
+            os.environ.pop("DRS_SIM_LOG", None)
+            if log_value is not None:
+                os.environ["DRS_SIM_LOG"] = log_value
+            code = main(argv)
+        written = {p.name for p in out.rglob("*") if p.is_file()} if out.exists() else set()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in stderr.getvalue()
+    if code:
+        assert not written, (argv, written)
+    else:
+        expected = {"run": {"steps.csv", "summary.json"}, "sweep": {"sweep.csv"},
+                    "plot": {"rate_vs_cycle.svg", "mean_rate.svg"}}[command]
+        assert written & OUTPUT_NAMES == expected

@@ -1,8 +1,8 @@
 import concurrent.futures
 import logging
 import math
+import os
 import tracemalloc
-from dataclasses import astuple, replace
 
 import pytest
 
@@ -16,6 +16,7 @@ from drs_sim.engine import (
     aggregate_improvement,
     initial_state,
     paired_sweep,
+    replace,
     run_simulation,
     run_step,
     simulate,
@@ -133,7 +134,8 @@ class TestConstraints:
             assert bounds.z_min - 1e-9 <= p.z <= bounds.z_max + 1e-9
             assert abs(record.alpha_applied) <= limits.yaw_budget + 1e-12
             if previous is not None:
-                moved = math.dist(astuple(p), astuple(previous.position))
+                q = previous.position
+                moved = math.dist((p.x, p.y, p.z), (q.x, q.y, q.z))
                 assert moved <= limits.step_length + 1e-9
                 turned = abs(wrap_angle(pose.yaw - previous.yaw))
                 assert turned <= limits.yaw_budget + 1e-12
@@ -247,6 +249,49 @@ class TestPairedSweep:
         assert len(warnings) == 1
         assert "serially" in warnings[0].getMessage()
         assert "no process pool here" in warnings[0].getMessage()
+
+    @pytest.mark.parametrize(
+        "seeds, jobs, cores, workers",
+        [
+            ([3, 4], 10**20, 8, 2),  # capped at the seed count
+            ([3, 4, 5], None, 2, 2),  # capped at the cores
+            ([3, 4, 5], 2, 8, 2),  # capped at --jobs
+            ([3, 4], 10**20, 1, None),  # one core: serial
+            ([3, 4], 1, 8, None),  # one job: serial
+        ],
+    )
+    def test_worker_count(self, seeds, jobs, cores, workers, monkeypatch, caplog):
+        started = []
+
+        class SerialPool:
+            """Records the pool size asked for and maps in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        config = small_config(steps=100)
+        with caplog.at_level(logging.INFO, logger="drs_sim"):
+            runs = paired_sweep(config, seeds, jobs=jobs)
+        messages = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        assert [r.seed for r in runs] == seeds
+        if workers is None:
+            assert started == []
+            assert messages == [f"{len(seeds)} seeds ran serially"]
+        else:
+            assert started == [workers]
+            assert messages == [f"{len(seeds)} seeds ran in a pool of {workers} worker processes"]
+            assert runs == paired_sweep(config, seeds, jobs=1)
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_rejects_jobs_below_one(self, jobs):

@@ -1,5 +1,4 @@
 import math
-from dataclasses import astuple
 
 import pytest
 from hypothesis import assume, given, settings
@@ -119,7 +118,7 @@ class TestStepTowards:
         current = Vec3(cx, cy, cz)
         target = Vec3(tx, ty, tz)
         got = step_towards(current, target, LIMITS, BOUNDS)
-        assert math.dist(astuple(got), astuple(current)) <= LIMITS.step_length + 1e-9
+        assert math.dist((got.x, got.y, got.z), (cx, cy, cz)) <= LIMITS.step_length + 1e-9
         assert BOUNDS.contains(got)
 
     @settings(max_examples=100, deadline=None)
@@ -134,7 +133,7 @@ class TestStepTowards:
     def test_reaches_target_in_ceil_steps(self, cx, cy, cz, tx, ty, tz):
         current = Vec3(cx, cy, cz)
         target = Vec3(tx, ty, tz)
-        distance = math.dist(astuple(target), astuple(current))
+        distance = math.dist((tx, ty, tz), (cx, cy, cz))
         ratio = distance / LIMITS.step_length
         # stay away from exact multiples where float rounding flips the ceil
         assume(abs(ratio - round(ratio)) > 1e-6)
