@@ -22,13 +22,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .config import (
-    ConfigError,
-    RunConfig,
-    apply_overrides,
-    config_as_dict,
-    load_config,
-)
+from .config import ConfigError, RunConfig, config_as_dict, load_config
 from .engine import (
     ConstraintViolation,
     RunSummary,
@@ -247,9 +241,13 @@ def _read_rates(paths: list[Path]) -> dict[str, dict[int, list[float]]]:
                         if not math.isfinite(rate_bps):
                             raise ValueError(f"rate_bps must be finite, got {raw['rate_bps']}")
                         cycle = int(raw["cycle_index"])
+                        if abs(cycle) > 2**53:  # beyond this, floats skip integers
+                            raise ValueError("cycle_index must be within +-2**53")
                         control = raw["control"]
                         if control is None:
                             raise ValueError("no control field (the row is shorter than the header)")
+                        if re.search(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]", control):
+                            raise ValueError(f"control {control!r} holds a character XML forbids")
                     except (TypeError, ValueError) as exc:
                         raise PlotError(f"{path}:{lineno}: bad row: {exc}") from None
                     rates.setdefault(control, {}).setdefault(cycle, []).append(rate_bps)
@@ -264,25 +262,32 @@ def cmd_plot(args: argparse.Namespace) -> int:
     from .svgplot import bar_chart, line_chart
 
     rates = _read_rates([Path(p) for p in args.csv])
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     # fsum is correctly rounded, so a mode's mean over its cycle lists equals
     # its mean over the rows in file order.
     series, bars = [], []
     for mode, cycles in sorted(rates.items()):
         label = f"control {mode}"
-        series.append((label, [(c, math.fsum(v) / len(v)) for c, v in sorted(cycles.items())]))
         mode_rates = [rate_bps for v in cycles.values() for rate_bps in v]
-        bars.append((label, math.fsum(mode_rates) / len(mode_rates)))
-    line_svg = line_chart(
-        series,
-        title="Relayed rate vs. cycle index",
-        xlabel="cycle index (steps since pair start)",
-        ylabel="mean rate [bit/s]",
-    )
-    bar_svg = bar_chart(bars, title="Mean relayed rate per mode", ylabel="rate [bit/s]")
+        try:
+            means = [(c, math.fsum(v) / len(v)) for c, v in sorted(cycles.items())]
+            series.append((label, means))
+            bars.append((label, math.fsum(mode_rates) / len(mode_rates)))
+        except OverflowError:
+            raise PlotError(f"{label}: rates too large to average (their sum overflows)") from None
+    try:
+        line_svg = line_chart(
+            series,
+            title="Relayed rate vs. cycle index",
+            xlabel="cycle index (steps since pair start)",
+            ylabel="mean rate [bit/s]",
+        )
+        bar_svg = bar_chart(bars, title="Mean relayed rate per mode", ylabel="rate [bit/s]")
+    except ValueError as exc:
+        raise PlotError(f"{', '.join(args.csv)}: cannot chart: {exc}") from None
 
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     line_path = out_dir / "rate_vs_cycle.svg"
     bar_path = out_dir / "mean_rate.svg"
     line_path.write_text(line_svg, encoding="utf-8")
@@ -291,35 +296,37 @@ def cmd_plot(args: argparse.Namespace) -> int:
     return 0
 
 
+# Each config flag sets one config key; its argparse dest is the flag's name.
+CONFIG_FLAGS = {
+    "--seed": "scenario.seed",
+    "--steps": "run.steps",
+    "--orientation-control": "run.orientation_control",
+    "--sinr-form": "run.sinr_form",
+    "--out": "run.output_dir",
+}
+
+
 def _load_with_overrides(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig() if args.config is None else load_config(args.config)
-    control = None
-    if getattr(args, "orientation_control", None) is not None:
-        control = args.orientation_control == "on"
-    return apply_overrides(
-        config,
-        seed=getattr(args, "seed", None),
-        steps=getattr(args, "steps", None),
-        orientation_control=control,
-        sinr_form=getattr(args, "sinr_form", None),
-        output_dir=getattr(args, "out", None),
-    )
+    overrides = []
+    for flag, key in CONFIG_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)  # sweep has no --seed
+        if value is not None:
+            overrides.append((flag, key, value))
+    return load_config(args.config, overrides)
 
 
 def _add_config_args(sub: argparse.ArgumentParser, with_seed: bool) -> None:
     sub.add_argument("--config", help="config file (section.key = value lines)")
     if with_seed:
-        sub.add_argument("--seed", type=int, help="override the scenario seed")
-    sub.add_argument("--steps", type=int, help="override the number of steps")
+        sub.add_argument("--seed", help="override the scenario seed")
+    sub.add_argument("--steps", help="override the number of steps")
     sub.add_argument(
         "--orientation-control",
-        dest="orientation_control",
         choices=("on", "off"),
         help="enable or disable yaw control",
     )
     sub.add_argument(
         "--sinr-form",
-        dest="sinr_form",
         choices=("standard", "paper-literal"),
         help="SINR evaluation form",
     )

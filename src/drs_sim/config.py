@@ -3,17 +3,19 @@
 Config files are plain text, one ``section.key = value`` assignment per
 line, ``#`` comments allowed.  Every key is typed and listed in _KEYS;
 unknown keys are rejected so typos fail loudly instead of silently running
-the defaults.
+the defaults.  Command-line flags are assignments to keys that replace the
+file's values, so a run's config is converted, assembled and validated once.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from .channel import RadioConfig, RisConfig, SINR_FORMS
-from .engine import SimConfig, replace
+from .engine import SimConfig
 from .geometry import Vec3
 from .planner import MotionLimits, WorldBounds
 from .traffic import INTERFERER_KINDS, ScenarioConfig
@@ -26,8 +28,8 @@ class ConfigError(ValueError):
 class RunConfig(NamedTuple):
     """SimConfig plus front-end concerns (where to write results)."""
 
-    sim: SimConfig = SimConfig()
-    output_dir: str = "."
+    sim: SimConfig
+    output_dir: str
 
 
 def _parse_bool(raw: str) -> bool:
@@ -88,9 +90,8 @@ _KEYS: dict[str, tuple[Any, tuple[str, ...]]] = {
 }
 
 
-def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
-    """Parse config text into a validated RunConfig."""
-    values: dict[str, dict[str, Any]] = {}
+def _assignments(text: str, source: str) -> Iterator[tuple[str, str, str]]:
+    """``(source:line, key, raw value)`` for each assignment line of config text."""
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -99,16 +100,29 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw_line!r}")
         key, _, raw_value = line.partition("=")
         key = key.strip()
-        raw_value = raw_value.strip().strip("\"'")
         if key not in _KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown config key: {key}")
+        yield f"{source}:{lineno}", key, raw_value.strip().strip("\"'")
+
+
+def parse_config_text(
+    text: str, source: str = "<config>", overrides: Iterable[tuple[str, str, str]] = ()
+) -> RunConfig:
+    """Parse config text into a validated RunConfig.
+
+    Each ``(flag, key, raw value)`` override replaces the text's value for
+    that key, as a later line for the same key would; its raw value is taken
+    as given, with no comment or quote stripping.
+    """
+    values: dict[str, dict[str, Any]] = {}
+    for where, key, raw_value in chain(_assignments(text, source), overrides):
         converter, (group, name) = _KEYS[key]
         try:
             value = converter(raw_value)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"expected a finite number, got {raw_value!r}")
         except ValueError as exc:
-            raise ConfigError(f"{source}:{lineno}: bad value for {key}: {exc}") from None
+            raise ConfigError(f"{where}: bad value for {key}: {exc}") from None
         values.setdefault(group, {})[name] = value
     return build_config(values)
 
@@ -119,13 +133,12 @@ def build_config(values: dict[str, dict[str, Any]]) -> RunConfig:
         bounds = WorldBounds(**values.get("bounds", {}))
         limits = MotionLimits(**values.get("limits", {}))
         # Default RSU: middle of the area, 5 m mast; axes overridable one by one.
-        rsu_values = {
-            "x": 0.5 * (bounds.x_min + bounds.x_max),
-            "y": 0.5 * (bounds.y_min + bounds.y_max),
-            "z": 5.0,
-        }
-        rsu_values.update(values.get("rsu", {}))
-        rsu = Vec3(rsu_values["x"], rsu_values["y"], rsu_values["z"])
+        rsu_values = values.get("rsu", {})
+        rsu = Vec3(
+            rsu_values.get("x", 0.5 * (bounds.x_min + bounds.x_max)),
+            rsu_values.get("y", 0.5 * (bounds.y_min + bounds.y_max)),
+            rsu_values.get("z", 5.0),
+        )
         scenario = ScenarioConfig(
             bounds=bounds,
             limits=limits,
@@ -137,10 +150,15 @@ def build_config(values: dict[str, dict[str, Any]]) -> RunConfig:
         sim = SimConfig(scenario=scenario, radio=radio, ris=ris, **values.get("run", {}))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return RunConfig(sim=sim, **values.get("output", {}))
+    return RunConfig(sim, values.get("output", {}).get("output_dir", "."))
 
 
-def load_config(path: str | Path) -> RunConfig:
+def load_config(
+    path: str | Path | None, overrides: Iterable[tuple[str, str, str]] = ()
+) -> RunConfig:
+    """The config file at ``path`` (the defaults when None), with ``overrides`` applied."""
+    if path is None:
+        return parse_config_text("", overrides=overrides)
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -148,33 +166,7 @@ def load_config(path: str | Path) -> RunConfig:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
-    return parse_config_text(text, source=str(path))
-
-
-def apply_overrides(
-    config: RunConfig,
-    seed: int | None = None,
-    steps: int | None = None,
-    orientation_control: bool | None = None,
-    sinr_form: str | None = None,
-    output_dir: str | None = None,
-) -> RunConfig:
-    """Return a copy of ``config`` with any provided command-line overrides."""
-    sim = config.sim
-    try:
-        if seed is not None:
-            sim = replace(sim, scenario=replace(sim.scenario, seed=seed))
-        if steps is not None:
-            sim = replace(sim, steps=steps)
-        if orientation_control is not None:
-            sim = replace(sim, orientation_control=orientation_control)
-        if sinr_form is not None:
-            sim = replace(sim, sinr_form=sinr_form)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return RunConfig(
-        sim=sim, output_dir=output_dir if output_dir is not None else config.output_dir
-    )
+    return parse_config_text(text, str(path), overrides)
 
 
 def config_as_dict(config: RunConfig) -> dict[str, Any]:

@@ -163,18 +163,17 @@ class SimConfig:
             raise ValueError(
                 f"run.sinr_form must be one of {SINR_FORMS}, got {self.sinr_form!r}"
             )
-        # The link budget is the far-field model: every node the surface sees
-        # must be at least the Fraunhofer distance below it.
-        top = ANTENNA_HEIGHT_MAX
-        if scenario.interferer_kind == INTERFERER_RSU:
-            top = max(top, scenario.rsu_position.z)
+        # The link budget is the far-field model: every node the surface sees must be
+        # at least the Fraunhofer distance (> 0) below it, so the surface is above them all.
+        top, node = ANTENNA_HEIGHT_MAX, "the highest vehicle antenna"
+        if scenario.interferer_kind == INTERFERER_RSU and scenario.rsu_position.z > top:
+            top, node = scenario.rsu_position.z, "scenario.rsu_z"
         clearance = scenario.bounds.z_min - top
         far_field = fraunhofer_distance(self.ris)
         if clearance < far_field:
             raise ValueError(
                 f"bounds.z_min must be at least the surface's far-field distance "
-                f"({far_field:.6g} m) above the highest node ({top} m), "
-                f"got {scenario.bounds.z_min}"
+                f"({far_field:.6g} m) above {node} ({top} m), got {scenario.bounds.z_min}"
             )
         # Path loss grows with distance, elevation and array-factor loss, so
         # a hop straight down at the clearance (element pattern 1) with

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from typing import Sequence
+from xml.sax.saxutils import escape
 
 WIDTH = 720
 HEIGHT = 440
@@ -30,10 +31,6 @@ def _nice_step(span: float, target_ticks: int = 5) -> float:
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    if not math.isfinite(lo) or not math.isfinite(hi):
-        return []
-    if lo == hi:
-        lo, hi = lo - 1.0, hi + 1.0
     step = _nice_step(hi - lo)
     first = math.ceil(lo / step) * step
     ticks = []
@@ -49,7 +46,18 @@ def _fmt(value: float) -> str:
 
 
 def _escape(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return escape(text, {'"': "&quot;"})
+
+
+def _axis_range(lo: float, hi: float) -> tuple[float, float]:
+    """[lo, hi] widened to at least 2**-40 of its magnitude (and of 1e-250), so
+    that ticks, spaced a fifth of the range or more, are distinct floats."""
+    least = 2.0**-40 * max(abs(lo), abs(hi), 1e-250)
+    if hi - lo < least:
+        lo, hi = lo - least, hi + least
+    if not math.isfinite(hi - lo):
+        raise ValueError("the axis range exceeds the largest float")
+    return lo, hi
 
 
 class _Canvas:
@@ -85,6 +93,8 @@ def _plot_area() -> tuple[float, float, float, float]:
 
 
 def _axes(canvas: _Canvas, x_lo, x_hi, y_lo, y_hi) -> tuple:
+    x_lo, x_hi = _axis_range(x_lo, x_hi)
+    y_lo, y_hi = _axis_range(y_lo, y_hi)
     left, top, right, bottom = _plot_area()
 
     def to_x(v: float) -> float:
@@ -163,7 +173,7 @@ def bar_chart(
     """Bar chart; each bar carries its exact value in a data-value attribute."""
     if not bars:
         raise ValueError("nothing to plot")
-    y_hi = max(value for _, value in bars)
+    y_hi = max(0.0, max(value for _, value in bars))
     y_lo = min(0.0, min(value for _, value in bars))
     if y_lo == y_hi:
         y_hi = y_lo + 1.0

@@ -73,16 +73,6 @@ class ScenarioConfig:
             raise ValueError(
                 f"scenario.interferer must be one of {INTERFERER_KINDS}, got {self.interferer_kind!r}"
             )
-        # The surface must stay strictly above every node it sees.
-        z_min = self.bounds.z_min
-        if ANTENNA_HEIGHT_MAX >= z_min:
-            raise ValueError(
-                f"bounds.z_min must exceed the highest vehicle antenna ({ANTENNA_HEIGHT_MAX} m)"
-            )
-        if self.interferer_kind == INTERFERER_RSU and self.rsu_position.z >= z_min:
-            raise ValueError(
-                f"scenario.rsu_z must be below bounds.z_min ({z_min} m), got {self.rsu_position.z}"
-            )
 
 
 class TrafficModel:

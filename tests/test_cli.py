@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from drs_sim.cli import MAX_SEED_COUNT, STEPS_CSV_COLUMNS, _record_row, main, summary_as_dict
 from drs_sim.config import ConfigError, parse_config_text
-from drs_sim.engine import simulate, summarize
+from drs_sim.engine import SimConfig, simulate, summarize
 from drs_sim.geometry import Vec3
 
 BASE_CONFIG = """
@@ -155,6 +155,56 @@ class TestRun:
         assert name in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_config_flags_build_sim_config_once(self, config_file, tmp_path, monkeypatch):
+        built = []
+        init = SimConfig.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SimConfig, "__init__", counted_init)
+        out = tmp_path / "out"
+        assert main([
+            "run", "--config", str(config_file), "--seed", "9", "--steps", "20",
+            "--orientation-control", "off", "--sinr-form", "paper-literal", "--out", str(out),
+        ]) == 0
+        assert len(built) == 1
+        config = json.loads((out / "summary.json").read_text())["config"]
+        assert (config["scenario.seed"], config["run.steps"]) == (9, 20)
+        assert (config["run.orientation_control"], config["run.sinr_form"]) == (False, "paper-literal")
+        assert config["run.output_dir"] == str(out)
+
+    @pytest.mark.parametrize("line, code", [("run.steps = 0", 0), ("run.steps = soon", 1)])
+    def test_flag_replaces_the_file_value(self, line, code, tmp_path, capsys):
+        # As with a later line for the same key, the file's value is only syntax-checked.
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text(BASE_CONFIG + line + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_file), "--steps", "5", "--out", str(out)]) == code
+        if code:
+            assert f"{config_file}:8: bad value for run.steps" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert json.loads((out / "summary.json").read_text())["steps"] == 5
+
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--steps", "abc", "run.steps"), ("--seed", "1.5", "scenario.seed"),
+    ])
+    def test_bad_flag_value_names_flag_and_key(self, flag, value, key, config_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_file), flag, value, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: bad value for {key}: ")
+        assert not out.exists()
+
+    def test_out_is_taken_verbatim(self, config_file, tmp_path):
+        # A flag value is not config-file text: no comment or quote stripping.
+        out = tmp_path / "'a#b\"c'"
+        assert main(["run", "--config", str(config_file), "--steps", "5", "--out", str(out)]) == 0
+        assert (out / "steps.csv").is_file()
+        assert json.loads((out / "summary.json").read_text())["config"]["run.output_dir"] == str(out)
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_outside_64_bits_fails_up_front(self, seed, config_file, tmp_path, capsys):
@@ -457,6 +507,54 @@ class TestPlot:
     def test_missing_file_fails(self, tmp_path):
         assert main(["plot", str(tmp_path / "ghost.csv"), "--out", str(tmp_path)]) == 1
 
+    @staticmethod
+    def write_rows(tmp_path, rows):
+        source = tmp_path / "steps.csv"
+        source.write_text(
+            "cycle_index,rate_bps,control\r\n" + "\r\n".join(rows) + "\r\n", encoding="utf-8"
+        )
+        return source
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["0,1e17,on"],
+            ["0,1e16,on", "1,1.0000000000000002e16,on"],
+            ["0,-1,on", "0,-1.01,off"],
+            ['0,2.5,"o""n"'],
+        ],
+        ids=["one-large-rate", "large-rates-one-ulp-apart", "negative-means", "quote-in-label"],
+    )
+    def test_extreme_rows_draw_well_formed_charts(self, rows, tmp_path):
+        source = self.write_rows(tmp_path, rows)
+        out = tmp_path / "plots"
+        assert main(["plot", str(source), "--out", str(out)]) == 0
+        for name in ("rate_vs_cycle.svg", "mean_rate.svg"):
+            root = ET.fromstring((out / name).read_text(encoding="utf-8"))
+            labels = {el.get("data-series") or el.get("data-label") for el in root.iter()}
+            assert labels - {None} == {"control " + row[2] for row in csv.reader(rows)}
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["0,1,on", f"{10**400},1,on"], ":3: bad row: cycle_index must be within +-2**53"),
+            (["0,1,on", f"{-2**53 - 1},1,on"], ":3: bad row: cycle_index must be within +-2**53"),
+            (["0,1.7e308,on", "1,1.7e308,on"], "control on: rates too large to average"),
+            (["0,1.7e308,on", "1,-1.7e308,off"], "cannot chart"),
+            (["0,1,on\x00"], ":2: bad row: control 'on\\x00' holds a character XML forbids"),
+            (["0,1,o\x0bn"], ":2: bad row: control 'o\\x0bn' holds a character XML forbids"),
+        ],
+        ids=["cycle-10**400", "cycle-below-minus-2**53", "sum-overflows", "span-overflows", "nul", "vt"],
+    )
+    def test_unchartable_rows_fail(self, rows, message, tmp_path, capsys):
+        source = self.write_rows(tmp_path, rows)
+        out = tmp_path / "plots"
+        assert main(["plot", str(source), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 def _log_floats(lo_exp, hi_exp):
     return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
@@ -538,8 +636,10 @@ CONFIG_TEXT = st.tuples(
     mostly(st.just([]), st.lists(st.text(TEXT, max_size=20), min_size=1, max_size=2)),
 ).map(lambda parts: "".join(f"{k} = {v}\n" for k, v in parts[0].items()) + "\n".join(parts[1]))
 CSV_ROWS = mostly(
-    st.lists(st.tuples(st.sampled_from(["0", "3"]), st.sampled_from(["2.5", "0", "1e3"]),
-                       st.sampled_from(["on", "off"])), max_size=5),
+    st.lists(st.tuples(st.sampled_from(["0", "3", str(10**400)]),
+                       st.sampled_from(["2.5", "0", "1e3", "1e17", "1.7e308"]),
+                       st.sampled_from(["on", "off", "o\x00n", "o\x0bn", 'o"n', "<on>", "a&b"])),
+             max_size=5),
     st.lists(st.lists(st.sampled_from(["0", "-1", "2.5", "nan", "inf", "on", "", "x", '"']),
                       max_size=4), max_size=5),
 )
@@ -591,6 +691,9 @@ def test_main_exits_cleanly_for_any_input(
                 os.environ["DRS_SIM_LOG"] = log_value
             code = main(argv)
         written = {p.name for p in out.rglob("*") if p.is_file()} if out.exists() else set()
+        if code == 0:
+            for svg in out.glob("*.svg"):
+                ET.fromstring(svg.read_text(encoding="utf-8"))  # well-formed XML
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in stderr.getvalue()
     if code:

@@ -23,6 +23,7 @@ from drs_sim.engine import (
 )
 from drs_sim.geometry import AngularCoords, Pose, Vec3, local_azimuth, sight, wrap_angle
 from drs_sim.nullsteer import MODE_ANALYTIC, MODE_FALLBACK, NullSteerInput, psi_interference
+from drs_sim.planner import WorldBounds
 from drs_sim.traffic import ScenarioConfig, TrafficModel
 
 QUIET = ScenarioConfig(arrival_rate=0.0, v2v_rate=0.0)
@@ -208,6 +209,27 @@ class TestRunSimulation:
             SimConfig(steps=0)
         with pytest.raises(ValueError):
             SimConfig(sinr_form="bogus")
+
+    @pytest.mark.parametrize(
+        "interferer, rsu_z, z_min, node",
+        [
+            ("rsu", 700.0, 60.0, "scenario.rsu_z (700.0 m)"),
+            ("rsu", 5.0, 5.0, "scenario.rsu_z (5.0 m)"),
+            ("rsu", 1.0, 2.0, "the highest vehicle antenna (2.0 m)"),
+            ("vehicle", 700.0, 2.0, "the highest vehicle antenna (2.0 m)"),
+        ],
+    )
+    def test_height_rule_names_the_binding_node(self, interferer, rsu_z, z_min, node):
+        # A scenario alone has no height rule: the run's far-field rule holds it.
+        scenario = ScenarioConfig(
+            bounds=WorldBounds(z_min=z_min), rsu_position=Vec3(250.0, 2500.0, rsu_z),
+            interferer_kind=interferer,
+        )
+        with pytest.raises(ValueError) as info:
+            SimConfig(scenario=scenario)
+        message = str(info.value)
+        assert message.startswith("bounds.z_min must be at least the surface's far-field distance")
+        assert f"above {node}, got {z_min}" in message
 
 
 class TestPairedSweep:
