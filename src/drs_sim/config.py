@@ -50,6 +50,13 @@ def _parse_choice(options: tuple[str, ...]):
     return convert
 
 
+def _parse_directory(raw: str) -> str:
+    # An empty path would make the run write into the working directory.
+    if not raw:
+        raise ValueError("expected a directory path, got ''")
+    return raw
+
+
 # key -> (converter, (group, field)): field is an attribute of the config
 # object that config_as_dict maps the group to.
 _KEYS: dict[str, tuple[Any, tuple[str, ...]]] = {
@@ -86,7 +93,7 @@ _KEYS: dict[str, tuple[Any, tuple[str, ...]]] = {
     "run.steps": (int, ("run", "steps")),
     "run.orientation_control": (_parse_bool, ("run", "orientation_control")),
     "run.sinr_form": (_parse_choice(SINR_FORMS), ("run", "sinr_form")),
-    "run.output_dir": (str, ("output", "output_dir")),
+    "run.output_dir": (_parse_directory, ("output", "output_dir")),
 }
 
 

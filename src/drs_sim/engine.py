@@ -25,9 +25,12 @@ rotating to cancel interference never costs desired-link rate.
 from __future__ import annotations
 
 import logging
+import marshal
 import math
 import os
-from typing import Iterable, Iterator, NamedTuple
+import threading
+import time
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 from .channel import (
     NO_PATH,
@@ -386,11 +389,45 @@ class PairedRun(NamedTuple):
 
 
 def _paired_seed(config: SimConfig) -> PairedRun:
+    start = time.perf_counter()
     rates_on, rates_off = [], []
     for on, off in _simulate(config, (True, False)):
         rates_on.append(on.rate_bps)
         rates_off.append(off.rate_bps)
+    elapsed = time.perf_counter() - start
+    log.info(
+        "seed %d: %d steps (%d served) in %.3f s, %.0f steps/s",
+        config.scenario.seed, config.steps, len(rates_on), elapsed, config.steps / elapsed,
+    )
     return PairedRun(config.scenario.seed, _mean(rates_on), _mean(rates_off))
+
+
+def _fork_share(share: list[SimConfig]) -> tuple[int, BinaryIO]:
+    """Fork a child that runs ``share`` and pipes back its results; returns (pid, read end).
+
+    The child writes one marshal blob of ``(seed, mean_rate_on,
+    mean_rate_off)`` tuples and leaves through ``os._exit``, with status 0
+    only once the blob is written.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            blob = marshal.dumps([tuple(_paired_seed(item)) for item in share])
+            with open(write_fd, "wb") as pipe:
+                pipe.write(blob)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
 
 
 def paired_sweep(
@@ -400,28 +437,59 @@ def paired_sweep(
 
     One pass per seed steps traffic and the drone once and evaluates both yaw
     arms on that shared trajectory, so the rate difference is attributable to
-    orientation control alone.  Seeds run in min(jobs, seeds, cores) worker
-    processes when that is more than one (jobs None adds no cap of its own);
-    results keep the input seed order.  Raises ValueError when jobs < 1.
+    orientation control alone.  Seeds run in min(jobs, seeds, cores) forked
+    worker processes when that is more than one (jobs None adds no cap of its
+    own): worker w runs seeds[w::workers].  A share whose worker cannot be
+    forked, fails or sends nothing runs serially here after one warning; the
+    simulation is deterministic, so an error a worker hit is raised again.
+    Results keep the input seed order.  Raises ValueError when jobs < 1.
     """
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     work = [replace(config, scenario=replace(config.scenario, seed=seed)) for seed in seeds]
     workers = min(jobs or len(work), len(work), os.cpu_count() or 1)
+    runs: list[PairedRun | None] = [None] * len(work)
+    problems: list[str] = []
+    forked = 0
     if workers > 1:
+        if not hasattr(os, "fork"):
+            problems.append("os.fork is not available")
+        elif threading.active_count() > 1:
+            # A forked child holds only the calling thread, and any lock another thread held.
+            problems.append(f"the process runs {threading.active_count()} threads")
+        children = []  # (worker, pid, read end of its pipe)
+        received: dict[int, bytes] = {}
         try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                runs = list(pool.map(_paired_seed, work))
-            log.info("%d seeds ran in a pool of %d worker processes", len(work), workers)
-            return runs
-        except OSError as exc:
-            log.warning(
-                "process pool unavailable (%s); running %d seeds serially", exc, len(work)
-            )
-    runs = [_paired_seed(item) for item in work]
-    log.info("%d seeds ran serially", len(work))
+            for w in range(0 if problems else workers):  # no fork once a problem is known
+                try:
+                    children.append((w, *_fork_share(work[w::workers])))
+                except OSError as exc:
+                    problems.append(f"cannot fork worker {w}: {exc}")
+                    break
+            for w, _, pipe in children:
+                received[w] = pipe.read()
+        finally:
+            for w, pid, pipe in children:
+                pipe.close()
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if code:
+                    problems.append(f"worker {w} exited with status {code}")
+                    received.pop(w, None)
+        for w, blob in received.items():
+            if blob:
+                runs[w::workers] = [PairedRun(*run) for run in marshal.loads(blob)]
+                forked += 1
+            else:
+                problems.append(f"worker {w} sent no results")
+    missing = [i for i, run in enumerate(runs) if run is None]
+    if problems:
+        log.warning("%s; running %d seeds serially", "; ".join(problems), len(missing))
+    for i in missing:
+        runs[i] = _paired_seed(work[i])
+    if forked:
+        log.info("%d seeds ran in %d forked worker processes", len(work) - len(missing), forked)
+    if missing or not forked:
+        log.info("%d seeds ran serially", len(missing))
     return runs
 
 

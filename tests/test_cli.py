@@ -32,6 +32,13 @@ run.orientation_control = on
 """
 
 
+def _bad_input(line, key, argv=("run", "--steps", "50", "--out", "{out}"), id=None):
+    """A case of test_invalid_value_fails_up_front: config text, the key its
+    error must name, and the command line after ``--config`` ({out} is the
+    output directory).  The id defaults to pytest's own for (line, key)."""
+    return pytest.param(line, key, argv, id=id or f"{line}-{key}")
+
+
 @pytest.fixture()
 def config_file(tmp_path):
     path = tmp_path / "base.cfg"
@@ -105,41 +112,53 @@ class TestRun:
         assert "run.steps" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "line, key",
+        "line, key, argv",
         [
-            ("scenario.arrival_rate = nan", "scenario.arrival_rate"),
-            ("radio.tx_power = inf", "radio.tx_power"),
-            ("scenario.rsu_z = 700", "scenario.rsu_z"),
-            ("bounds.z_min = 1.0", "bounds.z_min"),
+            _bad_input("scenario.arrival_rate = nan", "scenario.arrival_rate"),
+            _bad_input("radio.tx_power = inf", "radio.tx_power"),
+            _bad_input("scenario.rsu_z = 700", "scenario.rsu_z"),
+            _bad_input("bounds.z_min = 1.0", "bounds.z_min"),
             # far field of a 256 x 32 surface is ~1691 m, far below the flight box
-            ("ris.m_rows = 256", "bounds.z_min"),
+            _bad_input("ris.m_rows = 256", "bounds.z_min"),
             # finite inputs whose best-case SINR overflows to inf
-            pytest.param(
+            _bad_input(
                 "radio.noise_power = 5e-324\nradio.tx_power = 1e300\nscenario.interferer = none",
                 "radio.tx_power",
                 id="rate-overflow-radio.tx_power",
             ),
             # finite inputs whose best-case path-loss denominator underflows to 0
-            pytest.param(
+            _bad_input(
                 "ris.gain_tx = 1e-200\nris.gain_rx = 1e-200",
                 "ris.gain_tx",
                 id="underflow-ris.gain_tx",
             ),
-            ("ris.amplitude = 1e-170", "ris.amplitude"),
-            ("scenario.seed = -1", "scenario.seed"),
-            (f"scenario.seed = {2**64}", "scenario.seed"),
+            _bad_input("ris.amplitude = 1e-170", "ris.amplitude"),
+            _bad_input("scenario.seed = -1", "scenario.seed"),
+            _bad_input(f"scenario.seed = {2**64}", "scenario.seed"),
+            # an empty output directory would put the files in the working directory
+            _bad_input("", "run.output_dir", ("run", "--steps", "50", "--out", ""), id="run --out ''"),
+            _bad_input(
+                "",
+                "run.output_dir",
+                ("sweep", "--seeds", "1", "--steps", "50", "--out", ""),
+                id="sweep --out ''",
+            ),
+            _bad_input("run.output_dir =", "run.output_dir", ("run", "--steps", "50")),
         ],
     )
-    def test_invalid_value_fails_up_front(self, line, key, tmp_path, capsys):
+    def test_invalid_value_fails_up_front(self, line, key, argv, tmp_path, monkeypatch, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(line + "\n", encoding="utf-8")
-        out = tmp_path / "out"
-        code = main(["run", "--config", str(bad), "--steps", "50", "--out", str(out)])
+        out, cwd = tmp_path / "out", tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        code = main([argv[0], "--config", str(bad), *(arg.format(out=out) for arg in argv[1:])])
         assert code == 1
         err = capsys.readouterr().err
         assert key in err
         assert "Traceback" not in err
         assert not out.exists()
+        assert not any(cwd.iterdir())
 
     # a value argparse cannot read is a usage error: bad input, exit 1, not 2
     @pytest.mark.parametrize(
@@ -393,6 +412,23 @@ class TestSweep:
             assert not out.exists()
 
 
+    def test_forked_workers_log_each_seed(self, config_file, tmp_path):
+        # A forked worker logs through the stderr handler it inherits.
+        env = dict(os.environ, DRS_SIM_LOG="info")
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "drs_sim.cli", "sweep", "--config", str(config_file),
+                "--seeds", "1,2,3", "--steps", "50", "--jobs", "2", "--out", str(tmp_path),
+            ],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        seeds = re.findall(r"^INFO:drs_sim:seed (\d+): 50 steps \(\d+ served\) in ", result.stderr, re.M)
+        assert sorted(seeds) == ["1", "2", "3"]
+        if (os.cpu_count() or 1) > 1:
+            assert "INFO:drs_sim:3 seeds ran in 2 forked worker processes" in result.stderr
+
+
 class TestLogLevel:
     @pytest.mark.parametrize("value", ["basic_format", "verbose", ""])
     def test_unknown_value_fails_up_front(self, value, config_file, tmp_path, monkeypatch, capsys):
@@ -619,7 +655,7 @@ def mostly(good, bad):
 
 # Command-line inputs for the whole-CLI property.  Flags come before the
 # final --out, which always points into a scratch directory; none asks for
-# more than one worker or more than a few steps, so no process pool starts
+# more than one worker or more than a few steps, so no worker is forked
 # and every example stays short.
 EXTRA_FLAGS = st.sampled_from([
     ["--bogus"], ["--seed", "-1"], ["--seed", "x"], ["--seed", "3"], ["--steps", "0"],

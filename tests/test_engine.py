@@ -1,11 +1,14 @@
-import concurrent.futures
 import logging
+import marshal
 import math
 import os
+import re
+import threading
 import tracemalloc
 
 import pytest
 
+from drs_sim import engine
 from drs_sim.channel import array_factor, direction_cosine_sums
 from drs_sim.engine import (
     ConstraintViolation,
@@ -256,21 +259,44 @@ class TestPairedSweep:
         assert run.mean_rate_on is not None and run.mean_rate_off is not None
         assert calls == config.steps
 
-    def test_serial_fallback_is_logged(self, monkeypatch, caplog):
-        class NoPool:
-            def __init__(self, *args, **kwargs):
-                raise OSError("no process pool here")
+    def test_each_seed_logs_its_time(self, caplog):
+        config = small_config(steps=300)
+        with caplog.at_level(logging.INFO, logger="drs_sim"):
+            runs = paired_sweep(config, [3, 4], jobs=1)
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("seed ")]
+        assert len(lines) == 2
+        for run, line in zip(runs, lines):
+            match = re.fullmatch(
+                r"seed (\d+): (\d+) steps \((\d+) served\) in (\d+\.\d{3}) s, (\d+) steps/s", line
+            )
+            assert match, line
+            assert int(match[1]) == run.seed
+            assert int(match[2]) == config.steps
+            assert int(match[3]) == run_simulation(config, run.seed).n_records
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    def test_serial_fallback_is_logged(self, monkeypatch, caplog):
+        def fork():
+            raise OSError("no fork here")
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         config = small_config(steps=300)
         with caplog.at_level(logging.WARNING, logger="drs_sim"):
             runs = paired_sweep(config, [3, 4], jobs=2)
         assert [r.seed for r in runs] == [3, 4]
         assert runs == paired_sweep(config, [3, 4], jobs=1)
-        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
-        assert len(warnings) == 1
-        assert "serially" in warnings[0].getMessage()
-        assert "no process pool here" in warnings[0].getMessage()
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == ["cannot fork worker 0: no fork here; running 2 seeds serially"]
+
+    def test_without_fork_seeds_run_serially(self, monkeypatch, caplog):
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        config = small_config(steps=300)
+        with caplog.at_level(logging.WARNING, logger="drs_sim"):
+            runs = paired_sweep(config, [3, 4], jobs=2)
+        assert runs == paired_sweep(config, [3, 4], jobs=1)
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == ["os.fork is not available; running 2 seeds serially"]
 
     @pytest.mark.parametrize(
         "seeds, jobs, cores, workers",
@@ -283,37 +309,94 @@ class TestPairedSweep:
         ],
     )
     def test_worker_count(self, seeds, jobs, cores, workers, monkeypatch, caplog):
-        started = []
+        forks = []
+        fork = os.fork
 
-        class SerialPool:
-            """Records the pool size asked for and maps in this process."""
+        def counted_fork():
+            forks.append(1)
+            return fork()
 
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "fork", counted_fork)
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         config = small_config(steps=100)
         with caplog.at_level(logging.INFO, logger="drs_sim"):
             runs = paired_sweep(config, seeds, jobs=jobs)
-        messages = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        messages = [r.getMessage() for r in caplog.records if "seeds ran" in r.getMessage()]
         assert [r.seed for r in runs] == seeds
         if workers is None:
-            assert started == []
+            assert forks == []
             assert messages == [f"{len(seeds)} seeds ran serially"]
         else:
-            assert started == [workers]
-            assert messages == [f"{len(seeds)} seeds ran in a pool of {workers} worker processes"]
+            assert len(forks) == workers
+            assert messages == [f"{len(seeds)} seeds ran in {workers} forked worker processes"]
             assert runs == paired_sweep(config, seeds, jobs=1)
+
+    def test_workers_return_runs_in_seed_order(self, monkeypatch, caplog):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        config = small_config(steps=200)
+        seeds = [9, 3, 7, 1, 5]
+        with caplog.at_level(logging.INFO, logger="drs_sim"):
+            runs = paired_sweep(config, seeds, jobs=2)
+        assert "5 seeds ran in 2 forked worker processes" in caplog.text
+        assert runs == paired_sweep(config, seeds, jobs=1)
+        assert [r.seed for r in runs] == seeds
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_error_is_raised_again(self, monkeypatch, caplog):
+        """A worker that fails exits non-zero; its share reruns here and raises the same error."""
+        simulate = engine._simulate
+
+        def fails_for_seed_4(config, arms):
+            if config.scenario.seed == 4:
+                raise ConstraintViolation("yaw step of 9 rad exceeds the budget")
+            return simulate(config, arms)
+
+        monkeypatch.setattr(engine, "_simulate", fails_for_seed_4)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with caplog.at_level(logging.WARNING, logger="drs_sim"):
+            with pytest.raises(ConstraintViolation) as raised:
+                paired_sweep(small_config(steps=100), [3, 4], jobs=2)
+        assert type(raised.value) is ConstraintViolation
+        assert str(raised.value) == "yaw step of 9 rad exceeds the budget"
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == ["worker 1 exited with status 1; running 1 seeds serially"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_that_sends_nothing_is_rerun(self, monkeypatch, caplog):
+        class Mute:
+            """marshal for the workers: each writes an empty blob and exits 0."""
+
+            dumps = staticmethod(lambda runs: b"")
+            loads = staticmethod(marshal.loads)
+
+        monkeypatch.setattr(engine, "marshal", Mute)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        config = small_config(steps=100)
+        with caplog.at_level(logging.WARNING, logger="drs_sim"):
+            runs = paired_sweep(config, [3, 4, 5], jobs=2)
+        assert runs == paired_sweep(config, [3, 4, 5], jobs=1)
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == [
+            "worker 0 sent no results; worker 1 sent no results; running 3 seeds serially"
+        ]
+
+    def test_threaded_process_does_not_fork(self, monkeypatch, caplog):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            with caplog.at_level(logging.WARNING, logger="drs_sim"):
+                runs = paired_sweep(small_config(steps=100), [3, 4], jobs=2)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert [r.seed for r in runs] == [3, 4]
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == ["the process runs 2 threads; running 2 seeds serially"]
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_rejects_jobs_below_one(self, jobs):

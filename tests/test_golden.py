@@ -62,7 +62,7 @@ def test_steps_csv_hash_of_config(lines, digest, tmp_path):
 SWEEP_GOLDEN = "2e434c8686068059f4774252c47fb328b074f96afc1db8a6e02729aee76f67de"
 
 
-# The serial sweep and the process pool must write the same bytes.
+# The serial sweep and two forked workers must write the same bytes.
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_sweep_csv_hash(jobs, tmp_path):
     out = tmp_path / "out"
