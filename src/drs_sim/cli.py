@@ -11,7 +11,6 @@ Set DRS_SIM_LOG=debug|info|warning|error to control log verbosity.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import math
@@ -67,41 +66,38 @@ MAX_SEED_COUNT = 100_000
 LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
-def _fnum(value: float) -> str:
-    # repr() is the shortest round-trip form, so identical runs serialize
-    # to identical bytes and parsing the CSV recovers the exact doubles.
-    return repr(float(value))
+# CSV rows are written without the csv module: every field is an int, a
+# float's repr() (digits, "inf", "-inf" or "nan"), a null-mode name, "on",
+# "off", a seed or "aggregate", or empty, so no field ever needs quoting.
+# repr() is the shortest round-trip form, so identical runs serialize to
+# identical bytes and parsing the CSV recovers the exact doubles.  Lines end
+# in CRLF, as csv.writer's default dialect writes them.
 
 
-def _record_row(record: StepRecord) -> list[str]:
-    return [
-        str(record.step_index),
-        _fnum(record.time_s),
-        str(record.pair_id),
-        str(record.cycle_index),
-        _fnum(record.tx_pos.x),
-        _fnum(record.tx_pos.y),
-        _fnum(record.rx_pos.x),
-        _fnum(record.rx_pos.y),
-        _fnum(record.drs.position.x),
-        _fnum(record.drs.position.y),
-        _fnum(record.drs.position.z),
-        _fnum(record.drs.yaw),
-        _fnum(record.alpha_applied),
-        record.null_mode,
-        _fnum(record.pl_desired_db),
-        _fnum(record.pl_interference_db),
-        _fnum(record.sinr_db),
-        _fnum(record.rate_bps),
-        "on" if record.control_on else "off",
-    ]
+def _step_row(r: StepRecord) -> str:
+    """One steps.csv line, in STEPS_CSV_COLUMNS order."""
+    tx, rx, drs = r.tx_pos, r.rx_pos, r.drs
+    p = drs.position
+    return (
+        f"{r.step_index},{r.time_s!r},{r.pair_id},{r.cycle_index},"
+        f"{tx.x!r},{tx.y!r},{rx.x!r},{rx.y!r},{p.x!r},{p.y!r},{p.z!r},"
+        f"{drs.yaw!r},{r.alpha_applied!r},{r.null_mode},{r.pl_desired_db!r},"
+        f"{r.pl_interference_db!r},{r.sinr_db!r},{r.rate_bps!r},"
+        f"{'on' if r.control_on else 'off'}\r\n"
+    )
 
 
-def _write_rows(writer, records: Iterable[StepRecord]) -> Iterator[StepRecord]:
+def _sweep_row(label: int | str, values: Iterable[float | None]) -> str:
+    """One sweep.csv line: the seed or "aggregate", then each value (empty for None)."""
+    return ",".join([str(label), *("" if v is None else repr(v) for v in values)]) + "\r\n"
+
+
+def _write_rows(fh, records: Iterable[StepRecord]) -> Iterator[StepRecord]:
     """Write the steps.csv header, then each record's row as it arrives, passing it on."""
-    writer.writerow(STEPS_CSV_COLUMNS)
+    write = fh.write
+    write(",".join(STEPS_CSV_COLUMNS) + "\r\n")
     for record in records:
-        writer.writerow(_record_row(record))
+        write(_step_row(record))
         yield record
 
 
@@ -136,7 +132,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     steps_path, partial = out_dir / "steps.csv", out_dir / "steps.csv.partial"
     try:
         with open(partial, "w", newline="", encoding="utf-8") as fh:
-            summary = summarize(config.sim, _write_rows(csv.writer(fh), simulate(config.sim)))
+            summary = summarize(config.sim, _write_rows(fh, simulate(config.sim)))
         partial.replace(steps_path)
     finally:
         partial.unlink(missing_ok=True)
@@ -192,22 +188,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     runs = paired_sweep(config.sim, seeds, jobs=args.jobs)
     aggregate = aggregate_improvement(runs)
     with open(out_dir / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_CSV_COLUMNS)
+        fh.write(",".join(SWEEP_CSV_COLUMNS) + "\r\n")
         for run in runs:
-            writer.writerow(
-                [
-                    str(run.seed),
-                    "" if run.mean_rate_on is None else _fnum(run.mean_rate_on),
-                    "" if run.mean_rate_off is None else _fnum(run.mean_rate_off),
-                    "" if run.improvement_pct is None else _fnum(run.improvement_pct),
-                ]
-            )
+            means = (run.mean_rate_on, run.mean_rate_off, run.improvement_pct)
+            fh.write(_sweep_row(run.seed, means))
         if aggregate is not None:
-            mean_on, mean_off, improvement = aggregate
-            writer.writerow(
-                ["aggregate", _fnum(mean_on), _fnum(mean_off), _fnum(improvement)]
-            )
+            fh.write(_sweep_row("aggregate", aggregate))
     if aggregate is None:
         print(f"wrote {out_dir / 'sweep.csv'} (no served pairs in any run)")
     else:
@@ -224,6 +210,8 @@ class PlotError(ValueError):
 
 def _read_rates(paths: list[Path]) -> dict[str, dict[int, list[float]]]:
     """Rates from steps.csv files, grouped by control mode, then by cycle index."""
+    import csv
+
     rates: dict[str, dict[int, list[float]]] = {}
     for path in paths:
         if not path.is_file():
@@ -261,6 +249,9 @@ def _read_rates(paths: list[Path]) -> dict[str, dict[int, list[float]]]:
 def cmd_plot(args: argparse.Namespace) -> int:
     from .svgplot import bar_chart, line_chart
 
+    # An empty path would put the charts in the working directory.
+    if not args.out:
+        raise PlotError("--out: expected a directory path, got ''")
     rates = _read_rates([Path(p) for p in args.csv])
 
     # fsum is correctly rounded, so a mode's mean over its cycle lists equals

@@ -287,11 +287,11 @@ def run_step(state: WorldState, config: SimConfig) -> list[StepRecord] | None:
                 pl_interference = NO_PATH
             else:
                 if control:
-                    steer = select_rotation(NullSteerInput(
-                        interferer=AngularCoords(theta_i, local_azimuth(bearing_i, yaw)),
-                        receiver=AngularCoords(theta_rx, local_azimuth(bearing_rx, yaw)),
-                        ris=ris,
-                        alpha_bound=limits.yaw_budget,
+                    steer = select_rotation(NullSteerInput(  # positional, in field order
+                        AngularCoords(theta_i, local_azimuth(bearing_i, yaw)),  # interferer
+                        AngularCoords(theta_rx, local_azimuth(bearing_rx, yaw)),  # receiver
+                        ris,
+                        limits.yaw_budget,  # alpha_bound
                     ))
                     alpha, null_mode = steer.alpha, steer.mode
                     # Rotating the surface by alpha shifts local azimuths by
@@ -303,21 +303,21 @@ def run_step(state: WorldState, config: SimConfig) -> list[StepRecord] | None:
                 pl_interference = path_loss(ris, f_i, f_rx, dist_i, dist_rx, psi_value)
 
             sinr_value = sinr(config.radio, pl_desired, pl_interference, config.sinr_form)
-            records.append(StepRecord(
-                step_index=state.step_index,
-                time_s=state.clock,
-                pair_id=pair.id,
-                cycle_index=state.step_index - pair.start_step,
-                tx_pos=tx,
-                rx_pos=rx,
-                drs=Pose(position, yaw),
-                alpha_applied=alpha,
-                null_mode=null_mode,
-                pl_desired_db=pl_desired_db,
-                pl_interference_db=db(pl_interference),
-                sinr_db=db(sinr_value) if sinr_value > 0.0 else -math.inf,
-                rate_bps=rate(config.radio, sinr_value),
-                control_on=control,
+            records.append(StepRecord(  # positional, in field order
+                state.step_index,
+                state.clock,  # time_s
+                pair.id,
+                state.step_index - pair.start_step,  # cycle_index
+                tx,
+                rx,
+                Pose(position, yaw),  # drs
+                alpha,  # alpha_applied
+                null_mode,
+                pl_desired_db,
+                db(pl_interference),
+                db(sinr_value) if sinr_value > 0.0 else -math.inf,  # sinr_db
+                rate(config.radio, sinr_value),  # rate_bps
+                control,  # control_on
             ))
         state.drs = records[0].drs
 

@@ -14,7 +14,14 @@ TWO_PI = 2.0 * math.pi
 
 
 def wrap_angle(angle: float) -> float:
-    """Wrap an angle in radians to (-pi, pi]."""
+    """Wrap an angle in radians to (-pi, pi].
+
+    An angle already in (-pi, pi] is returned as it is: remainder() would
+    return it unchanged, bit for bit.  NaN and infinities go through
+    remainder(), which returns NaN for NaN and raises for an infinity.
+    """
+    if -math.pi < angle <= math.pi:
+        return angle
     r = math.remainder(angle, TWO_PI)
     if r <= -math.pi:
         r += TWO_PI

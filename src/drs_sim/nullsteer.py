@@ -123,13 +123,13 @@ def null_rotations(inp: NullSteerInput) -> list[float]:
             below -= 1
         if above % count == 0:
             above += 1
-        for k in sorted({below, above}):
+        for k in (below,) if below == above else (below, above):
             if abs(k) > k_max or k % count == 0:  # k % 1 == 0: a lone row or column
                 continue
             branch = math.acos(max(-1.0, min(1.0, k * null_spacing / amplitude)))
             for alpha_raw in (branch, -branch):
                 alpha = wrap_angle(alpha_raw - shift)
-                if abs(alpha) <= bound:
+                if -bound <= alpha <= bound:
                     roots.append(alpha)
     return roots
 

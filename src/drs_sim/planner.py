@@ -13,6 +13,8 @@ import math
 
 from .geometry import Vec3
 
+_SQRT3 = math.sqrt(3.0)  # ratio of the best altitude to the half-separation
+
 
 class WorldBounds:
     """Axis-aligned flight box the drone must stay inside."""
@@ -89,7 +91,7 @@ def optimal_height(d_2d: float, bounds: WorldBounds) -> float:
     """
     if d_2d < 0.0:
         raise ValueError("d_2d must be >= 0")
-    return min(max(math.sqrt(3.0) * d_2d, bounds.z_min), bounds.z_max)
+    return min(max(_SQRT3 * d_2d, bounds.z_min), bounds.z_max)
 
 
 def optimal_location(tx: Vec3, rx: Vec3, bounds: WorldBounds) -> Vec3:

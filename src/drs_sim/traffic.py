@@ -111,12 +111,20 @@ class TrafficModel:
         return Vec3(x, y0 + age * stride, vehicle.antenna_height)
 
     def advance(self) -> None:
-        """Move one step: drop lane heads that left the segment, and a pair they served."""
+        """Move one step: drop lane heads that left the segment, and a pair they served.
+
+        A head's y is computed as in ``position``, from its lane's motion and its age.
+        """
         self.step += 1
+        step, vehicles = self.step, self.vehicles
         bounds = self.config.bounds
-        for queue in self.lanes:
-            while queue and not bounds.y_min <= self.position(queue[0]).y <= bounds.y_max:
-                del self.vehicles[queue.popleft()]
+        y_min, y_max = bounds.y_min, bounds.y_max
+        for queue, (_, y0, stride) in zip(self.lanes, self._motion):
+            while queue:
+                y = y0 + (step - vehicles[queue[0]].spawn_step) * stride
+                if y_min <= y <= y_max:
+                    break
+                del vehicles[queue.popleft()]
         pair = self.active_pair
         if pair is not None and (
             pair.tx_id not in self.vehicles or pair.rx_id not in self.vehicles

@@ -17,10 +17,18 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from drs_sim.cli import MAX_SEED_COUNT, STEPS_CSV_COLUMNS, _record_row, main, summary_as_dict
+from drs_sim.cli import (
+    MAX_SEED_COUNT,
+    STEPS_CSV_COLUMNS,
+    _step_row,
+    _sweep_row,
+    main,
+    summary_as_dict,
+)
 from drs_sim.config import ConfigError, parse_config_text
-from drs_sim.engine import SimConfig, simulate, summarize
-from drs_sim.geometry import Vec3
+from drs_sim.engine import MODE_OFF, SimConfig, StepRecord, simulate, summarize
+from drs_sim.geometry import Pose, Vec3
+from drs_sim.nullsteer import MODE_ANALYTIC, MODE_FALLBACK, MODE_NONE
 
 BASE_CONFIG = """
 # compact scenario for fast end-to-end checks
@@ -249,16 +257,22 @@ class TestRun:
         assert not (tmp_path / "out" / "steps.csv").exists()
 
     def test_io_error_mid_run_leaves_no_partial_csv(self, config_file, tmp_path, monkeypatch, capsys):
-        rows = 0
+        # The disk fills once the header and 10 rows are written: the next write fails.
+        def full_disk_open(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            write, writes = fh.write, 0
 
-        def full_disk(record):
-            nonlocal rows
-            rows += 1
-            if rows > 10:
-                raise OSError(28, "No space left on device")
-            return _record_row(record)
+            def write_until_full(text):
+                nonlocal writes
+                writes += 1
+                if writes > 11:
+                    raise OSError(28, "No space left on device")
+                return write(text)
 
-        monkeypatch.setattr("drs_sim.cli._record_row", full_disk)
+            fh.write = write_until_full
+            return fh
+
+        monkeypatch.setattr("drs_sim.cli.open", full_disk_open, raising=False)
         out = tmp_path / "out"
         code = main(["run", "--config", str(config_file), "--out", str(out)])
         assert code == 2
@@ -302,6 +316,109 @@ class TestRun:
             assert main(["run", "--config", str(config_file), "--out", str(tmp_path)]) == 0
         assert json.loads((tmp_path / "summary.json").read_text())["n_records"] > 0
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+
+def csv_writer_line(fields):
+    """The line csv.writer's default dialect writes for ``fields``."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(fields)
+    return buf.getvalue()
+
+
+def _num(value):
+    return repr(float(value))
+
+
+# Any double: NaN, infinities, -0.0, subnormals and values of 1e16 and above
+# drawn on their own too, since their repr() takes a different form.
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from(
+        [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-310, 1e16, 1e22, 1.7976931348623157e308]
+    ),
+    st.floats(min_value=1e16),
+    st.floats(min_value=-1e-307, max_value=1e-307),
+)
+NULL_MODES = [MODE_OFF, MODE_ANALYTIC, MODE_FALLBACK, MODE_NONE]
+
+
+@st.composite
+def step_records(draw):
+    floats, counts = (lambda: draw(FLOATS)), (lambda: draw(st.integers(0, 2**63)))
+    drs = Pose(Vec3(floats(), floats(), floats()))
+    drs.yaw = floats()  # any double, not only a wrapped yaw
+    return StepRecord(
+        counts(), floats(), counts(), counts(), Vec3(floats(), floats(), floats()),
+        Vec3(floats(), floats(), floats()), drs, floats(), draw(st.sampled_from(NULL_MODES)),
+        floats(), floats(), floats(), floats(), draw(st.booleans()),
+    )
+
+
+class TestRowFormat:
+    """Rows are written without the csv module, in the bytes csv.writer writes."""
+
+    @settings(max_examples=300)
+    @given(step_records())
+    def test_step_row_equals_csv_writer(self, r):
+        fields = [
+            str(r.step_index), _num(r.time_s), str(r.pair_id), str(r.cycle_index),
+            _num(r.tx_pos.x), _num(r.tx_pos.y), _num(r.rx_pos.x), _num(r.rx_pos.y),
+            _num(r.drs.position.x), _num(r.drs.position.y), _num(r.drs.position.z),
+            _num(r.drs.yaw), _num(r.alpha_applied), r.null_mode, _num(r.pl_desired_db),
+            _num(r.pl_interference_db), _num(r.sinr_db), _num(r.rate_bps),
+            "on" if r.control_on else "off",
+        ]
+        assert len(fields) == len(STEPS_CSV_COLUMNS)
+        assert _step_row(r) == csv_writer_line(fields)
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 2**64 - 1), st.lists(st.one_of(st.none(), FLOATS), min_size=3, max_size=3))
+    def test_sweep_row_equals_csv_writer(self, seed, values):
+        fields = [str(seed)] + ["" if v is None else _num(v) for v in values]
+        assert _sweep_row(seed, values) == csv_writer_line(fields)
+
+    @given(st.lists(FLOATS, min_size=3, max_size=3))
+    def test_aggregate_row_equals_csv_writer(self, values):
+        assert _sweep_row("aggregate", values) == csv_writer_line(["aggregate", *map(_num, values)])
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            "",
+            "scenario.interferer = vehicle\n",
+            "scenario.interferer = none\n",
+            "run.orientation_control = off\n",
+            "limits.rot_rate = 0.002\nscenario.v2v_rate = 3.0\n",
+            "bounds.x_min = 0\nbounds.z_min = 100\nlimits.v_vehicle = 15\nscenario.rsu_z = 5\n",
+        ],
+        ids=["rsu", "vehicle", "none", "control-off", "fallback-heavy", "integer-spelled"],
+    )
+    def test_written_numbers_are_floats(self, lines):
+        # The writer formats these fields with repr() as they are, so each must be a float.
+        config = parse_config_text(BASE_CONFIG + lines + "run.steps = 300\n")
+        records = list(simulate(config.sim))
+        assert records
+        for r in records:
+            values = [
+                r.time_s, r.tx_pos.x, r.tx_pos.y, r.rx_pos.x, r.rx_pos.y, r.drs.position.x,
+                r.drs.position.y, r.drs.position.z, r.drs.yaw, r.alpha_applied,
+                r.pl_desired_db, r.pl_interference_db, r.sinr_db, r.rate_bps,
+            ]
+            assert all(type(v) is float for v in values), r
+            assert all(type(v) is int for v in (r.step_index, r.pair_id, r.cycle_index)), r
+
+    def test_integer_spelled_config_writes_the_same_bytes(self, tmp_path):
+        outputs = []
+        for x_min, z_min in (("0", "100"), ("0.0", "100.0")):
+            config = tmp_path / f"{x_min}.cfg"
+            config.write_text(
+                BASE_CONFIG + f"bounds.x_min = {x_min}\nbounds.z_min = {z_min}\n", encoding="utf-8"
+            )
+            out = tmp_path / f"out-{x_min}"
+            assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+            outputs.append((out / "steps.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+        assert b",0.0," in outputs[0]  # tx_x of lane 0 is bounds.x_min, written as a float
 
 
 class TestSweep:
@@ -539,6 +656,18 @@ class TestPlot:
         assert "control" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_empty_out_fails_before_writing(self, tmp_path, monkeypatch, capsys):
+        # An empty path is the working directory: the charts would land there.
+        source = self.write_rows(tmp_path, ["0,1.0,on"])
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main(["plot", str(source), "--out", ""]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out")
+        assert "Traceback" not in err
+        assert list(cwd.iterdir()) == []
 
     def test_missing_file_fails(self, tmp_path):
         assert main(["plot", str(tmp_path / "ghost.csv"), "--out", str(tmp_path)]) == 1

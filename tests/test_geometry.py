@@ -1,4 +1,5 @@
 import math
+import struct
 
 import pytest
 from hypothesis import given
@@ -33,6 +34,29 @@ class TestWrapAngle:
     @given(yaws)
     def test_idempotent(self, angle):
         assert wrap_angle(wrap_angle(angle)) == wrap_angle(angle)
+
+    # Around +-pi, +-2pi and the signed zeros, where a shortcut for angles
+    # already in range could differ from remainder() in the last bit or the sign.
+    EDGES = [
+        math.pi, -math.pi, math.nextafter(math.pi, 0.0), math.nextafter(math.pi, 4.0),
+        math.nextafter(-math.pi, 0.0), math.nextafter(-math.pi, -4.0), 2 * math.pi,
+        -2 * math.pi, 0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300,
+    ]
+
+    @given(st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGES)))
+    def test_equals_remainder_reference_bit_for_bit(self, angle):
+        reference = math.remainder(angle, 2 * math.pi)
+        if reference <= -math.pi:
+            reference += 2 * math.pi
+        assert struct.pack("<d", wrap_angle(angle)) == struct.pack("<d", reference)
+
+    def test_nan_stays_nan(self):
+        assert math.isnan(wrap_angle(math.nan))
+
+    @pytest.mark.parametrize("angle", [math.inf, -math.inf])
+    def test_infinity_raises(self, angle):
+        with pytest.raises(ValueError):
+            wrap_angle(angle)
 
 
 # Elevation and yawed azimuth of a node, as the step kernel computes them:

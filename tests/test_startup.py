@@ -6,10 +6,11 @@ import sys
 # The same check runs in CI after a plain install.  dataclasses brings
 # inspect, ast, dis and copy with it, and generates and compiles methods for
 # every class it decorates; the value and config classes are written out so
-# that no command pays for that.
+# that no command pays for that.  run and sweep write their CSV rows as plain
+# lines, so only plot, which reads CSV, imports csv.
 GUARD = (
     "import sys, drs_sim.cli; "
-    "loaded = sorted({'dataclasses', 'inspect'} & set(sys.modules)); "
+    "loaded = sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)); "
     "sys.exit(f'importing drs_sim.cli loaded {loaded}' if loaded else 0)"
 )
 
