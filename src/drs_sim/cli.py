@@ -11,6 +11,7 @@ Set DRS_SIM_LOG=debug|info|warning|error to control log verbosity.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
@@ -19,7 +20,7 @@ import re
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 from .config import ConfigError, RunConfig, config_as_dict, load_config
 from .engine import (
@@ -27,6 +28,7 @@ from .engine import (
     RunSummary,
     StepRecord,
     aggregate_improvement,
+    improvement_pct,
     paired_sweep,
     simulate,
     summarize,
@@ -92,13 +94,26 @@ def _sweep_row(label: int | str, values: Iterable[float | None]) -> str:
     return ",".join([str(label), *("" if v is None else repr(v) for v in values)]) + "\r\n"
 
 
-def _write_rows(fh, records: Iterable[StepRecord]) -> Iterator[StepRecord]:
-    """Write the steps.csv header, then each record's row as it arrives, passing it on."""
+def _write_rows(fh, steps: Iterable[list[StepRecord]]) -> Iterator[list[StepRecord]]:
+    """Write the steps.csv header, then each step's rows as it arrives, passing the step on."""
     write = fh.write
     write(",".join(STEPS_CSV_COLUMNS) + "\r\n")
-    for record in records:
-        write(_step_row(record))
-        yield record
+    for records in steps:
+        for record in records:
+            write(_step_row(record))
+        yield records
+
+
+@contextlib.contextmanager
+def _replacing(path: Path) -> Iterator[TextIO]:
+    """Write ``<path>.partial`` in the block, then rename it to ``path``; on error remove it."""
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with open(partial, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def summary_as_dict(config: RunConfig, summary: RunSummary) -> dict:
@@ -117,9 +132,8 @@ def summary_as_dict(config: RunConfig, summary: RunSummary) -> dict:
 
 
 def write_summary_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    with _replacing(path) as fh:
+        fh.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -127,15 +141,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     log.info("running %d steps with seed %d", config.sim.steps, config.sim.scenario.seed)
-    # Rows are written as the steps run, to a file that becomes steps.csv
-    # only when the run succeeds: a failed run leaves no partial steps.csv.
-    steps_path, partial = out_dir / "steps.csv", out_dir / "steps.csv.partial"
-    try:
-        with open(partial, "w", newline="", encoding="utf-8") as fh:
-            summary = summarize(config.sim, _write_rows(fh, simulate(config.sim)))
-        partial.replace(steps_path)
-    finally:
-        partial.unlink(missing_ok=True)
+    steps_path = out_dir / "steps.csv"
+    with _replacing(steps_path) as fh:
+        (summary,) = summarize(config.sim, _write_rows(fh, simulate(config.sim)))
     write_summary_json(out_dir / "summary.json", summary_as_dict(config, summary))
     if summary.n_records == 0:
         scenario = config.sim.scenario
@@ -187,11 +195,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     log.info("sweeping %d seeds x %d steps", len(seeds), config.sim.steps)
     runs = paired_sweep(config.sim, seeds, jobs=args.jobs)
     aggregate = aggregate_improvement(runs)
-    with open(out_dir / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
+    with _replacing(out_dir / "sweep.csv") as fh:
         fh.write(",".join(SWEEP_CSV_COLUMNS) + "\r\n")
-        for run in runs:
-            means = (run.mean_rate_on, run.mean_rate_off, run.improvement_pct)
-            fh.write(_sweep_row(run.seed, means))
+        for on, off in runs:
+            means = (on.mean_rate_bps, off.mean_rate_bps)
+            fh.write(_sweep_row(on.seed, (*means, improvement_pct(*means))))
         if aggregate is not None:
             fh.write(_sweep_row("aggregate", aggregate))
     if aggregate is None:
@@ -281,8 +289,9 @@ def cmd_plot(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     line_path = out_dir / "rate_vs_cycle.svg"
     bar_path = out_dir / "mean_rate.svg"
-    line_path.write_text(line_svg, encoding="utf-8")
-    bar_path.write_text(bar_svg, encoding="utf-8")
+    for path, svg in ((line_path, line_svg), (bar_path, bar_svg)):
+        with _replacing(path) as fh:
+            fh.write(svg)
     print(f"wrote {line_path} and {bar_path}")
     return 0
 

@@ -11,10 +11,10 @@ Within a step the arms also share each node's geometry and element pattern
 and the desired hop's path loss, computed once on plain floats; an arm adds
 only the yaw-dependent interference hop, the SINR and the rate.
 
-The step loop is one generator of served steps with two consumers: a run
-streams its arm's records (the CLI writes each as a CSV row) into a summary
-that keeps only their rates, and the paired sweep keeps only each arm's
-per-step rates.  Neither keeps a record once it is consumed.
+The step loop is one generator of served steps' per-arm records, and one
+reduction keeps only their rates and pair ids, one summary per arm: a run
+streams its arm through it (the CLI writes each record as a CSV row on the
+way), the paired sweep both arms.  No record is kept once consumed.
 
 The desired hop is beamformed (the element phases track the served pair),
 so its array factor stays at unit magnitude regardless of yaw; interference
@@ -326,7 +326,7 @@ def run_step(state: WorldState, config: SimConfig) -> list[StepRecord] | None:
 
 
 class RunSummary(NamedTuple):
-    """The aggregates of one run that the experiment front end reports."""
+    """The aggregates of one arm of a run that the experiment front end reports."""
 
     seed: int
     control_on: bool
@@ -339,75 +339,64 @@ def _mean(values: list[float]) -> float | None:
     return math.fsum(values) / len(values) if values else None
 
 
-def summarize(config: SimConfig, records: Iterable[StepRecord]) -> RunSummary:
-    """Aggregate a run's records in one pass, keeping only their rates and pair ids."""
-    rates: list[float] = []
-    pairs: set[int] = set()
-    for record in records:
-        rates.append(record.rate_bps)
-        pairs.add(record.pair_id)
-    return RunSummary(
-        seed=config.scenario.seed,
-        control_on=config.orientation_control,
-        n_records=len(rates),
-        n_pairs=len(pairs),
-        mean_rate_bps=_mean(rates),
-    )
-
-
-def _simulate(config: SimConfig, arms: tuple[bool, ...]) -> Iterator[list[StepRecord]]:
-    """Step one seed's shared trajectory, yielding every served step's per-arm records."""
+def simulate(
+    config: SimConfig, arms: tuple[bool, ...] | None = None
+) -> Iterator[list[StepRecord]]:
+    """Step one seed's shared trajectory, yielding every served step's records, one per arm."""
     state = initial_state(config, arms)
     steps = (run_step(state, config) for _ in range(config.steps))
     return (records for records in steps if records is not None)
 
 
-def simulate(config: SimConfig) -> Iterator[StepRecord]:
-    """Yield the configured arm's record for every served step, as the step is run."""
-    return (record for record, in _simulate(config, (config.orientation_control,)))
+def summarize(
+    config: SimConfig, steps: Iterable[list[StepRecord]], arms: tuple[bool, ...] | None = None
+) -> list[RunSummary]:
+    """One summary per arm of ``simulate(config, arms)``, keeping only rates and pair ids."""
+    arms = (config.orientation_control,) if arms is None else arms
+    rates: list[list[float]] = [[] for _ in arms]
+    pairs: set[int] = set()
+    for records in steps:
+        pairs.add(records[0].pair_id)
+        for arm, record in enumerate(records):
+            rates[arm].append(record.rate_bps)
+    return [
+        RunSummary(config.scenario.seed, control, len(kept), len(pairs), _mean(kept))
+        for control, kept in zip(arms, rates)
+    ]
 
 
 def run_simulation(config: SimConfig, seed: int | None = None) -> RunSummary:
     """Run the configured number of steps; deterministic for a fixed seed."""
     if seed is not None:
         config = replace(config, scenario=replace(config.scenario, seed=seed))
-    return summarize(config, simulate(config))
+    return summarize(config, simulate(config))[0]
 
 
-class PairedRun(NamedTuple):
-    """Same-seed comparison isolating the orientation-control effect."""
-
-    seed: int
-    mean_rate_on: float | None
-    mean_rate_off: float | None
-
-    @property
-    def improvement_pct(self) -> float | None:
-        if not self.mean_rate_on or not self.mean_rate_off:
-            return None
-        return 100.0 * (self.mean_rate_on - self.mean_rate_off) / self.mean_rate_off
+def improvement_pct(mean_on: float | None, mean_off: float | None) -> float | None:
+    """Relative rate gain of control on over off in percent; None unless both means are nonzero."""
+    if not mean_on or not mean_off:
+        return None
+    return 100.0 * (mean_on - mean_off) / mean_off
 
 
-def _paired_seed(config: SimConfig) -> PairedRun:
+def _paired_seed(config: SimConfig) -> tuple[RunSummary, RunSummary]:
     start = time.perf_counter()
-    rates_on, rates_off = [], []
-    for on, off in _simulate(config, (True, False)):
-        rates_on.append(on.rate_bps)
-        rates_off.append(off.rate_bps)
+    arms = (True, False)
+    on, off = summarize(config, simulate(config, arms), arms)
     elapsed = time.perf_counter() - start
     log.info(
         "seed %d: %d steps (%d served) in %.3f s, %.0f steps/s",
-        config.scenario.seed, config.steps, len(rates_on), elapsed, config.steps / elapsed,
+        config.scenario.seed, config.steps, on.n_records, elapsed, config.steps / elapsed,
     )
-    return PairedRun(config.scenario.seed, _mean(rates_on), _mean(rates_off))
+    return on, off
 
 
 def _fork_share(share: list[SimConfig]) -> tuple[int, BinaryIO]:
     """Fork a child that runs ``share`` and pipes back its results; returns (pid, read end).
 
-    The child writes one marshal blob of ``(seed, mean_rate_on,
-    mean_rate_off)`` tuples and leaves through ``os._exit``, with status 0
-    only once the blob is written.
+    The child writes one marshal blob of each seed's ``(on, off)`` summaries
+    as plain tuples and leaves through ``os._exit``, with status 0 only once
+    the blob is written.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -420,7 +409,7 @@ def _fork_share(share: list[SimConfig]) -> tuple[int, BinaryIO]:
         code = 1
         try:
             os.close(read_fd)
-            blob = marshal.dumps([tuple(_paired_seed(item)) for item in share])
+            blob = marshal.dumps([tuple(map(tuple, _paired_seed(item))) for item in share])
             with open(write_fd, "wb") as pipe:
                 pipe.write(blob)
             code = 0
@@ -432,8 +421,8 @@ def _fork_share(share: list[SimConfig]) -> tuple[int, BinaryIO]:
 
 def paired_sweep(
     config: SimConfig, seeds: Iterable[int], jobs: int | None = None
-) -> list[PairedRun]:
-    """Run control-on and control-off with identical traffic for every seed.
+) -> list[tuple[RunSummary, RunSummary]]:
+    """Run control-on and control-off with identical traffic: (on, off) summaries per seed.
 
     One pass per seed steps traffic and the drone once and evaluates both yaw
     arms on that shared trajectory, so the rate difference is attributable to
@@ -448,7 +437,7 @@ def paired_sweep(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     work = [replace(config, scenario=replace(config.scenario, seed=seed)) for seed in seeds]
     workers = min(jobs or len(work), len(work), os.cpu_count() or 1)
-    runs: list[PairedRun | None] = [None] * len(work)
+    runs: list[tuple[RunSummary, RunSummary] | None] = [None] * len(work)
     problems: list[str] = []
     forked = 0
     if workers > 1:
@@ -477,7 +466,7 @@ def paired_sweep(
                     received.pop(w, None)
         for w, blob in received.items():
             if blob:
-                runs[w::workers] = [PairedRun(*run) for run in marshal.loads(blob)]
+                runs[w::workers] = [tuple(map(RunSummary._make, r)) for r in marshal.loads(blob)]
                 forked += 1
             else:
                 problems.append(f"worker {w} sent no results")
@@ -493,26 +482,25 @@ def paired_sweep(
     return runs
 
 
-def aggregate_improvement(runs: Iterable[PairedRun]) -> tuple[float, float, float] | None:
-    """Mean rate per mode across runs and the relative improvement percent.
+def aggregate_improvement(
+    runs: Iterable[tuple[RunSummary, RunSummary]],
+) -> tuple[float, float, float] | None:
+    """Mean rate per arm across (on, off) runs and the relative improvement percent.
 
-    Runs with no served steps or a zero mean rate in either arm are left
-    out, with one warning naming their seeds; returns None when nothing
-    remains.
+    Runs whose ``improvement_pct`` is None (no served steps or a zero mean
+    rate in either arm) are left out, with one warning naming their seeds;
+    returns None when nothing remains.
     """
-    runs = list(runs)
-    kept = [r for r in runs if r.mean_rate_on and r.mean_rate_off]
-    dropped = [str(r.seed) for r in runs if not (r.mean_rate_on and r.mean_rate_off)]
+    rows = [(on.seed, on.mean_rate_bps, off.mean_rate_bps) for on, off in runs]
+    kept = [means for _, *means in rows if improvement_pct(*means) is not None]
+    dropped = [str(seed) for seed, *means in rows if improvement_pct(*means) is None]
     if dropped:
         log.warning(
             "aggregate leaves out %d run(s) with no served steps or a zero mean rate: seeds %s",
             len(dropped),
             ", ".join(dropped),
         )
-    ons = [r.mean_rate_on for r in kept]
-    offs = [r.mean_rate_off for r in kept]
-    if not ons:
+    if not kept:
         return None
-    mean_on = math.fsum(ons) / len(ons)
-    mean_off = math.fsum(offs) / len(offs)
-    return mean_on, mean_off, 100.0 * (mean_on - mean_off) / mean_off
+    mean_on, mean_off = (_mean(arm) for arm in zip(*kept))
+    return mean_on, mean_off, improvement_pct(mean_on, mean_off)

@@ -1,10 +1,11 @@
 """Hover-point selection and per-step drone motion toward it.
 
-The best lateral position for the relay is the midpoint between the served
-vehicles; the best altitude trades slant range (grows with height) against
-element-pattern obliquity loss (shrinks with height).  The altitude cost has
-a single stationary point at sqrt(3) times the half-separation, so the best
-altitude is that value clamped into the flight box.
+The target is the midpoint between the served vehicles, at the altitude
+minimizing a height cost that trades slant range against element-pattern
+obliquity loss: sqrt(3) times the half-separation d, clamped into the flight
+box.  That is not the link budget's own optimum: above the midpoint
+channel.path_loss grows as (d^2 + h^2)^5 / h^6, least at h = sqrt(3/2) d
+above the antennas, and below h = d the midpoint is a saddle of it.
 """
 
 from __future__ import annotations
@@ -83,11 +84,12 @@ class MotionLimits:
 
 
 def optimal_height(d_2d: float, bounds: WorldBounds) -> float:
-    """Altitude in [z_min, z_max] minimizing the relay height cost.
+    """Altitude in [z_min, z_max] minimizing the planner's height cost.
 
     The cost (d_2d^2 + h^2) / cos^6(atan(d_2d / h)) = (d_2d^2 + h^2)^4 / h^6
     falls for h < sqrt(3) d_2d and rises beyond, so its minimum over the
-    flight box is sqrt(3) d_2d clamped into [z_min, z_max].
+    flight box is sqrt(3) d_2d clamped into [z_min, z_max].  It is not the
+    path loss, which is least at sqrt(3/2) d_2d (see the module docstring).
     """
     if d_2d < 0.0:
         raise ValueError("d_2d must be >= 0")

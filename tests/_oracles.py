@@ -72,17 +72,25 @@ def dirichlet_direct(count: int, x) -> np.ndarray:
     return np.where(near, limit, value)
 
 
-def rotated_factor_magnitude(
-    m, n, dx, dy, wavelength, theta_i, phi_i, theta_r, phi_r, alphas
-) -> np.ndarray:
-    """|rotated interference array factor| over an array of rotations.
+def rotation_grid(alphas) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine and sine of each rotation, for ``rotated_factor_magnitude``.
 
-    Each node's rotated azimuth phi + alpha enters through the angle-addition
-    formulas, so only the cosine and sine of alpha itself are evaluated per
-    rotation.
+    A scan over many instances on one grid computes them once.
     """
     alphas = np.asarray(alphas, dtype=float)
-    cos_a, sin_a = np.cos(alphas), np.sin(alphas)
+    return np.cos(alphas), np.sin(alphas)
+
+
+def rotated_factor_magnitude(
+    m, n, dx, dy, wavelength, theta_i, phi_i, theta_r, phi_r, grid
+) -> np.ndarray:
+    """|rotated interference array factor| over the rotations of ``rotation_grid(alphas)``.
+
+    Each node's rotated azimuth phi + alpha enters through the angle-addition
+    formulas, so only the cosine and sine of alpha itself are needed per
+    rotation.
+    """
+    cos_a, sin_a = grid
     s_i, cos_i, sin_i = np.sin(theta_i), np.cos(phi_i), np.sin(phi_i)
     s_r, cos_r, sin_r = np.sin(theta_r), np.cos(phi_r), np.sin(phi_r)
     ux = s_i * (cos_i * cos_a - sin_i * sin_a) + s_r * (cos_r * cos_a - sin_r * sin_a)
@@ -93,10 +101,11 @@ def rotated_factor_magnitude(
 
 
 def relay_height_cost(d_2d: float, height: float) -> float:
-    """Altitude cost (d_2d^2 + h^2) / cos^6(atan(d_2d / h)).
+    """The planner's altitude cost (d_2d^2 + h^2) / cos^6(atan(d_2d / h)) = (d_2d^2 + h^2)^4 / h^6.
 
-    Proportional to the reflected link's path loss when hovering at the
-    midpoint with both vehicles a horizontal distance d_2d away.
+    Not proportional to the reflected link's path loss over the midpoint,
+    which has one more distance factor, (d_2d^2 + h^2)^5 / h^6, and is least
+    at h = sqrt(3/2) d_2d where this cost is least at sqrt(3) d_2d.
     """
     return (d_2d * d_2d + height * height) / math.cos(math.atan2(d_2d, height)) ** 6
 
@@ -195,7 +204,8 @@ def grid_fallback_min(
     """
     alphas = -bound + np.arange(points) * (2.0 * bound / (points - 1))
     magnitudes = rotated_factor_magnitude(
-        m, n, dx, dy, wavelength, theta_i, phi_i, theta_r, phi_r, np.append(alphas, 0.0)
+        m, n, dx, dy, wavelength, theta_i, phi_i, theta_r, phi_r,
+        rotation_grid(np.append(alphas, 0.0)),
     )
     baseline = float(magnitudes[-1])
     j = int(np.argmin(magnitudes[:-1]))  # first index of the minimum

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -155,6 +156,44 @@ class TestPathLoss:
         base = path_loss(RIS, F_T, F_R, 200.0, 200.0, 1.0)
         assert path_loss(RisConfig(gain_ris=gain), F_T, F_R, 200.0, 200.0, 1.0) < base
         assert path_loss(RIS, F_T, F_R, 200.0, 200.0, smaller_psi) > base
+
+
+def beamformed_loss(surface, tx, rx):
+    """Path loss of the desired hop (|psi| = 1) through a surface at ``surface``."""
+    theta_t, _, d_t = sight(surface, tx)
+    theta_r, _, d_r = sight(surface, rx)
+    return path_loss(RIS, radiation_pattern(theta_t), radiation_pattern(theta_r), d_t, d_r, 1.0)
+
+
+class TestLinkBudgetOptimum:
+    """Where the beamformed hop's own path loss is least, for a pair at (0, -d) and (0, d).
+
+    Above the midpoint the loss grows as (d^2 + h^2)^5 / h^6 (two squared
+    distances over two cos^3 patterns), so its best height is sqrt(3/2) d.
+    Along the tx-rx axis the distance product has curvature 2 (h^2 - d^2) at
+    the midpoint: a minimum above h = d, a saddle below it.
+    """
+
+    @pytest.mark.parametrize("d", [10.0, 100.0, 250.0, 1000.0])
+    def test_best_height_is_sqrt_three_halves_d(self, d):
+        tx, rx = Vec3(0.0, -d, 0.0), Vec3(0.0, d, 0.0)
+        heights = np.linspace(0.2 * d, 5.0 * d, 20_001)
+        losses = np.array([beamformed_loss(Vec3(0.0, 0.0, h), tx, rx) for h in heights])
+        best = heights[int(np.argmin(losses))]
+        assert abs(best - math.sqrt(1.5) * d) <= heights[1] - heights[0]
+
+    @pytest.mark.parametrize("d", [100.0, 600.0])
+    @pytest.mark.parametrize("ratio", [0.3, 0.9, 1.1, 3.0])
+    def test_midpoint_is_a_minimum_only_above_h_equals_d(self, d, ratio):
+        tx, rx = Vec3(0.0, -d, 0.0), Vec3(0.0, d, 0.0)
+        h, offsets = ratio * d, np.linspace(-0.01 * d, 0.01 * d, 3)
+        along = [beamformed_loss(Vec3(0.0, s, h), tx, rx) for s in offsets]
+        across = [beamformed_loss(Vec3(s, 0.0, h), tx, rx) for s in offsets]
+        assert np.diff(across, 2)[0] > 0.0
+        if ratio > 1.0:
+            assert np.diff(along, 2)[0] > 0.0  # a minimum in every direction
+        else:
+            assert np.diff(along, 2)[0] < 0.0  # falls toward either vehicle: a saddle
 
 
 class TestFraunhofer:

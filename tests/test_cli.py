@@ -59,6 +59,27 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+def fill_disk_at(monkeypatch, name, nth):
+    """Make the nth write to ``name`` or ``name.partial``, opened by the CLI, raise ENOSPC."""
+
+    def full_disk_open(file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        if Path(file).name in (name, f"{name}.partial"):
+            write, writes = fh.write, 0
+
+            def write_until_full(text):
+                nonlocal writes
+                writes += 1
+                if writes >= nth:
+                    raise OSError(28, "No space left on device")
+                return write(text)
+
+            fh.write = write_until_full
+        return fh
+
+    monkeypatch.setattr("drs_sim.cli.open", full_disk_open, raising=False)
+
+
 class TestRun:
     def test_writes_outputs(self, config_file, tmp_path, capsys):
         out = tmp_path / "out"
@@ -258,21 +279,7 @@ class TestRun:
 
     def test_io_error_mid_run_leaves_no_partial_csv(self, config_file, tmp_path, monkeypatch, capsys):
         # The disk fills once the header and 10 rows are written: the next write fails.
-        def full_disk_open(*args, **kwargs):
-            fh = open(*args, **kwargs)
-            write, writes = fh.write, 0
-
-            def write_until_full(text):
-                nonlocal writes
-                writes += 1
-                if writes > 11:
-                    raise OSError(28, "No space left on device")
-                return write(text)
-
-            fh.write = write_until_full
-            return fh
-
-        monkeypatch.setattr("drs_sim.cli.open", full_disk_open, raising=False)
+        fill_disk_at(monkeypatch, "steps.csv", 12)
         out = tmp_path / "out"
         code = main(["run", "--config", str(config_file), "--out", str(out)])
         assert code == 2
@@ -354,6 +361,33 @@ def step_records(draw):
     )
 
 
+class TestOutputFiles:
+    @pytest.mark.parametrize(
+        "argv, name, nth",
+        [
+            (["sweep", "--config", "{config}", "--seeds", "1,2,3", "--steps", "300",
+              "--jobs", "1", "--out", "{out}"], "sweep.csv", 3),  # the header and seed 1 are in
+            (["run", "--config", "{config}", "--steps", "300", "--out", "{out}"],
+             "summary.json", 1),
+            (["plot", "{csv}", "--out", "{out}"], "mean_rate.svg", 1),
+        ],
+        ids=["sweep.csv", "summary.json", "mean_rate.svg"],
+    )
+    def test_io_error_leaves_no_truncated_output(
+        self, argv, name, nth, config_file, tmp_path, monkeypatch, capsys
+    ):
+        steps_csv = tmp_path / "steps.csv"
+        steps_csv.write_text("cycle_index,rate_bps,control\r\n0,5.0,on\r\n", encoding="utf-8")
+        out = tmp_path / "out"
+        fill_disk_at(monkeypatch, name, nth)
+        code = main([a.format(config=config_file, csv=steps_csv, out=out) for a in argv])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("i/o error: [Errno 28]")
+        left = [path.name for path in out.iterdir()]
+        assert name not in left
+        assert not [n for n in left if n.endswith(".partial")]
+
+
 class TestRowFormat:
     """Rows are written without the csv module, in the bytes csv.writer writes."""
 
@@ -396,7 +430,7 @@ class TestRowFormat:
     def test_written_numbers_are_floats(self, lines):
         # The writer formats these fields with repr() as they are, so each must be a float.
         config = parse_config_text(BASE_CONFIG + lines + "run.steps = 300\n")
-        records = list(simulate(config.sim))
+        records = [record for record, in simulate(config.sim)]
         assert records
         for r in records:
             values = [
@@ -771,9 +805,9 @@ def test_every_valid_config_runs_finite(draft):
         config = parse_config_text(text + "run.steps = 500\n")
     except ConfigError:
         reject()
-    records = list(simulate(config.sim))
-    assert all(math.isfinite(record.rate_bps) for record in records)
-    summary = summarize(config.sim, records)
+    steps = list(simulate(config.sim))
+    assert all(math.isfinite(record.rate_bps) for record, in steps)
+    (summary,) = summarize(config.sim, steps)
     json.dumps(summary_as_dict(config, summary), allow_nan=False)
 
 

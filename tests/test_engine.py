@@ -13,7 +13,7 @@ from drs_sim.channel import array_factor, direction_cosine_sums
 from drs_sim.engine import (
     ConstraintViolation,
     MODE_OFF,
-    PairedRun,
+    RunSummary,
     SimConfig,
     _check_constraints,
     aggregate_improvement,
@@ -39,7 +39,7 @@ def small_config(**kwargs):
 
 def records_of(config, seed):
     """The run's records, streamed from the step loop."""
-    return list(simulate(replace(config, scenario=replace(config.scenario, seed=seed))))
+    return [r for r, in simulate(replace(config, scenario=replace(config.scenario, seed=seed)))]
 
 
 class TestRunStep:
@@ -237,12 +237,15 @@ class TestRunSimulation:
 
 class TestPairedSweep:
     @pytest.mark.parametrize("interferer", ["rsu", "vehicle", "none"])
-    def test_single_pass_matches_two_separate_runs(self, interferer):
+    def test_single_pass_matches_two_separate_runs(self, interferer, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         config = small_config(steps=2000, scenario=ScenarioConfig(interferer_kind=interferer))
         off = replace(config, orientation_control=False)
-        for run in paired_sweep(config, [1, 2, 3, 4, 5], jobs=1):
-            assert run.mean_rate_on == run_simulation(config, run.seed).mean_rate_bps
-            assert run.mean_rate_off == run_simulation(off, run.seed).mean_rate_bps
+        seeds = [1, 2, 3, 4, 5]
+        expected = [(run_simulation(config, s), run_simulation(off, s)) for s in seeds]
+        assert all(on.control_on and not off.control_on for on, off in expected)
+        for jobs in (1, 2):  # serial, then two forked workers
+            assert paired_sweep(config, seeds, jobs=jobs) == expected
 
     def test_one_seed_advances_traffic_once_per_step(self, monkeypatch):
         calls = 0
@@ -255,8 +258,8 @@ class TestPairedSweep:
 
         monkeypatch.setattr(TrafficModel, "advance", counted)
         config = small_config(steps=300)
-        (run,) = paired_sweep(config, [3], jobs=1)
-        assert run.mean_rate_on is not None and run.mean_rate_off is not None
+        ((on, off),) = paired_sweep(config, [3], jobs=1)
+        assert on.mean_rate_bps is not None and off.mean_rate_bps is not None
         assert calls == config.steps
 
     def test_each_seed_logs_its_time(self, caplog):
@@ -265,7 +268,7 @@ class TestPairedSweep:
             runs = paired_sweep(config, [3, 4], jobs=1)
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("seed ")]
         assert len(lines) == 2
-        for run, line in zip(runs, lines):
+        for (run, _), line in zip(runs, lines):
             match = re.fullmatch(
                 r"seed (\d+): (\d+) steps \((\d+) served\) in (\d+\.\d{3}) s, (\d+) steps/s", line
             )
@@ -283,7 +286,7 @@ class TestPairedSweep:
         config = small_config(steps=300)
         with caplog.at_level(logging.WARNING, logger="drs_sim"):
             runs = paired_sweep(config, [3, 4], jobs=2)
-        assert [r.seed for r in runs] == [3, 4]
+        assert [on.seed for on, _ in runs] == [3, 4]
         assert runs == paired_sweep(config, [3, 4], jobs=1)
         warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
         assert warnings == ["cannot fork worker 0: no fork here; running 2 seeds serially"]
@@ -322,7 +325,7 @@ class TestPairedSweep:
         with caplog.at_level(logging.INFO, logger="drs_sim"):
             runs = paired_sweep(config, seeds, jobs=jobs)
         messages = [r.getMessage() for r in caplog.records if "seeds ran" in r.getMessage()]
-        assert [r.seed for r in runs] == seeds
+        assert [on.seed for on, _ in runs] == seeds
         if workers is None:
             assert forks == []
             assert messages == [f"{len(seeds)} seeds ran serially"]
@@ -339,20 +342,18 @@ class TestPairedSweep:
             runs = paired_sweep(config, seeds, jobs=2)
         assert "5 seeds ran in 2 forked worker processes" in caplog.text
         assert runs == paired_sweep(config, seeds, jobs=1)
-        assert [r.seed for r in runs] == seeds
+        assert [on.seed for on, _ in runs] == seeds
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
     def test_worker_error_is_raised_again(self, monkeypatch, caplog):
         """A worker that fails exits non-zero; its share reruns here and raises the same error."""
-        simulate = engine._simulate
-
-        def fails_for_seed_4(config, arms):
+        def fails_for_seed_4(config, arms=None):
             if config.scenario.seed == 4:
                 raise ConstraintViolation("yaw step of 9 rad exceeds the budget")
             return simulate(config, arms)
 
-        monkeypatch.setattr(engine, "_simulate", fails_for_seed_4)
+        monkeypatch.setattr(engine, "simulate", fails_for_seed_4)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         with caplog.at_level(logging.WARNING, logger="drs_sim"):
             with pytest.raises(ConstraintViolation) as raised:
@@ -394,7 +395,7 @@ class TestPairedSweep:
             release.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
-        assert [r.seed for r in runs] == [3, 4]
+        assert [on.seed for on, _ in runs] == [3, 4]
         warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
         assert warnings == ["the process runs 2 threads; running 2 seeds serially"]
 
@@ -405,8 +406,8 @@ class TestPairedSweep:
 
     def test_zero_rate_runs_are_logged(self, caplog):
         quiet = paired_sweep(SimConfig(scenario=QUIET, steps=200), [5, 6], jobs=1)
-        assert [(r.mean_rate_on, r.mean_rate_off) for r in quiet] == [(None, None)] * 2
-        runs = quiet + [PairedRun(9, 110.0, 100.0)]
+        assert [(on.mean_rate_bps, off.mean_rate_bps) for on, off in quiet] == [(None, None)] * 2
+        runs = quiet + [(RunSummary(9, True, 4, 1, 110.0), RunSummary(9, False, 4, 1, 100.0))]
         with caplog.at_level(logging.WARNING, logger="drs_sim"):
             assert aggregate_improvement(iter(runs)) == (110.0, 100.0, 10.0)
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]

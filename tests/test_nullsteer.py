@@ -27,6 +27,7 @@ from _oracles import (
     exhaustive_candidate_alphas,
     grid_fallback_min,
     rotated_factor_magnitude,
+    rotation_grid,
 )
 
 RIS = RisConfig()
@@ -121,7 +122,7 @@ def assert_fallback_no_worse_than_grid(inp):
         assert sol.alpha == 0.0
 
 
-def oracle_magnitudes(inp, alphas):
+def oracle_magnitudes(inp, grid):
     return rotated_factor_magnitude(
         inp.ris.m_rows,
         inp.ris.n_cols,
@@ -132,7 +133,7 @@ def oracle_magnitudes(inp, alphas):
         inp.interferer.phi,
         inp.receiver.theta,
         inp.receiver.phi,
-        alphas,
+        grid,
     )
 
 
@@ -155,7 +156,7 @@ class TestPsiInterference:
     def test_scan_matches_direct_evaluation(self):
         inp = make_input(0.6, 1.0, 1.1, -0.3)
         alphas = np.linspace(-BOUND, BOUND, 201)
-        oracle = oracle_magnitudes(inp, alphas)
+        oracle = oracle_magnitudes(inp, rotation_grid(alphas))
         got = np.array([abs(psi_interference(inp, a)) for a in alphas])
         assert np.all(got >= 0.0)
         assert np.max(np.abs(got - oracle)) < 1e-12
@@ -205,7 +206,7 @@ class TestCandidateAlphas:
         for cands in (null_rotations(inp), candidate_alphas(inp)):
             assert any(abs(a - expected) < 1e-9 for a in cands)
             assert any(abs(a + expected) < 1e-9 for a in cands)
-            residuals = oracle_magnitudes(inp, np.array(cands))
+            residuals = oracle_magnitudes(inp, rotation_grid(cands))
             assert np.all(residuals <= 1e-9)
             assert all(abs(a) <= inp.alpha_bound + 1e-12 for a in cands)
 
@@ -224,10 +225,10 @@ class TestCandidateAlphas:
             # a row null is always admissible at full freedom
             assert sol.mode == MODE_ANALYTIC
         if sol.mode == MODE_ANALYTIC:
-            assert oracle_magnitudes(inp, np.array([sol.alpha]))[0] <= 1e-9
+            assert oracle_magnitudes(inp, rotation_grid([sol.alpha]))[0] <= 1e-9
         roots = [a for a in null_rotations(inp) if abs(psi_interference(inp, a)) <= 1e-9]
         if roots:
-            assert np.all(oracle_magnitudes(inp, np.array(roots)) <= 1e-9)
+            assert np.all(oracle_magnitudes(inp, rotation_grid(roots)) <= 1e-9)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -373,8 +374,10 @@ class TestSelectRotation:
             assert_fallback_no_worse_than_grid(inp)
 
     def test_fallback_reaches_the_fine_grid_minimum(self):
+        # one 10^5-point grid per budget, shared by the instances drawn with it
+        grids = {b: rotation_grid(np.linspace(-b, b, 10**5)) for b in FALLBACK_BOUNDS}
         for inp in no_null_instances(7, 200):
-            fine = oracle_magnitudes(inp, np.linspace(-inp.alpha_bound, inp.alpha_bound, 10**5))
+            fine = oracle_magnitudes(inp, grids[inp.alpha_bound])
             assert select_rotation(inp).residual <= fine.min() + 1e-9
 
     @settings(max_examples=200, deadline=None)
