@@ -142,9 +142,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     log.info("running %d steps with seed %d", config.sim.steps, config.sim.scenario.seed)
     steps_path = out_dir / "steps.csv"
+    # steps.csv is renamed into place only once summary.json is, so an error
+    # before then replaces neither file.
     with _replacing(steps_path) as fh:
         (summary,) = summarize(config.sim, _write_rows(fh, simulate(config.sim)))
-    write_summary_json(out_dir / "summary.json", summary_as_dict(config, summary))
+        write_summary_json(out_dir / "summary.json", summary_as_dict(config, summary))
     if summary.n_records == 0:
         scenario = config.sim.scenario
         if scenario.arrival_rate == 0.0:
@@ -289,9 +291,10 @@ def cmd_plot(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     line_path = out_dir / "rate_vs_cycle.svg"
     bar_path = out_dir / "mean_rate.svg"
-    for path, svg in ((line_path, line_svg), (bar_path, bar_svg)):
-        with _replacing(path) as fh:
-            fh.write(svg)
+    # Nested like run's outputs: an error before the renames replaces neither chart.
+    with _replacing(line_path) as line_fh, _replacing(bar_path) as bar_fh:
+        line_fh.write(line_svg)
+        bar_fh.write(bar_svg)
     print(f"wrote {line_path} and {bar_path}")
     return 0
 
@@ -320,16 +323,8 @@ def _add_config_args(sub: argparse.ArgumentParser, with_seed: bool) -> None:
     if with_seed:
         sub.add_argument("--seed", help="override the scenario seed")
     sub.add_argument("--steps", help="override the number of steps")
-    sub.add_argument(
-        "--orientation-control",
-        choices=("on", "off"),
-        help="enable or disable yaw control",
-    )
-    sub.add_argument(
-        "--sinr-form",
-        choices=("standard", "paper-literal"),
-        help="SINR evaluation form",
-    )
+    sub.add_argument("--orientation-control", help="yaw control: on or off")
+    sub.add_argument("--sinr-form", help="SINR evaluation form: standard or paper-literal")
     sub.add_argument("--out", help="output directory (default from config)")
 
 

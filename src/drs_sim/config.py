@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, NamedTuple
 
 from .channel import RadioConfig, RisConfig, SINR_FORMS
-from .engine import SimConfig
+from .engine import SimConfig, replace
 from .geometry import Vec3
 from .planner import MotionLimits, WorldBounds
 from .traffic import INTERFERER_KINDS, ScenarioConfig
@@ -137,21 +137,17 @@ def parse_config_text(
 def build_config(values: dict[str, dict[str, Any]]) -> RunConfig:
     """Assemble a RunConfig from grouped raw values, reporting bad combinations."""
     try:
-        bounds = WorldBounds(**values.get("bounds", {}))
-        limits = MotionLimits(**values.get("limits", {}))
-        # Default RSU: middle of the area, 5 m mast; axes overridable one by one.
-        rsu_values = values.get("rsu", {})
-        rsu = Vec3(
-            rsu_values.get("x", 0.5 * (bounds.x_min + bounds.x_max)),
-            rsu_values.get("y", 0.5 * (bounds.y_min + bounds.y_max)),
-            rsu_values.get("z", 5.0),
-        )
         scenario = ScenarioConfig(
-            bounds=bounds,
-            limits=limits,
-            rsu_position=rsu,
+            bounds=WorldBounds(**values.get("bounds", {})),
+            limits=MotionLimits(**values.get("limits", {})),
             **values.get("scenario", {}),
         )
+        rsu = values.get("rsu")
+        if rsu:  # the file's axes replace those of the scenario's default position
+            p = scenario.rsu_position
+            scenario = replace(scenario, rsu_position=Vec3(
+                rsu.get("x", p.x), rsu.get("y", p.y), rsu.get("z", p.z)
+            ))
         radio = RadioConfig(**values.get("radio", {}))
         ris = RisConfig(**values.get("ris", {}))
         sim = SimConfig(scenario=scenario, radio=radio, ris=ris, **values.get("run", {}))

@@ -1,12 +1,14 @@
 """Time-stepped simulation loop tying traffic, planning, yaw control and the link budget.
 
-Each step advances traffic, moves the drone one bounded step toward the
-current optimal hover point, then for each yaw arm optionally rotates the
-surface to null the reflected interference and evaluates the served pair's
-link, and verifies the kinematic and box constraints.  A constraint violation
+Each step advances traffic, which keeps the run's step count and clock.
+While a pair is served, the drone then moves one bounded step toward the
+current optimal hover point; for each yaw arm the surface optionally rotates
+to null the reflected interference, the served pair's link is evaluated, and
+the kinematic and box constraints are verified.  A constraint violation
 raises: it indicates a bug in the controller, not a runtime condition.  Yaw
 moves neither traffic nor the drone, so the arms share one trajectory: a run
-evaluates one arm, and the paired sweep evaluates both in one pass per seed.
+evaluates its configured arm, and a paired run (``paired=True``, as each
+seed of the paired sweep) evaluates control on, then off, in one pass.
 Within a step the arms also share each node's geometry and element pattern
 and the desired hop's path loss, computed once on plain floats; an arm adds
 only the yaw-dependent interference hop, the SINR and the rate.
@@ -82,26 +84,6 @@ def replace(config, **changes):
     changed in place: a changed config is always a copy.
     """
     return type(config)(**{**vars(config), **changes})
-
-
-class WorldState:
-    """Mutable simulation state advanced by run_step."""
-
-    __slots__ = ("clock", "step_index", "drs", "traffic", "arms")
-
-    def __init__(
-        self,
-        clock: float,
-        step_index: int,
-        drs: Pose,  # the first arm's pose
-        traffic: TrafficModel,
-        arms: tuple[bool, ...],  # orientation control per yaw arm; an "on" arm comes first
-    ) -> None:
-        self.clock = clock
-        self.step_index = step_index
-        self.drs = drs
-        self.traffic = traffic
-        self.arms = arms
 
 
 class StepRecord(Value):
@@ -199,24 +181,6 @@ class SimConfig:
             )
 
 
-def initial_state(config: SimConfig, arms: tuple[bool, ...] | None = None) -> WorldState:
-    """Fresh world: empty road, drone centered at the flight-box floor, yaw 0."""
-    scenario = config.scenario
-    bounds = scenario.bounds
-    start = Vec3(
-        0.5 * (bounds.x_min + bounds.x_max),
-        0.5 * (bounds.y_min + bounds.y_max),
-        bounds.z_min,
-    )
-    return WorldState(
-        clock=0.0,
-        step_index=0,
-        drs=Pose(start, 0.0),
-        traffic=TrafficModel(scenario, SplitMix64(scenario.seed)),
-        arms=(config.orientation_control,) if arms is None else arms,
-    )
-
-
 def db(linear: float) -> float:
     return 10.0 * math.log10(linear)
 
@@ -238,90 +202,96 @@ def _check_constraints(previous: Pose, current: Pose, config: SimConfig) -> None
         raise ConstraintViolation(f"position {current.position} outside flight box")
 
 
-def run_step(state: WorldState, config: SimConfig) -> list[StepRecord] | None:
-    """Advance the world one step in place; return one record per arm while a pair is served.
+def _arms(config: SimConfig, paired: bool) -> tuple[bool, ...]:
+    """Orientation control per yaw arm: the configured arm, or on then off when paired.
 
-    Order: (1) vehicles move and leavers despawn, (2) arrivals spawn and a
-    pairing event may start service, (3) the drone steps toward the optimal
-    hover point and the geometry every arm shares is computed once, then per
-    arm (4) the surface rotates per the arm's null-steering rule and (5) the
-    yaw-dependent interference hop is evaluated, (6) constraints are checked
-    on the first arm's move, which covers every arm: all share the position
-    and only the first may turn.
+    The drone carries the first arm's pose, so an "on" arm comes first whenever one runs.
     """
-    limits = config.scenario.limits
-    previous = state.drs
-    state.step_index += 1
-    state.clock += limits.time_step
+    return (True, False) if paired else (config.orientation_control,)
 
-    traffic = state.traffic
+
+def run_step(
+    traffic: TrafficModel, drs: Pose, config: SimConfig, paired: bool = False
+) -> list[StepRecord] | None:
+    """Take one step from pose ``drs``; return one record per arm while a pair is served.
+
+    Order: (1) traffic ticks its clock, vehicles move and leavers despawn,
+    (2) arrivals spawn and a pairing event may start service; on a served
+    step (3) the drone steps toward the optimal hover point and the geometry
+    every arm shares is computed once, then per arm (4) the surface rotates
+    per the arm's null-steering rule and (5) the yaw-dependent interference
+    hop is evaluated, and (6) constraints are checked on the first arm's move.
+    That covers every arm: all share the position and only the first may
+    turn.  The drone moves only on served steps, and its next pose is the
+    first record's ``drs``.
+    """
     traffic.advance()
-    traffic.spawn_arrivals(state.clock)
-    traffic.maybe_start_pair(state.step_index)
-
-    records = None
+    traffic.spawn_arrivals()
+    traffic.maybe_start_pair()
     pair = traffic.active_pair
-    if pair is not None:
-        ris = config.ris
-        tx = traffic.position(pair.tx_id)
-        rx = traffic.position(pair.rx_id)
+    if pair is None:
+        return None
 
-        target = optimal_location(tx, rx, config.scenario.bounds)
-        position = step_towards(previous.position, target, limits, config.scenario.bounds)
-        theta_tx, _, dist_tx = sight(position, tx)
-        theta_rx, bearing_rx, dist_rx = sight(position, rx)
-        f_rx = radiation_pattern(theta_rx)
-        # The desired hop is beamformed (|psi| = 1) and its loss is yaw-free.
-        pl_desired = path_loss(ris, radiation_pattern(theta_tx), f_rx, dist_tx, dist_rx, 1.0)
-        pl_desired_db = db(pl_desired)
-        interferer = traffic.interferer_position()
-        if interferer is not None:
-            theta_i, bearing_i, dist_i = sight(position, interferer)
-            f_i = radiation_pattern(theta_i)
+    limits = config.scenario.limits
+    ris = config.ris
+    tx = traffic.position(pair.tx_id)
+    rx = traffic.position(pair.rx_id)
 
-        records = []
-        for control in state.arms:
-            yaw = previous.yaw if control else 0.0
-            alpha, null_mode = 0.0, MODE_OFF
-            if interferer is None:
-                pl_interference = NO_PATH
-            else:
-                if control:
-                    steer = select_rotation(NullSteerInput(  # positional, in field order
-                        AngularCoords(theta_i, local_azimuth(bearing_i, yaw)),  # interferer
-                        AngularCoords(theta_rx, local_azimuth(bearing_rx, yaw)),  # receiver
-                        ris,
-                        limits.yaw_budget,  # alpha_bound
-                    ))
-                    alpha, null_mode = steer.alpha, steer.mode
-                    # Rotating the surface by alpha shifts local azimuths by
-                    # +alpha, which corresponds to a yaw decrease of alpha.
-                    yaw = wrap_angle(yaw - alpha)
-                phi_i, phi_rx = local_azimuth(bearing_i, yaw), local_azimuth(bearing_rx, yaw)
-                sums = direction_cosine_sums(theta_i, phi_i, theta_rx, phi_rx)
-                psi_value = array_factor(ris, *sums)
-                pl_interference = path_loss(ris, f_i, f_rx, dist_i, dist_rx, psi_value)
+    target = optimal_location(tx, rx, config.scenario.bounds)
+    position = step_towards(drs.position, target, limits, config.scenario.bounds)
+    theta_tx, _, dist_tx = sight(position, tx)
+    theta_rx, bearing_rx, dist_rx = sight(position, rx)
+    f_rx = radiation_pattern(theta_rx)
+    # The desired hop is beamformed (|psi| = 1) and its loss is yaw-free.
+    pl_desired = path_loss(ris, radiation_pattern(theta_tx), f_rx, dist_tx, dist_rx, 1.0)
+    pl_desired_db = db(pl_desired)
+    interferer = traffic.interferer_position()
+    if interferer is not None:
+        theta_i, bearing_i, dist_i = sight(position, interferer)
+        f_i = radiation_pattern(theta_i)
 
-            sinr_value = sinr(config.radio, pl_desired, pl_interference, config.sinr_form)
-            records.append(StepRecord(  # positional, in field order
-                state.step_index,
-                state.clock,  # time_s
-                pair.id,
-                state.step_index - pair.start_step,  # cycle_index
-                tx,
-                rx,
-                Pose(position, yaw),  # drs
-                alpha,  # alpha_applied
-                null_mode,
-                pl_desired_db,
-                db(pl_interference),
-                db(sinr_value) if sinr_value > 0.0 else -math.inf,  # sinr_db
-                rate(config.radio, sinr_value),  # rate_bps
-                control,  # control_on
-            ))
-        state.drs = records[0].drs
+    records = []
+    for control in _arms(config, paired):
+        yaw = drs.yaw if control else 0.0
+        alpha, null_mode = 0.0, MODE_OFF
+        if interferer is None:
+            pl_interference = NO_PATH
+        else:
+            if control:
+                steer = select_rotation(NullSteerInput(  # positional, in field order
+                    AngularCoords(theta_i, local_azimuth(bearing_i, yaw)),  # interferer
+                    AngularCoords(theta_rx, local_azimuth(bearing_rx, yaw)),  # receiver
+                    ris,
+                    limits.yaw_budget,  # alpha_bound
+                ))
+                alpha, null_mode = steer.alpha, steer.mode
+                # Rotating the surface by alpha shifts local azimuths by
+                # +alpha, which corresponds to a yaw decrease of alpha.
+                yaw = wrap_angle(yaw - alpha)
+            phi_i, phi_rx = local_azimuth(bearing_i, yaw), local_azimuth(bearing_rx, yaw)
+            sums = direction_cosine_sums(theta_i, phi_i, theta_rx, phi_rx)
+            psi_value = array_factor(ris, *sums)
+            pl_interference = path_loss(ris, f_i, f_rx, dist_i, dist_rx, psi_value)
 
-    _check_constraints(previous, state.drs, config)
+        sinr_value = sinr(config.radio, pl_desired, pl_interference, config.sinr_form)
+        records.append(StepRecord(  # positional, in field order
+            traffic.step,  # step_index
+            traffic.clock,  # time_s
+            pair.id,
+            traffic.step - pair.start_step,  # cycle_index
+            tx,
+            rx,
+            Pose(position, yaw),  # drs
+            alpha,  # alpha_applied
+            null_mode,
+            pl_desired_db,
+            db(pl_interference),
+            db(sinr_value) if sinr_value > 0.0 else -math.inf,  # sinr_db
+            rate(config.radio, sinr_value),  # rate_bps
+            control,  # control_on
+        ))
+
+    _check_constraints(drs, records[0].drs, config)
     return records
 
 
@@ -339,20 +309,31 @@ def _mean(values: list[float]) -> float | None:
     return math.fsum(values) / len(values) if values else None
 
 
-def simulate(
-    config: SimConfig, arms: tuple[bool, ...] | None = None
-) -> Iterator[list[StepRecord]]:
-    """Step one seed's shared trajectory, yielding every served step's records, one per arm."""
-    state = initial_state(config, arms)
-    steps = (run_step(state, config) for _ in range(config.steps))
-    return (records for records in steps if records is not None)
+def simulate(config: SimConfig, paired: bool = False) -> Iterator[list[StepRecord]]:
+    """Step one seed's shared trajectory, yielding every served step's records, one per arm.
+
+    The road starts empty and the drone at the centre of the flight box's
+    floor, yaw 0.  The arms are the configured one, or on then off when
+    ``paired``.
+    """
+    scenario = config.scenario
+    bounds = scenario.bounds
+    traffic = TrafficModel(scenario, SplitMix64(scenario.seed))
+    drs = Pose(Vec3(
+        0.5 * (bounds.x_min + bounds.x_max), 0.5 * (bounds.y_min + bounds.y_max), bounds.z_min
+    ), 0.0)
+    for _ in range(config.steps):
+        records = run_step(traffic, drs, config, paired)
+        if records is not None:
+            drs = records[0].drs
+            yield records
 
 
 def summarize(
-    config: SimConfig, steps: Iterable[list[StepRecord]], arms: tuple[bool, ...] | None = None
+    config: SimConfig, steps: Iterable[list[StepRecord]], paired: bool = False
 ) -> list[RunSummary]:
-    """One summary per arm of ``simulate(config, arms)``, keeping only rates and pair ids."""
-    arms = (config.orientation_control,) if arms is None else arms
+    """One summary per arm of ``simulate(config, paired)``, keeping only rates and pair ids."""
+    arms = _arms(config, paired)
     rates: list[list[float]] = [[] for _ in arms]
     pairs: set[int] = set()
     for records in steps:
@@ -381,8 +362,7 @@ def improvement_pct(mean_on: float | None, mean_off: float | None) -> float | No
 
 def _paired_seed(config: SimConfig) -> tuple[RunSummary, RunSummary]:
     start = time.perf_counter()
-    arms = (True, False)
-    on, off = summarize(config, simulate(config, arms), arms)
+    on, off = summarize(config, simulate(config, paired=True), paired=True)
     elapsed = time.perf_counter() - start
     log.info(
         "seed %d: %d steps (%d served) in %.3f s, %.0f steps/s",

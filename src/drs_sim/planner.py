@@ -71,6 +71,11 @@ class MotionLimits:
                 raise ValueError(f"limits.{name} must be > 0")
         if v_drone < v_vehicle:
             raise ValueError("limits.v_drone must be >= limits.v_vehicle")
+        if not self.yaw_budget > 0.0:
+            raise ValueError(
+                f"the per-step yaw budget limits.rot_rate * limits.time_step "
+                f"({rot_rate!r} * {time_step!r}) must be > 0, got {self.yaw_budget!r}"
+            )
 
     @property
     def step_length(self) -> float:

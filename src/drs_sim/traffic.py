@@ -56,10 +56,14 @@ class ScenarioConfig:
         v2v_rate: float = 0.02,  # pairing events per step
         bounds: WorldBounds = WorldBounds(),
         limits: MotionLimits = MotionLimits(),
-        rsu_position: Vec3 = Vec3(250.0, 2500.0, 5.0),
+        rsu_position: Vec3 | None = None,  # None: the middle of the bounds, on a 5 m mast
         seed: int = 1,
         interferer_kind: str = INTERFERER_RSU,
     ) -> None:
+        if rsu_position is None:
+            rsu_position = Vec3(
+                0.5 * (bounds.x_min + bounds.x_max), 0.5 * (bounds.y_min + bounds.y_max), 5.0
+            )
         self.arrival_rate, self.v2v_rate = arrival_rate, v2v_rate
         self.bounds, self.limits, self.rsu_position = bounds, limits, rsu_position
         self.seed, self.interferer_kind = seed, interferer_kind
@@ -76,11 +80,14 @@ class ScenarioConfig:
 
 
 class TrafficModel:
-    """Owns the vehicle population, arrival clocks and the single active pair.
+    """Owns the run's clock, the vehicle population, arrival times and the single active pair.
 
-    Every vehicle in a lane enters at the same end and moves at the same
-    speed, so each lane is a FIFO queue: its head is the vehicle nearest the
-    exit, and a vehicle's position follows from its age in steps alone.
+    A step is ``advance()``, ``spawn_arrivals()``, ``maybe_start_pair()``, in
+    that order; ``step`` and ``clock`` [s] count the steps taken and their
+    time, and are the run's only step counter and clock.  Every vehicle in a
+    lane enters at the same end and moves at the same speed, so each lane is
+    a FIFO queue: its head is the vehicle nearest the exit, and a vehicle's
+    position follows from its age in steps alone.
     """
 
     def __init__(self, config: ScenarioConfig, rng: SplitMix64) -> None:
@@ -91,6 +98,7 @@ class TrafficModel:
         self.interferer_id: int | None = None  # designated vehicle, vehicle mode only
         self.pairs_started = 0
         self.step = 0
+        self.clock = 0.0  # [s], a running sum of time_step, not step * time_step
         bounds, limits = config.bounds, config.limits
         stride = limits.v_vehicle * limits.time_step
         # Per lane: (x, entry y, signed displacement per step).
@@ -111,11 +119,12 @@ class TrafficModel:
         return Vec3(x, y0 + age * stride, vehicle.antenna_height)
 
     def advance(self) -> None:
-        """Move one step: drop lane heads that left the segment, and a pair they served.
+        """Start the next step: tick the clock, drop lane heads that left, and their pair.
 
         A head's y is computed as in ``position``, from its lane's motion and its age.
         """
         self.step += 1
+        self.clock += self.config.limits.time_step
         step, vehicles = self.step, self.vehicles
         bounds = self.config.bounds
         y_min, y_max = bounds.y_min, bounds.y_max
@@ -131,8 +140,9 @@ class TrafficModel:
         ):
             self.active_pair = None
 
-    def spawn_arrivals(self, now: float) -> None:
-        """Spawn every vehicle whose arrival time has passed, lane 0 first."""
+    def spawn_arrivals(self) -> None:
+        """Spawn every vehicle whose arrival time is at or before the clock, lane 0 first."""
+        now = self.clock
         for lane in (0, 1):
             while self._next_arrival[lane] <= now:
                 height = self.rng.uniform(ANTENNA_HEIGHT_MIN, ANTENNA_HEIGHT_MAX)
@@ -142,7 +152,7 @@ class TrafficModel:
                 self._next_vehicle_id += 1
                 self._next_arrival[lane] += self.rng.expovariate(self.config.arrival_rate)
 
-    def maybe_start_pair(self, step_index: int) -> V2VPair | None:
+    def maybe_start_pair(self) -> V2VPair | None:
         """Sample this step's pairing events and start a pair when possible.
 
         Events are discarded while a pair is already being served (one pair
@@ -160,7 +170,7 @@ class TrafficModel:
             return None
         tx_y = self.position(tx.id).y
         rx_id = min(partners, key=lambda v: (abs(self.position(v).y - tx_y), v))
-        self.active_pair = V2VPair(self.pairs_started, tx.id, rx_id, step_index)
+        self.active_pair = V2VPair(self.pairs_started, tx.id, rx_id, self.step)
         self.pairs_started += 1
         self.interferer_id = None
         if self.config.interferer_kind == INTERFERER_VEHICLE:

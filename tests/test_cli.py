@@ -25,10 +25,12 @@ from drs_sim.cli import (
     main,
     summary_as_dict,
 )
-from drs_sim.config import ConfigError, parse_config_text
+from drs_sim.config import ConfigError, config_as_dict, load_config, parse_config_text
 from drs_sim.engine import MODE_OFF, SimConfig, StepRecord, simulate, summarize
 from drs_sim.geometry import Pose, Vec3
 from drs_sim.nullsteer import MODE_ANALYTIC, MODE_FALLBACK, MODE_NONE
+from drs_sim.planner import WorldBounds
+from drs_sim.traffic import ScenarioConfig
 
 BASE_CONFIG = """
 # compact scenario for fast end-to-end checks
@@ -162,6 +164,13 @@ class TestRun:
                 id="underflow-ris.gain_tx",
             ),
             _bad_input("ris.amplitude = 1e-170", "ris.amplitude"),
+            # the per-step yaw budget 5e-324 * 0.5 rounds to 0
+            _bad_input(
+                "limits.rot_rate = 5e-324",
+                "limits.rot_rate * limits.time_step",
+                ("run", "--steps", "2000", "--out", "{out}"),
+                id="underflow-yaw-budget",
+            ),
             _bad_input("scenario.seed = -1", "scenario.seed"),
             _bad_input(f"scenario.seed = {2**64}", "scenario.seed"),
             # an empty output directory would put the files in the working directory
@@ -239,6 +248,8 @@ class TestRun:
 
     @pytest.mark.parametrize("flag, value, key", [
         ("--steps", "abc", "run.steps"), ("--seed", "1.5", "scenario.seed"),
+        ("--sinr-form", "nope", "run.sinr_form"),
+        ("--orientation-control", "maybe", "run.orientation_control"),
     ])
     def test_bad_flag_value_names_flag_and_key(self, flag, value, key, config_file, tmp_path, capsys):
         out = tmp_path / "out"
@@ -386,6 +397,48 @@ class TestOutputFiles:
         left = [path.name for path in out.iterdir()]
         assert name not in left
         assert not [n for n in left if n.endswith(".partial")]
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["run", "--config", "{config}", "--steps", "300", "--out", "{out}"],
+             ("steps.csv", "summary.json")),
+            (["plot", "{csv}", "--out", "{out}"], ("rate_vs_cycle.svg", "mean_rate.svg")),
+        ],
+        ids=["run", "plot"],
+    )
+    def test_io_error_keeps_the_earlier_set(
+        self, argv, names, config_file, tmp_path, monkeypatch, capsys
+    ):
+        # The second file of the set hits a full disk: neither earlier file is replaced.
+        steps_csv = tmp_path / "steps.csv"
+        steps_csv.write_text("cycle_index,rate_bps,control\r\n0,5.0,on\r\n", encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in names:
+            (out / name).write_text(f"earlier {name}\n", encoding="utf-8")
+        fill_disk_at(monkeypatch, names[1], 1)
+        code = main([a.format(config=config_file, csv=steps_csv, out=out) for a in argv])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("i/o error: [Errno 28]")
+        assert sorted(path.name for path in out.iterdir()) == sorted(names)
+        for name in names:
+            assert (out / name).read_text(encoding="utf-8") == f"earlier {name}\n"
+
+
+class TestConfigDefaults:
+    def test_default_cfg_is_the_built_in_config(self):
+        path = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"
+        assert config_as_dict(load_config(path)) == config_as_dict(load_config(None))
+
+    def test_default_rsu_is_the_middle_of_the_bounds_on_both_paths(self):
+        text = "bounds.x_max = 1000\nbounds.y_max = 8000\n"
+        from_file = parse_config_text(text).sim.scenario.rsu_position
+        built = ScenarioConfig(bounds=WorldBounds(x_max=1000.0, y_max=8000.0)).rsu_position
+        assert from_file == built == Vec3(500.0, 4000.0, 5.0)
+        # An axis the file sets replaces only that axis.
+        moved = parse_config_text(text + "scenario.rsu_x = 10\n").sim.scenario.rsu_position
+        assert moved == Vec3(10.0, 4000.0, 5.0)
 
 
 class TestRowFormat:

@@ -17,7 +17,6 @@ from drs_sim.engine import (
     SimConfig,
     _check_constraints,
     aggregate_improvement,
-    initial_state,
     paired_sweep,
     replace,
     run_simulation,
@@ -26,7 +25,8 @@ from drs_sim.engine import (
 )
 from drs_sim.geometry import AngularCoords, Pose, Vec3, local_azimuth, sight, wrap_angle
 from drs_sim.nullsteer import MODE_ANALYTIC, MODE_FALLBACK, NullSteerInput, psi_interference
-from drs_sim.planner import WorldBounds
+from drs_sim.planner import WorldBounds, optimal_location, step_towards
+from drs_sim.rng import SplitMix64
 from drs_sim.traffic import ScenarioConfig, TrafficModel
 
 QUIET = ScenarioConfig(arrival_rate=0.0, v2v_rate=0.0)
@@ -42,22 +42,39 @@ def records_of(config, seed):
     return [r for r, in simulate(replace(config, scenario=replace(config.scenario, seed=seed)))]
 
 
+def traffic_of(config):
+    return TrafficModel(config.scenario, SplitMix64(config.scenario.seed))
+
+
+def start_pose(config):
+    """The pose ``simulate`` starts from: the centre of the flight box's floor, yaw 0."""
+    b = config.scenario.bounds
+    return Pose(Vec3(0.5 * (b.x_min + b.x_max), 0.5 * (b.y_min + b.y_max), b.z_min), 0.0)
+
+
 class TestRunStep:
     def test_no_pair_no_record(self):
         config = SimConfig(scenario=QUIET, steps=10)
-        state = initial_state(config)
+        traffic, drs = traffic_of(config), start_pose(config)
         for _ in range(10):
-            assert run_step(state, config) is None
-        assert state.step_index == 10
-        assert state.clock == pytest.approx(5.0)
+            assert run_step(traffic, drs, config) is None
+        assert traffic.step == 10
+        assert traffic.clock == pytest.approx(5.0)
 
     def test_drone_hovers_without_a_pair(self):
-        config = SimConfig(scenario=QUIET, steps=5)
-        state = initial_state(config)
-        start = state.drs
-        for _ in range(5):
-            run_step(state, config)
-        assert state.drs == start
+        # The first served step starts from the start pose: one bounded step toward the target.
+        config = small_config(steps=2000)
+        scenario = config.scenario
+        traffic, start = traffic_of(config), start_pose(config)
+        unserved = 0
+        while (records := run_step(traffic, start, config)) is None:
+            unserved += 1
+        assert unserved > 0
+        (record,) = records
+        target = optimal_location(record.tx_pos, record.rx_pos, scenario.bounds)
+        moved = step_towards(start.position, target, scenario.limits, scenario.bounds)
+        assert record.drs.position == moved
+        assert next(simulate(config)) == records
 
     def test_cycle_index_starts_at_zero_per_pair(self):
         first_seen = {}
@@ -247,6 +264,17 @@ class TestPairedSweep:
         for jobs in (1, 2):  # serial, then two forked workers
             assert paired_sweep(config, seeds, jobs=jobs) == expected
 
+    @pytest.mark.parametrize("interferer", ["rsu", "vehicle", "none"])
+    def test_paired_records_equal_the_one_arm_runs(self, interferer):
+        # Record by record: control on first, then off, each as its own run has it.
+        config = small_config(steps=2000, scenario=ScenarioConfig(interferer_kind=interferer))
+        on = simulate(replace(config, orientation_control=True))
+        off = simulate(replace(config, orientation_control=False))
+        paired = list(simulate(config, paired=True))
+        assert paired
+        assert paired == [[a, b] for (a,), (b,) in zip(on, off, strict=True)]
+        assert any(a.alpha_applied for a, _ in paired) == (interferer != "none")
+
     def test_one_seed_advances_traffic_once_per_step(self, monkeypatch):
         calls = 0
         advance = TrafficModel.advance
@@ -348,10 +376,10 @@ class TestPairedSweep:
 
     def test_worker_error_is_raised_again(self, monkeypatch, caplog):
         """A worker that fails exits non-zero; its share reruns here and raises the same error."""
-        def fails_for_seed_4(config, arms=None):
+        def fails_for_seed_4(config, paired=False):
             if config.scenario.seed == 4:
                 raise ConstraintViolation("yaw step of 9 rad exceeds the budget")
-            return simulate(config, arms)
+            return simulate(config, paired)
 
         monkeypatch.setattr(engine, "simulate", fails_for_seed_4)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)

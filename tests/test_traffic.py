@@ -160,12 +160,11 @@ class TestAdvanceVehicles:
     def test_closed_form_matches_summed_motion(self, limits, tol):
         config = ScenarioConfig(seed=3, limits=MotionLimits(**limits))
         model = TrafficModel(config, SplitMix64(config.seed))
-        steps, clock, spawns, got = 2000, 0.0, {}, []
+        steps, spawns, got = 2000, {}, []
         for step in range(1, steps + 1):
-            clock += config.limits.time_step
             model.advance()
             before = set(model.vehicles)
-            model.spawn_arrivals(clock)
+            model.spawn_arrivals()
             spawns[step] = [(v, model.vehicles[v].lane) for v in model.vehicles if v not in before]
             got.append({v: model.position(v).y for v in model.vehicles})
         stride = config.limits.v_vehicle * config.limits.time_step
@@ -183,13 +182,10 @@ class TestTrafficModel:
         config = ScenarioConfig(seed=seed, **overrides)
         rng = SplitMix64(config.seed)
         model = TrafficModel(config, rng)
-        dt = config.limits.time_step
-        clock = 0.0
-        for step in range(1, steps + 1):
-            clock += dt
+        for _ in range(steps):
             model.advance()
-            model.spawn_arrivals(clock)
-            model.maybe_start_pair(step)
+            model.spawn_arrivals()
+            model.maybe_start_pair()
             snapshot = [(v, model.position(v).x, model.position(v).y) for v in model.vehicles]
             yield model, snapshot
 
