@@ -300,18 +300,18 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 
 # Each config flag sets one config key; its argparse dest is the flag's name.
-CONFIG_FLAGS = {
-    "--seed": "scenario.seed",
-    "--steps": "run.steps",
-    "--orientation-control": "run.orientation_control",
-    "--sinr-form": "run.sinr_form",
-    "--out": "run.output_dir",
+CONFIG_FLAGS = {  # flag: (key, help)
+    "--seed": ("scenario.seed", "override the scenario seed"),
+    "--steps": ("run.steps", "override the number of steps"),
+    "--orientation-control": ("run.orientation_control", "yaw control: on or off"),
+    "--sinr-form": ("run.sinr_form", "SINR evaluation form: standard or paper-literal"),
+    "--out": ("run.output_dir", "output directory (default from config)"),
 }
 
 
 def _load_with_overrides(args: argparse.Namespace) -> RunConfig:
     overrides = []
-    for flag, key in CONFIG_FLAGS.items():
+    for flag, (key, _) in CONFIG_FLAGS.items():
         value = getattr(args, flag[2:].replace("-", "_"), None)  # sweep has no --seed
         if value is not None:
             overrides.append((flag, key, value))
@@ -320,12 +320,9 @@ def _load_with_overrides(args: argparse.Namespace) -> RunConfig:
 
 def _add_config_args(sub: argparse.ArgumentParser, with_seed: bool) -> None:
     sub.add_argument("--config", help="config file (section.key = value lines)")
-    if with_seed:
-        sub.add_argument("--seed", help="override the scenario seed")
-    sub.add_argument("--steps", help="override the number of steps")
-    sub.add_argument("--orientation-control", help="yaw control: on or off")
-    sub.add_argument("--sinr-form", help="SINR evaluation form: standard or paper-literal")
-    sub.add_argument("--out", help="output directory (default from config)")
+    for flag, (_, help_text) in CONFIG_FLAGS.items():
+        if with_seed or flag != "--seed":
+            sub.add_argument(flag, help=help_text)
 
 
 class _Parser(argparse.ArgumentParser):

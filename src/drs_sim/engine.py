@@ -49,7 +49,6 @@ from .channel import (
     sinr,
 )
 from .geometry import (
-    AngularCoords,
     Pose,
     Value,
     Vec3,
@@ -259,10 +258,9 @@ def run_step(
         else:
             if control:
                 steer = select_rotation(NullSteerInput(  # positional, in field order
-                    AngularCoords(theta_i, local_azimuth(bearing_i, yaw)),  # interferer
-                    AngularCoords(theta_rx, local_azimuth(bearing_rx, yaw)),  # receiver
-                    ris,
-                    limits.yaw_budget,  # alpha_bound
+                    theta_i, local_azimuth(bearing_i, yaw),  # interferer
+                    theta_rx, local_azimuth(bearing_rx, yaw),  # receiver
+                    ris, limits.yaw_budget,  # alpha_bound
                 ))
                 alpha, null_mode = steer.alpha, steer.mode
                 # Rotating the surface by alpha shifts local azimuths by
@@ -332,14 +330,25 @@ def simulate(config: SimConfig, paired: bool = False) -> Iterator[list[StepRecor
 def summarize(
     config: SimConfig, steps: Iterable[list[StepRecord]], paired: bool = False
 ) -> list[RunSummary]:
-    """One summary per arm of ``simulate(config, paired)``, keeping only rates and pair ids."""
+    """One summary per arm of ``simulate(config, paired)``, keeping only rates and pair ids.
+
+    Raises ValueError when the last step's records are not one per arm, in
+    arm order: the steps came from another config or ``paired``.
+    """
     arms = _arms(config, paired)
     rates: list[list[float]] = [[] for _ in arms]
     pairs: set[int] = set()
+    records: list[StepRecord] = []
     for records in steps:
         pairs.add(records[0].pair_id)
-        for arm, record in enumerate(records):
-            rates[arm].append(record.rate_bps)
+        for kept, record in zip(rates, records):
+            kept.append(record.rate_bps)
+    got = tuple(record.control_on for record in records)
+    if records and got != arms:
+        raise ValueError(
+            f"summarize(paired={paired}) expects records with control {arms} per step, "
+            f"got {got}: pass simulate and summarize the same config and paired"
+        )
     return [
         RunSummary(config.scenario.seed, control, len(kept), len(pairs), _mean(kept))
         for control, kept in zip(arms, rates)

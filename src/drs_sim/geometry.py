@@ -72,23 +72,6 @@ class Pose(Value):
         self.yaw = wrap_angle(yaw)
 
 
-class AngularCoords:
-    """Direction of a node as seen from the surface.
-
-    theta: elevation off boresight (straight down), in [0, pi]; any node
-    strictly below the drone sits in [0, pi/2).  phi: azimuth in the yawed
-    local frame, wrapped to (-pi, pi] on construction.
-    """
-
-    __slots__ = ("theta", "phi")
-
-    def __init__(self, theta: float, phi: float) -> None:
-        if math.isnan(theta) or not 0.0 <= theta <= math.pi:
-            raise ValueError(f"theta must be in [0, pi], got {theta}")
-        self.theta = theta
-        self.phi = wrap_angle(phi)
-
-
 def sight(surface: Vec3, target: Vec3) -> tuple[float, float | None, float]:
     """Elevation theta, world bearing and distance of ``target`` from the surface.
 

@@ -22,7 +22,7 @@ import math
 from operator import itemgetter
 
 from .channel import RisConfig, array_factor, direction_cosine_sums
-from .geometry import AngularCoords, wrap_angle
+from .geometry import wrap_angle
 
 MODE_ANALYTIC = "analytic-null"
 MODE_FALLBACK = "fallback-min"
@@ -45,21 +45,34 @@ _REFINE_STEPS = math.ceil(math.log(1e-9 * _COARSE_HALF / 2.0) / math.log(_INV_PH
 
 
 class NullSteerInput:
-    """Geometry seen from the current pose plus the per-step rotation budget."""
+    """Geometry seen from the current pose plus the per-step rotation budget.
 
-    __slots__ = ("interferer", "receiver", "ris", "alpha_bound")
+    theta_i, theta_r: elevations of the interferer and the receiver off
+    boresight (straight down), in [0, pi]; any node strictly below the drone
+    sits in [0, pi/2).  phi_i, phi_r: their azimuths in the yawed local
+    frame, wrapped to (-pi, pi] on construction.
+    """
+
+    __slots__ = ("theta_i", "phi_i", "theta_r", "phi_r", "ris", "alpha_bound")
 
     def __init__(
         self,
-        interferer: AngularCoords,
-        receiver: AngularCoords,
+        theta_i: float,
+        phi_i: float,
+        theta_r: float,
+        phi_r: float,
         ris: RisConfig,
         alpha_bound: float,  # [rad], rotation rate times step duration
     ) -> None:
-        if alpha_bound <= 0.0:
-            raise ValueError("alpha_bound must be > 0")
-        self.interferer = interferer
-        self.receiver = receiver
+        for theta in (theta_i, theta_r):
+            if not 0.0 <= theta <= math.pi:  # NaN too
+                raise ValueError(f"theta must be in [0, pi], got {theta}")
+        if not 0.0 < alpha_bound < math.inf:
+            raise ValueError(f"alpha_bound must be finite and > 0, got {alpha_bound}")
+        self.theta_i = theta_i
+        self.phi_i = wrap_angle(phi_i)
+        self.theta_r = theta_r
+        self.phi_r = wrap_angle(phi_r)
         self.ris = ris
         self.alpha_bound = alpha_bound
 
@@ -75,21 +88,9 @@ class NullSolution:
 
 def psi_interference(inp: NullSteerInput, alpha: float) -> float:
     """Array factor of the interferer -> receiver reflection after rotating by alpha."""
-    i, r = inp.interferer, inp.receiver
-    phi_i, phi_r = wrap_angle(i.phi + alpha), wrap_angle(r.phi + alpha)
-    return array_factor(inp.ris, *direction_cosine_sums(i.theta, phi_i, r.theta, phi_r))
-
-
-def harmonic_coefficients(inp: NullSteerInput) -> tuple[float, float]:
-    """In-phase and quadrature coefficients (P, Q) of the rotated cosine sums.
-
-    For every alpha:
-
-        sin(t_i) cos(p_i + alpha) + sin(t_r) cos(p_r + alpha) = P cos(alpha) - Q sin(alpha)
-        sin(t_i) sin(p_i + alpha) + sin(t_r) sin(p_r + alpha) = Q cos(alpha) + P sin(alpha)
-    """
-    i, r = inp.interferer, inp.receiver
-    return direction_cosine_sums(i.theta, i.phi, r.theta, r.phi)
+    return array_factor(inp.ris, *direction_cosine_sums(
+        inp.theta_i, wrap_angle(inp.phi_i + alpha), inp.theta_r, wrap_angle(inp.phi_r + alpha)
+    ))
 
 
 def null_rotations(inp: NullSteerInput) -> list[float]:
@@ -103,8 +104,14 @@ def null_rotations(inp: NullSteerInput) -> list[float]:
     from alpha = 0 is the nearest one at or below u(0) or at or above it, so
     only those are solved (both acos branches, wrapped): at most eight roots,
     row axis first and levels ascending.  Residuals are not checked here.
+
+    (P, Q) are the in-phase and quadrature coefficients of the rotated
+    cosine sums, their values at alpha = 0; for every alpha:
+
+        sin(t_i) cos(p_i + alpha) + sin(t_r) cos(p_r + alpha) = P cos(alpha) - Q sin(alpha)
+        sin(t_i) sin(p_i + alpha) + sin(t_r) sin(p_r + alpha) = Q cos(alpha) + P sin(alpha)
     """
-    p, q = harmonic_coefficients(inp)
+    p, q = direction_cosine_sums(inp.theta_i, inp.phi_i, inp.theta_r, inp.phi_r)
     amplitude = math.hypot(p, q)
     if amplitude == 0.0:
         return []

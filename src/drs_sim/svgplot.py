@@ -17,12 +17,15 @@ MARGIN_LEFT = 86
 MARGIN_RIGHT = 24
 MARGIN_TOP = 46
 MARGIN_BOTTOM = 64
+# The plot area's left, top, right and bottom edges.
+PLOT_AREA = (MARGIN_LEFT, MARGIN_TOP, WIDTH - MARGIN_RIGHT, HEIGHT - MARGIN_BOTTOM)
+TARGET_TICKS = 5
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def _nice_step(span: float, target_ticks: int = 5) -> float:
-    raw = span / max(target_ticks, 1)
+def _nice_step(span: float) -> float:
+    raw = span / TARGET_TICKS
     magnitude = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * magnitude:
@@ -60,42 +63,26 @@ def _axis_range(lo: float, hi: float) -> tuple[float, float]:
     return lo, hi
 
 
-class _Canvas:
-    def __init__(self, title: str, xlabel: str, ylabel: str) -> None:
-        self.parts: list[str] = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
-            f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-            f'<text x="{WIDTH / 2}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{_escape(title)}</text>',
-            f'<text x="{(MARGIN_LEFT + WIDTH - MARGIN_RIGHT) / 2}" y="{HEIGHT - 14}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="12">{_escape(xlabel)}</text>',
-            f'<text x="18" y="{(MARGIN_TOP + HEIGHT - MARGIN_BOTTOM) / 2}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" transform="rotate(-90 18 '
-            f'{(MARGIN_TOP + HEIGHT - MARGIN_BOTTOM) / 2})">{_escape(ylabel)}</text>',
-        ]
-
-    def add(self, fragment: str) -> None:
-        self.parts.append(fragment)
-
-    def finish(self) -> str:
-        self.parts.append("</svg>")
-        return "\n".join(self.parts) + "\n"
+def _canvas(title: str, xlabel: str, ylabel: str) -> list[str]:
+    """The chart's opening SVG fragments; the chart appends the rest and closes the tag."""
+    return [
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH / 2}" y="24" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="15">{_escape(title)}</text>',
+        f'<text x="{(MARGIN_LEFT + WIDTH - MARGIN_RIGHT) / 2}" y="{HEIGHT - 14}" '
+        f'text-anchor="middle" font-family="sans-serif" font-size="12">{_escape(xlabel)}</text>',
+        f'<text x="18" y="{(MARGIN_TOP + HEIGHT - MARGIN_BOTTOM) / 2}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12" transform="rotate(-90 18 '
+        f'{(MARGIN_TOP + HEIGHT - MARGIN_BOTTOM) / 2})">{_escape(ylabel)}</text>',
+    ]
 
 
-def _plot_area() -> tuple[float, float, float, float]:
-    return (
-        MARGIN_LEFT,
-        MARGIN_TOP,
-        WIDTH - MARGIN_RIGHT,
-        HEIGHT - MARGIN_BOTTOM,
-    )
-
-
-def _axes(canvas: _Canvas, x_lo, x_hi, y_lo, y_hi) -> tuple:
+def _axes(canvas: list[str], x_lo, x_hi, y_lo, y_hi) -> tuple:
     x_lo, x_hi = _axis_range(x_lo, x_hi)
     y_lo, y_hi = _axis_range(y_lo, y_hi)
-    left, top, right, bottom = _plot_area()
+    left, top, right, bottom = PLOT_AREA
 
     def to_x(v: float) -> float:
         return left + (v - x_lo) / (x_hi - x_lo) * (right - left)
@@ -103,25 +90,25 @@ def _axes(canvas: _Canvas, x_lo, x_hi, y_lo, y_hi) -> tuple:
     def to_y(v: float) -> float:
         return bottom - (v - y_lo) / (y_hi - y_lo) * (bottom - top)
 
-    canvas.add(
+    canvas.append(
         f'<rect x="{left}" y="{top}" width="{right - left}" height="{bottom - top}" '
         f'fill="none" stroke="#444" stroke-width="1"/>'
     )
     for tick in _ticks(x_lo, x_hi):
         px = to_x(tick)
-        canvas.add(f'<line x1="{px:.2f}" y1="{bottom}" x2="{px:.2f}" y2="{bottom + 5}" stroke="#444"/>')
-        canvas.add(
+        canvas.append(f'<line x1="{px:.2f}" y1="{bottom}" x2="{px:.2f}" y2="{bottom + 5}" stroke="#444"/>')
+        canvas.append(
             f'<text x="{px:.2f}" y="{bottom + 20}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{_fmt(tick)}</text>'
         )
     for tick in _ticks(y_lo, y_hi):
         py = to_y(tick)
-        canvas.add(f'<line x1="{left - 5}" y1="{py:.2f}" x2="{left}" y2="{py:.2f}" stroke="#444"/>')
-        canvas.add(
+        canvas.append(f'<line x1="{left - 5}" y1="{py:.2f}" x2="{left}" y2="{py:.2f}" stroke="#444"/>')
+        canvas.append(
             f'<text x="{left - 9}" y="{py + 4:.2f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{_fmt(tick)}</text>'
         )
-        canvas.add(
+        canvas.append(
             f'<line x1="{left}" y1="{py:.2f}" x2="{right}" y2="{py:.2f}" '
             f'stroke="#ddd" stroke-width="0.5"/>'
         )
@@ -149,22 +136,22 @@ def line_chart(
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
-    canvas = _Canvas(title, xlabel, ylabel)
+    canvas = _canvas(title, xlabel, ylabel)
     to_x, to_y = _axes(canvas, x_lo, x_hi, y_lo, y_hi)
     for i, (label, pts) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
         coords = " ".join(f"{to_x(x):.2f},{to_y(y):.2f}" for x, y in sorted(pts))
-        canvas.add(
+        canvas.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
             f'stroke-width="1.5" data-series="{_escape(label)}"/>'
         )
         ly = MARGIN_TOP + 16 + 18 * i
         lx = WIDTH - MARGIN_RIGHT - 150
-        canvas.add(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 24}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
-        canvas.add(
+        canvas.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 24}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
+        canvas.append(
             f'<text x="{lx + 30}" y="{ly}" font-family="sans-serif" font-size="12">{_escape(label)}</text>'
         )
-    return canvas.finish()
+    return "\n".join(canvas) + "\n</svg>\n"
 
 
 def bar_chart(
@@ -179,7 +166,7 @@ def bar_chart(
         y_hi = y_lo + 1.0
     y_hi *= 1.08
 
-    canvas = _Canvas(title, "", ylabel)
+    canvas = _canvas(title, "", ylabel)
     to_x, to_y = _axes(canvas, 0.0, float(len(bars)), y_lo, y_hi)
     slot = 1.0
     for i, (label, value) in enumerate(bars):
@@ -188,17 +175,17 @@ def bar_chart(
         x1 = to_x(i + 0.8 * slot)
         y0 = to_y(max(value, y_lo))
         base = to_y(max(0.0, y_lo))
-        canvas.add(
+        canvas.append(
             f'<rect x="{x0:.2f}" y="{min(y0, base):.2f}" width="{x1 - x0:.2f}" '
             f'height="{abs(base - y0):.2f}" fill="{color}" fill-opacity="0.85" '
             f'data-label="{_escape(label)}" data-value="{value!r}"/>'
         )
-        canvas.add(
+        canvas.append(
             f'<text x="{(x0 + x1) / 2:.2f}" y="{min(y0, base) - 6:.2f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{_fmt(value)}</text>'
         )
-        canvas.add(
+        canvas.append(
             f'<text x="{(x0 + x1) / 2:.2f}" y="{HEIGHT - MARGIN_BOTTOM + 20}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12">{_escape(label)}</text>'
         )
-    return canvas.finish()
+    return "\n".join(canvas) + "\n</svg>\n"

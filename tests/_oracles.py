@@ -4,7 +4,8 @@ Everything here re-derives expected values from first principles (explicit
 phasor sums, dense grids, direct trigonometric evaluation) without calling
 into the code under test.  The one exception is ``candidate_alphas``, the
 full null enumeration the yaw controller used before it solved only the
-nearest null levels: it evaluates residuals with the library's
+nearest null levels: it takes (P, Q) from the library's
+``direction_cosine_sums`` and evaluates residuals with its
 ``psi_interference`` so that its filter matches the controller's exactly.
 """
 
@@ -15,13 +16,9 @@ import math
 
 import numpy as np
 
+from drs_sim.channel import direction_cosine_sums
 from drs_sim.geometry import wrap_angle
-from drs_sim.nullsteer import (
-    NULL_RESIDUAL_TOL,
-    NullSteerInput,
-    harmonic_coefficients,
-    psi_interference,
-)
+from drs_sim.nullsteer import NULL_RESIDUAL_TOL, NullSteerInput, psi_interference
 
 
 def phasor_sum_psi(
@@ -227,7 +224,7 @@ def candidate_alphas(inp: NullSteerInput) -> list[float]:
     branches, wrapped, bound- and residual-filtered).  Sorted ascending,
     deduplicated at 1e-12; empty when nothing lands inside the budget.
     """
-    p, q = harmonic_coefficients(inp)
+    p, q = direction_cosine_sums(inp.theta_i, inp.phi_i, inp.theta_r, inp.phi_r)
     amplitude = math.hypot(p, q)
     if amplitude == 0.0:
         return []

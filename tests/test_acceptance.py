@@ -20,11 +20,10 @@ from drs_sim.channel import (
 )
 from drs_sim.cli import main
 from drs_sim.engine import SimConfig, aggregate_improvement, paired_sweep, simulate
-from drs_sim.geometry import AngularCoords, wrap_angle
+from drs_sim.geometry import wrap_angle
 from drs_sim.nullsteer import (
     MODE_ANALYTIC,
     NullSteerInput,
-    harmonic_coefficients,
     select_rotation,
 )
 from drs_sim.planner import WorldBounds, optimal_height
@@ -45,9 +44,12 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def _random_steer_input(rng: SplitMix64, ris: RisConfig) -> NullSteerInput:
+    # drawn in field order: interferer theta, phi, then receiver theta, phi
     return NullSteerInput(
-        interferer=AngularCoords(rng.uniform(0.1, 1.45), rng.uniform(-math.pi, math.pi)),
-        receiver=AngularCoords(rng.uniform(0.1, 1.45), rng.uniform(-math.pi, math.pi)),
+        rng.uniform(0.1, 1.45),
+        rng.uniform(-math.pi, math.pi),
+        rng.uniform(0.1, 1.45),
+        rng.uniform(-math.pi, math.pi),
         ris=ris,
         alpha_bound=YAW_BUDGET,
     )
@@ -91,23 +93,13 @@ def test_criterion_02_null_quality():
         worst_residual = max(worst_residual, sol.residual)
         assert sol.residual <= 1e-9
 
+        ti, pi_, tr, pr = inp.theta_i, inp.phi_i, inp.theta_r, inp.phi_r
         scan = rotated_factor_magnitude(
-            ris.m_rows,
-            ris.n_cols,
-            ris.dx,
-            ris.dy,
-            ris.wavelength,
-            inp.interferer.theta,
-            inp.interferer.phi,
-            inp.receiver.theta,
-            inp.receiver.phi,
-            grid,
+            ris.m_rows, ris.n_cols, ris.dx, ris.dy, ris.wavelength, ti, pi_, tr, pr, grid
         )
         assert float(scan.min()) >= sol.residual - 1e-9
 
         # interference path loss over 200 m hops, with the surface rotated by alpha
-        ti, pi_ = inp.interferer.theta, inp.interferer.phi
-        tr, pr = inp.receiver.theta, inp.receiver.phi
         f_i, f_r = radiation_pattern(ti), radiation_pattern(tr)
 
         def hop_loss(alpha: float) -> float:
@@ -207,9 +199,8 @@ def test_criterion_06_harmonic_identity():
     worst = 0.0
     for _ in range(1000):
         inp = _random_steer_input(rng, ris)
-        p, q = harmonic_coefficients(inp)
-        ti, pi_ = inp.interferer.theta, inp.interferer.phi
-        tr, pr = inp.receiver.theta, inp.receiver.phi
+        ti, pi_, tr, pr = inp.theta_i, inp.phi_i, inp.theta_r, inp.phi_r
+        p, q = direction_cosine_sums(ti, pi_, tr, pr)
         for _ in range(100):
             alpha = rng.uniform(-math.pi, math.pi)
             direct = math.sin(ti) * math.cos(pi_ + alpha) + math.sin(tr) * math.cos(pr + alpha)

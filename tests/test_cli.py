@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -18,10 +19,12 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from drs_sim.cli import (
+    CONFIG_FLAGS,
     MAX_SEED_COUNT,
     STEPS_CSV_COLUMNS,
     _step_row,
     _sweep_row,
+    build_parser,
     main,
     summary_as_dict,
 )
@@ -232,6 +235,21 @@ class TestRun:
         assert (config["scenario.seed"], config["run.steps"]) == (9, 20)
         assert (config["run.orientation_control"], config["run.sinr_form"]) == (False, "paper-literal")
         assert config["run.output_dir"] == str(out)
+
+    @pytest.mark.parametrize("command, config_flags, own_flags", [
+        ("run", set(CONFIG_FLAGS), set()),
+        ("sweep", set(CONFIG_FLAGS) - {"--seed"}, {"--seeds", "--jobs"}),
+    ])
+    def test_subcommands_declare_exactly_the_config_flags(self, command, config_flags, own_flags):
+        # A flag declared to argparse but not in CONFIG_FLAGS would be parsed and then ignored.
+        (subparsers,) = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        actions = subparsers.choices[command]._actions
+        flags = {s for a in actions for s in a.option_strings} - {"-h", "--help", "--config"}
+        assert flags == config_flags | own_flags
+        dests = {a.option_strings[0]: a.dest for a in actions if a.option_strings[0] in CONFIG_FLAGS}
+        assert dests == {flag: flag[2:].replace("-", "_") for flag in config_flags}
 
     @pytest.mark.parametrize("line, code", [("run.steps = 0", 0), ("run.steps = soon", 1)])
     def test_flag_replaces_the_file_value(self, line, code, tmp_path, capsys):

@@ -22,8 +22,9 @@ from drs_sim.engine import (
     run_simulation,
     run_step,
     simulate,
+    summarize,
 )
-from drs_sim.geometry import AngularCoords, Pose, Vec3, local_azimuth, sight, wrap_angle
+from drs_sim.geometry import Pose, Vec3, local_azimuth, sight, wrap_angle
 from drs_sim.nullsteer import MODE_ANALYTIC, MODE_FALLBACK, NullSteerInput, psi_interference
 from drs_sim.planner import WorldBounds, optimal_location, step_towards
 from drs_sim.rng import SplitMix64
@@ -114,8 +115,8 @@ class TestControlEffect:
             theta_r, bearing_r, _ = sight(record.drs.position, record.rx_pos)
             before = wrap_angle(record.drs.yaw + record.alpha_applied)
             inp = NullSteerInput(
-                interferer=AngularCoords(theta_i, local_azimuth(bearing_i, before)),
-                receiver=AngularCoords(theta_r, local_azimuth(bearing_r, before)),
+                theta_i, local_azimuth(bearing_i, before),
+                theta_r, local_azimuth(bearing_r, before),
                 ris=config.ris,
                 alpha_bound=budget,
             )
@@ -274,6 +275,13 @@ class TestPairedSweep:
         assert paired
         assert paired == [[a, b] for (a,), (b,) in zip(on, off, strict=True)]
         assert any(a.alpha_applied for a, _ in paired) == (interferer != "none")
+
+    @pytest.mark.parametrize("run_paired, paired", [(False, True), (True, False)])
+    def test_summarize_rejects_steps_of_the_other_paired(self, run_paired, paired):
+        # A served step's records must be one per arm of ``paired``, in arm order.
+        config = small_config(steps=2000, orientation_control=False)
+        with pytest.raises(ValueError, match=rf"summarize\(paired={paired}\)"):
+            summarize(config, simulate(config, paired=run_paired), paired=paired)
 
     def test_one_seed_advances_traffic_once_per_step(self, monkeypatch):
         calls = 0

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from drs_sim.geometry import (
-    AngularCoords,
     Pose,
     Vec3,
     local_azimuth,
@@ -172,14 +171,3 @@ class TestPose:
         pose = Pose(start.position, start.yaw + delta)
         assert -math.pi < pose.yaw <= math.pi
         assert abs(wrap_angle(pose.yaw - (yaw + delta))) < 1e-9
-
-
-class TestAngularCoords:
-    def test_rejects_bad_elevation(self):
-        with pytest.raises(ValueError):
-            AngularCoords(-0.1, 0.0)
-        with pytest.raises(ValueError):
-            AngularCoords(math.pi + 0.1, 0.0)
-
-    def test_wraps_azimuth(self):
-        assert AngularCoords(0.5, 2 * math.pi + 0.25).phi == pytest.approx(0.25)

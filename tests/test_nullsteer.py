@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 
 from drs_sim.channel import RisConfig, array_factor, direction_cosine_sums
 from drs_sim import nullsteer
-from drs_sim.geometry import AngularCoords, wrap_angle
+from drs_sim.geometry import wrap_angle
 from drs_sim.nullsteer import (
     MODE_ANALYTIC,
     MODE_FALLBACK,
     MODE_NONE,
     NullSteerInput,
-    harmonic_coefficients,
     nearest_null,
     null_rotations,
     psi_interference,
@@ -38,12 +37,7 @@ azimuths = st.floats(-math.pi, math.pi, allow_nan=False, exclude_min=True)
 
 
 def make_input(theta_i, phi_i, theta_r, phi_r, bound=BOUND, ris=RIS):
-    return NullSteerInput(
-        interferer=AngularCoords(theta_i, phi_i),
-        receiver=AngularCoords(theta_r, phi_r),
-        ris=ris,
-        alpha_bound=bound,
-    )
+    return NullSteerInput(theta_i, phi_i, theta_r, phi_r, ris=ris, alpha_bound=bound)
 
 
 # default grid, a non-square grid with unequal pitch, and a single row
@@ -61,7 +55,7 @@ FALLBACK_BOUNDS = (0.001, BOUND, 0.3, 1.0)
 
 
 def oracle_candidates(inp):
-    p, q = harmonic_coefficients(inp)
+    p, q = direction_cosine_sums(inp.theta_i, inp.phi_i, inp.theta_r, inp.phi_r)
     ris = inp.ris
     return exhaustive_candidate_alphas(
         p, q, ris.m_rows, ris.n_cols, ris.dx, ris.dy, ris.wavelength,
@@ -70,10 +64,10 @@ def oracle_candidates(inp):
 
 
 def oracle_fallback(inp):
-    ris, i, r = inp.ris, inp.interferer, inp.receiver
+    ris = inp.ris
     return grid_fallback_min(
         ris.m_rows, ris.n_cols, ris.dx, ris.dy, ris.wavelength,
-        i.theta, i.phi, r.theta, r.phi, inp.alpha_bound,
+        inp.theta_i, inp.phi_i, inp.theta_r, inp.phi_r, inp.alpha_bound,
     )
 
 
@@ -129,22 +123,32 @@ def oracle_magnitudes(inp, grid):
         inp.ris.dx,
         inp.ris.dy,
         inp.ris.wavelength,
-        inp.interferer.theta,
-        inp.interferer.phi,
-        inp.receiver.theta,
-        inp.receiver.phi,
+        inp.theta_i,
+        inp.phi_i,
+        inp.theta_r,
+        inp.phi_r,
         grid,
     )
+
+
+class TestNullSteerInput:
+    def test_rejects_bad_elevation(self):
+        for theta in (-0.1, math.pi + 0.1, math.nan):
+            with pytest.raises(ValueError, match=r"theta must be in \[0, pi\]"):
+                make_input(theta, 0.0, 0.5, 0.0)
+            with pytest.raises(ValueError, match=r"theta must be in \[0, pi\]"):
+                make_input(0.5, 0.0, theta, 0.0)
+
+    def test_wraps_azimuth(self):
+        inp = make_input(0.5, 2 * math.pi + 0.25, 0.5, 2 * math.pi + 0.25)
+        assert inp.phi_i == pytest.approx(0.25)
+        assert inp.phi_r == pytest.approx(0.25)
 
 
 class TestPsiInterference:
     def test_zero_rotation_is_identity(self):
         inp = make_input(0.7, 0.4, 0.9, -1.2)
-        interferer, receiver = inp.interferer, inp.receiver
-        unrotated = array_factor(
-            RIS,
-            *direction_cosine_sums(interferer.theta, interferer.phi, receiver.theta, receiver.phi),
-        )
+        unrotated = array_factor(RIS, *direction_cosine_sums(0.7, 0.4, 0.9, -1.2))
         assert psi_interference(inp, 0.0) == unrotated
 
     def test_full_turn_periodicity(self):
@@ -164,12 +168,12 @@ class TestPsiInterference:
 
 class TestHarmonicCoefficients:
     def test_antipodal_cancellation(self):
-        p, q = harmonic_coefficients(make_input(math.pi / 2, 0.0, math.pi / 2, math.pi))
+        p, q = direction_cosine_sums(math.pi / 2, 0.0, math.pi / 2, math.pi)
         assert p == 0.0
         assert abs(q) < 1e-12
 
     def test_symmetric_example(self):
-        p, q = harmonic_coefficients(make_input(math.pi / 4, 0.0, math.pi / 4, math.pi / 2))
+        p, q = direction_cosine_sums(math.pi / 4, 0.0, math.pi / 4, math.pi / 2)
         assert p == pytest.approx(math.sqrt(2) / 2, rel=1e-12)
         assert q == pytest.approx(math.sqrt(2) / 2, rel=1e-12)
 
@@ -182,9 +186,8 @@ class TestHarmonicCoefficients:
         st.floats(-10.0, 10.0, allow_nan=False),
     )
     def test_defining_identities(self, theta_i, phi_i, theta_r, phi_r, alpha):
-        inp = make_input(theta_i, phi_i, theta_r, phi_r)
-        p, q = harmonic_coefficients(inp)
-        pi_, pr = inp.interferer.phi, inp.receiver.phi
+        p, q = direction_cosine_sums(theta_i, phi_i, theta_r, phi_r)
+        pi_, pr = phi_i, phi_r
         lhs_cos = math.sin(theta_i) * math.cos(pi_ + alpha) + math.sin(theta_r) * math.cos(
             pr + alpha
         )
@@ -220,7 +223,7 @@ class TestCandidateAlphas:
     def test_unconstrained_candidates_are_true_nulls(self, ti, pi_, tr, pr):
         inp = make_input(ti, pi_, tr, pr, bound=math.pi)
         sol = select_rotation(inp)
-        p, q = harmonic_coefficients(inp)
+        p, q = direction_cosine_sums(ti, pi_, tr, pr)
         if math.hypot(p, q) >= inp.ris.wavelength / (inp.ris.m_rows * inp.ris.dx):
             # a row null is always admissible at full freedom
             assert sol.mode == MODE_ANALYTIC
@@ -395,8 +398,9 @@ class TestSelectRotation:
         assert_fallback_no_worse_than_grid(inp)
 
     def test_rejects_nonpositive_budget(self):
-        with pytest.raises(ValueError):
-            make_input(0.5, 0.0, 0.5, 1.0, bound=0.0)
+        for bound in (0.0, -1.0, math.nan, math.inf):  # NaN and inf reached the array factor
+            with pytest.raises(ValueError, match="alpha_bound must be finite and > 0"):
+                make_input(0.5, 0.0, 0.5, 1.0, bound=bound)
 
 
 def merging_roots(kind):
