@@ -51,10 +51,11 @@ class RisConfig:
         if m_rows < 1 or n_cols < 1:
             raise ValueError("ris.m_rows and ris.n_cols must be >= 1")
         for name in ("dx", "dy", "wavelength", "gain_tx", "gain_rx", "gain_ris"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"ris.{name} must be > 0")
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:  # NaN fails too
+                raise ValueError(f"ris.{name} must be finite and > 0, got {value!r}")
         if not 0.0 < amplitude <= 1.0:
-            raise ValueError("ris.amplitude must be in (0, 1]")
+            raise ValueError(f"ris.amplitude must be in (0, 1], got {amplitude!r}")
 
 
 class RadioConfig:
@@ -69,11 +70,12 @@ class RadioConfig:
     ) -> None:
         self.tx_power, self.noise_power = tx_power, noise_power
         self.efficiency, self.eff_bandwidth = efficiency, eff_bandwidth
-        for name in ("tx_power", "noise_power", "efficiency", "eff_bandwidth"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"radio.{name} must be > 0")
-        if efficiency > 1.0:
-            raise ValueError("radio.efficiency must be <= 1")
+        for name in ("tx_power", "noise_power", "eff_bandwidth"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:  # NaN fails too
+                raise ValueError(f"radio.{name} must be finite and > 0, got {value!r}")
+        if not 0.0 < efficiency <= 1.0:
+            raise ValueError(f"radio.efficiency must be in (0, 1], got {efficiency!r}")
 
 
 def radiation_pattern(theta: float) -> float:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
+import io
 import json
 import logging
 import math
@@ -19,8 +21,8 @@ import os
 import re
 import sys
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
 
 from .config import ConfigError, RunConfig, config_as_dict, load_config
 from .engine import (
@@ -105,7 +107,7 @@ def _write_rows(fh, steps: Iterable[list[StepRecord]]) -> Iterator[list[StepReco
 
 
 @contextlib.contextmanager
-def _replacing(path: Path) -> Iterator[TextIO]:
+def _replacing(path: Path) -> Iterator[io.TextIOWrapper]:
     """Write ``<path>.partial`` in the block, then rename it to ``path``; on error remove it."""
     partial = path.with_name(path.name + ".partial")
     try:
@@ -386,6 +388,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    """The process entry of ``drs-sim`` and ``python -m drs_sim.cli``.
+
+    What is imported by now lives as long as the process, so it is frozen
+    out of the collector: no collection, the one at exit included, traverses
+    it again.  ``main`` does not freeze, so library and in-process callers
+    keep their heaps collectable.
+    """
+    gc.freeze()
     sys.exit(main())
 
 

@@ -10,9 +10,10 @@ file's values, so a run's config is converted, assembled and validated once.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator
 from itertools import chain
 from pathlib import Path
-from typing import Any, Iterable, Iterator, NamedTuple
 
 from .channel import RadioConfig, RisConfig, SINR_FORMS
 from .engine import SimConfig, replace
@@ -25,11 +26,11 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key."""
 
 
-class RunConfig(NamedTuple):
-    """SimConfig plus front-end concerns (where to write results)."""
+RunConfig = namedtuple("RunConfig", ["sim", "output_dir"])
+RunConfig.__doc__ = """SimConfig plus front-end concerns (where to write results).
 
-    sim: SimConfig
-    output_dir: str
+``sim`` (SimConfig), ``output_dir`` (str).
+"""
 
 
 def _parse_bool(raw: str) -> bool:
@@ -59,7 +60,7 @@ def _parse_directory(raw: str) -> str:
 
 # key -> (converter, (group, field)): field is an attribute of the config
 # object that config_as_dict maps the group to.
-_KEYS: dict[str, tuple[Any, tuple[str, ...]]] = {
+_KEYS: dict[str, tuple[Callable[[str], object], tuple[str, ...]]] = {
     "scenario.arrival_rate": (float, ("scenario", "arrival_rate")),
     "scenario.v2v_rate": (float, ("scenario", "v2v_rate")),
     "scenario.seed": (int, ("scenario", "seed")),
@@ -121,7 +122,7 @@ def parse_config_text(
     that key, as a later line for the same key would; its raw value is taken
     as given, with no comment or quote stripping.
     """
-    values: dict[str, dict[str, Any]] = {}
+    values: dict[str, dict[str, object]] = {}
     for where, key, raw_value in chain(_assignments(text, source), overrides):
         converter, (group, name) = _KEYS[key]
         try:
@@ -134,7 +135,7 @@ def parse_config_text(
     return build_config(values)
 
 
-def build_config(values: dict[str, dict[str, Any]]) -> RunConfig:
+def build_config(values: dict[str, dict[str, object]]) -> RunConfig:
     """Assemble a RunConfig from grouped raw values, reporting bad combinations."""
     try:
         scenario = ScenarioConfig(
@@ -172,7 +173,7 @@ def load_config(
     return parse_config_text(text, str(path), overrides)
 
 
-def config_as_dict(config: RunConfig) -> dict[str, Any]:
+def config_as_dict(config: RunConfig) -> dict[str, object]:
     """Flat echo of every config key, suitable for the run summary."""
     sim = config.sim
     scenario = sim.scenario

@@ -26,13 +26,15 @@ rotating to cancel interference never costs desired-link rate.
 
 from __future__ import annotations
 
+import io
 import logging
 import marshal
 import math
 import os
 import threading
 import time
-from typing import BinaryIO, Iterable, Iterator, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 
 from .channel import (
     NO_PATH,
@@ -293,14 +295,14 @@ def run_step(
     return records
 
 
-class RunSummary(NamedTuple):
-    """The aggregates of one arm of a run that the experiment front end reports."""
+RunSummary = namedtuple(
+    "RunSummary", ["seed", "control_on", "n_records", "n_pairs", "mean_rate_bps"]
+)
+RunSummary.__doc__ = """The aggregates of one arm of a run that the experiment front end reports.
 
-    seed: int
-    control_on: bool
-    n_records: int
-    n_pairs: int
-    mean_rate_bps: float | None
+``seed`` (int), ``control_on`` (bool), ``n_records`` and ``n_pairs`` (int),
+``mean_rate_bps`` (float, or None when the arm served no step).
+"""
 
 
 def _mean(values: list[float]) -> float | None:
@@ -380,7 +382,7 @@ def _paired_seed(config: SimConfig) -> tuple[RunSummary, RunSummary]:
     return on, off
 
 
-def _fork_share(share: list[SimConfig]) -> tuple[int, BinaryIO]:
+def _fork_share(share: list[SimConfig]) -> tuple[int, io.BufferedReader]:
     """Fork a child that runs ``share`` and pipes back its results; returns (pid, read end).
 
     The child writes one marshal blob of each seed's ``(on, off)`` summaries

@@ -32,6 +32,10 @@ class WorldBounds:
         self.x_min, self.x_max = x_min, x_max
         self.y_min, self.y_max = y_min, y_max
         self.z_min, self.z_max = z_min, z_max
+        for name in ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max"):
+            value = getattr(self, name)
+            if not -math.inf < value < math.inf:  # NaN fails too
+                raise ValueError(f"bounds.{name} must be finite, got {value!r}")
         for axis in ("x", "y", "z"):
             lo = getattr(self, f"{axis}_min")
             hi = getattr(self, f"{axis}_max")
@@ -67,8 +71,9 @@ class MotionLimits:
         self.v_drone, self.rot_rate = v_drone, rot_rate
         self.time_step, self.v_vehicle = time_step, v_vehicle
         for name in ("v_drone", "rot_rate", "time_step", "v_vehicle"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"limits.{name} must be > 0")
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:  # NaN fails too
+                raise ValueError(f"limits.{name} must be finite and > 0, got {value!r}")
         if v_drone < v_vehicle:
             raise ValueError("limits.v_drone must be >= limits.v_vehicle")
         if not self.yaw_budget > 0.0:

@@ -8,7 +8,7 @@ downstream checks can read back the exact numbers.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from collections.abc import Sequence
 from xml.sax.saxutils import escape
 
 WIDTH = 720

@@ -10,6 +10,7 @@ arrivals, event count, pair draws), so a seed fully determines the trace.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 from .geometry import Vec3
@@ -67,10 +68,14 @@ class ScenarioConfig:
         self.arrival_rate, self.v2v_rate = arrival_rate, v2v_rate
         self.bounds, self.limits, self.rsu_position = bounds, limits, rsu_position
         self.seed, self.interferer_kind = seed, interferer_kind
-        if self.arrival_rate < 0.0:
-            raise ValueError("scenario.arrival_rate must be >= 0")
-        if self.v2v_rate < 0.0:
-            raise ValueError("scenario.v2v_rate must be >= 0")
+        for name in ("arrival_rate", "v2v_rate"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:  # NaN fails too
+                raise ValueError(f"scenario.{name} must be finite and >= 0, got {value!r}")
+        for axis in ("x", "y", "z"):
+            value = getattr(rsu_position, axis)
+            if not -math.inf < value < math.inf:  # NaN fails too
+                raise ValueError(f"scenario.rsu_{axis} must be finite, got {value!r}")
         if not 0 <= self.seed < SEED_LIMIT:
             raise ValueError(f"scenario.seed must be in [0, 2**64), got {self.seed}")
         if self.interferer_kind not in INTERFERER_KINDS:

@@ -28,11 +28,12 @@ from drs_sim.cli import (
     main,
     summary_as_dict,
 )
-from drs_sim.config import ConfigError, config_as_dict, load_config, parse_config_text
+from drs_sim.channel import RadioConfig, RisConfig
+from drs_sim.config import _KEYS, ConfigError, config_as_dict, load_config, parse_config_text
 from drs_sim.engine import MODE_OFF, SimConfig, StepRecord, simulate, summarize
 from drs_sim.geometry import Pose, Vec3
 from drs_sim.nullsteer import MODE_ANALYTIC, MODE_FALLBACK, MODE_NONE
-from drs_sim.planner import WorldBounds
+from drs_sim.planner import MotionLimits, WorldBounds
 from drs_sim.traffic import ScenarioConfig
 
 BASE_CONFIG = """
@@ -457,6 +458,34 @@ class TestConfigDefaults:
         # An axis the file sets replaces only that axis.
         moved = parse_config_text(text + "scenario.rsu_x = 10\n").sim.scenario.rsu_position
         assert moved == Vec3(10.0, 4000.0, 5.0)
+
+
+CONFIG_CLASSES = {
+    "scenario": ScenarioConfig,
+    "bounds": WorldBounds,
+    "limits": MotionLimits,
+    "ris": RisConfig,
+    "radio": RadioConfig,
+}
+FLOAT_KEYS = [key for key, (convert, _) in _KEYS.items() if convert is float]
+
+
+def build_with(key, value):
+    """The library config object that holds ``key``, built with ``value`` for it."""
+    _, (group, name) = _KEYS[key]
+    if group == "rsu":  # scenario.rsu_x/y/z: a coordinate of ScenarioConfig.rsu_position
+        p = ScenarioConfig().rsu_position
+        return ScenarioConfig(rsu_position=Vec3(**{"x": p.x, "y": p.y, "z": p.z, name: value}))
+    return CONFIG_CLASSES[group](**{name: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_config_class_rejects_non_finite_value(key, value):
+    # Library callers get the check the CLI's parser makes; the object is
+    # only built, never run (an infinite arrival rate never ends a step).
+    with pytest.raises(ValueError, match=re.escape(key)):
+        build_with(key, value)
 
 
 class TestRowFormat:
