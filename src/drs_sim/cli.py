@@ -5,7 +5,10 @@ Subcommands:
   sweep  paired control-on/control-off runs across seeds, write sweep.csv
   plot   render steps.csv files into SVG charts
 
-Set DRS_SIM_LOG=debug|info|warning|error to control log verbosity.
+Set DRS_SIM_LOG=debug|info|warning|error to control log verbosity.  Messages
+are ``LEVEL:drs_sim:message`` lines written straight to stderr by
+``engine.log``, not through ``logging``; library callers capture them by
+redirecting ``sys.stderr``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import contextlib
 import gc
 import io
 import json
-import logging
 import math
 import os
 import re
@@ -26,18 +28,18 @@ from pathlib import Path
 
 from .config import ConfigError, RunConfig, config_as_dict, load_config
 from .engine import (
+    LOG_LEVELS,
     ConstraintViolation,
     RunSummary,
     StepRecord,
     aggregate_improvement,
     improvement_pct,
+    log,
     paired_sweep,
     simulate,
     summarize,
 )
 from .rng import SEED_LIMIT
-
-log = logging.getLogger("drs_sim")
 
 STEPS_CSV_COLUMNS = [
     "step",
@@ -65,9 +67,6 @@ SWEEP_CSV_COLUMNS = ["seed", "mean_rate_on", "mean_rate_off", "improvement_pct"]
 
 # Largest seed count ``--seeds N`` accepts; the sweep holds one result per seed.
 MAX_SEED_COUNT = 100_000
-
-# DRS_SIM_LOG values, matched case-insensitively.
-LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
 # CSV rows are written without the csv module: every field is an int, a
@@ -142,7 +141,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = _load_with_overrides(args)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    log.info("running %d steps with seed %d", config.sim.steps, config.sim.scenario.seed)
+    log("info", f"running {config.sim.steps} steps with seed {config.sim.scenario.seed}")
     steps_path = out_dir / "steps.csv"
     # steps.csv is renamed into place only once summary.json is, so an error
     # before then replaces neither file.
@@ -157,7 +156,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             why = "no pair starts (scenario.v2v_rate = 0)"
         else:
             why = f"no pairing event found a partner within run.steps = {config.sim.steps}"
-        log.warning("the run served no step: %s", why)
+        log("warning", f"the run served no step: {why}")
     mean = summary.mean_rate_bps
     print(
         f"wrote {steps_path} ({summary.n_records} records, "
@@ -196,7 +195,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    log.info("sweeping %d seeds x %d steps", len(seeds), config.sim.steps)
+    log("info", f"sweeping {len(seeds)} seeds x {config.sim.steps} steps")
     runs = paired_sweep(config.sim, seeds, jobs=args.jobs)
     aggregate = aggregate_improvement(runs)
     with _replacing(out_dir / "sweep.csv") as fh:
@@ -373,7 +372,6 @@ def main(argv: list[str] | None = None) -> int:
         level = os.environ.get("DRS_SIM_LOG", "warning")
         if level.lower() not in LOG_LEVELS:
             raise ConfigError(f"DRS_SIM_LOG must be one of {', '.join(LOG_LEVELS)}, got {level!r}")
-        logging.basicConfig(level=level.upper())
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, PlotError) as exc:

@@ -27,10 +27,10 @@ rotating to cancel interference never costs desired-link rate.
 from __future__ import annotations
 
 import io
-import logging
 import marshal
 import math
 import os
+import sys
 import threading
 import time
 from collections import namedtuple
@@ -65,7 +65,8 @@ from .planner import optimal_location, step_towards
 from .rng import SplitMix64
 from .traffic import ANTENNA_HEIGHT_MAX, INTERFERER_RSU, ScenarioConfig, TrafficModel
 
-log = logging.getLogger("drs_sim")
+# DRS_SIM_LOG values, matched case-insensitively, from most to least verbose.
+LOG_LEVELS = ("debug", "info", "warning", "error")
 
 # Mode recorded when no rotation was attempted (control off or no interferer).
 MODE_OFF = "off"
@@ -76,6 +77,26 @@ YAW_TOL = 1e-12  # [rad]
 
 class ConstraintViolation(RuntimeError):
     """A per-step kinematic or box constraint was breached (controller bug)."""
+
+
+def log(level: str, message: str) -> None:
+    """Write ``LEVEL:drs_sim:message`` to stderr when DRS_SIM_LOG shows ``level``.
+
+    ``level`` is one of LOG_LEVELS.  DRS_SIM_LOG is read at each call and
+    shows its own level and the ones after it; unset or unknown, it is
+    "warning".  The line is one write to the current ``sys.stderr``, so a
+    redirect captures it and a forked worker's line is out (stderr is
+    line-buffered) before the worker exits.  A line that cannot be written,
+    stderr closed included, does not stop the run.
+    """
+    shown = os.environ.get("DRS_SIM_LOG", "warning").lower()
+    if LOG_LEVELS.index(level) < LOG_LEVELS.index(shown if shown in LOG_LEVELS else "warning"):
+        return
+    line = f"{level.upper()}:drs_sim:{message}\n"
+    try:
+        sys.stderr.write(line)
+    except (AttributeError, OSError):  # sys.stderr is None when fd 2 was closed at start
+        pass
 
 
 def replace(config, **changes):
@@ -375,9 +396,10 @@ def _paired_seed(config: SimConfig) -> tuple[RunSummary, RunSummary]:
     start = time.perf_counter()
     on, off = summarize(config, simulate(config, paired=True), paired=True)
     elapsed = time.perf_counter() - start
-    log.info(
-        "seed %d: %d steps (%d served) in %.3f s, %.0f steps/s",
-        config.scenario.seed, config.steps, on.n_records, elapsed, config.steps / elapsed,
+    log(
+        "info",
+        f"seed {config.scenario.seed}: {config.steps} steps ({on.n_records} served) "
+        f"in {elapsed:.3f} s, {config.steps / elapsed:.0f} steps/s",
     )
     return on, off
 
@@ -463,13 +485,13 @@ def paired_sweep(
                 problems.append(f"worker {w} sent no results")
     missing = [i for i, run in enumerate(runs) if run is None]
     if problems:
-        log.warning("%s; running %d seeds serially", "; ".join(problems), len(missing))
+        log("warning", f"{'; '.join(problems)}; running {len(missing)} seeds serially")
     for i in missing:
         runs[i] = _paired_seed(work[i])
     if forked:
-        log.info("%d seeds ran in %d forked worker processes", len(work) - len(missing), forked)
+        log("info", f"{len(work) - len(missing)} seeds ran in {forked} forked worker processes")
     if missing or not forked:
-        log.info("%d seeds ran serially", len(missing))
+        log("info", f"{len(missing)} seeds ran serially")
     return runs
 
 
@@ -486,10 +508,10 @@ def aggregate_improvement(
     kept = [means for _, *means in rows if improvement_pct(*means) is not None]
     dropped = [str(seed) for seed, *means in rows if improvement_pct(*means) is None]
     if dropped:
-        log.warning(
-            "aggregate leaves out %d run(s) with no served steps or a zero mean rate: seeds %s",
-            len(dropped),
-            ", ".join(dropped),
+        log(
+            "warning",
+            f"aggregate leaves out {len(dropped)} run(s) with no served steps or a zero "
+            f"mean rate: seeds {', '.join(dropped)}",
         )
     if not kept:
         return None

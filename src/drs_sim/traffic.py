@@ -25,6 +25,9 @@ INTERFERER_VEHICLE = "vehicle"
 INTERFERER_NONE = "none"
 INTERFERER_KINDS = (INTERFERER_RSU, INTERFERER_VEHICLE, INTERFERER_NONE)
 
+# Most vehicles scenario.arrival_rate may put on one lane at once, on average.
+MAX_LANE_VEHICLES = 10_000
+
 
 class Vehicle:
     """One vehicle; it enters its lane at spawn_step and moves at constant speed."""
@@ -72,6 +75,14 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:  # NaN fails too
                 raise ValueError(f"scenario.{name} must be finite and >= 0, got {value!r}")
+        # A vehicle stays on its lane for the lane's crossing time, and at least one step.
+        dwell = (bounds.y_max - bounds.y_min) / limits.v_vehicle + limits.time_step
+        if arrival_rate * dwell > MAX_LANE_VEHICLES:
+            raise ValueError(
+                f"scenario.arrival_rate = {arrival_rate!r} puts about {arrival_rate * dwell:.6g} "
+                f"vehicles on a lane at once ({dwell:.6g} s on the lane each), more than "
+                f"{MAX_LANE_VEHICLES}"
+            )
         for axis in ("x", "y", "z"):
             value = getattr(rsu_position, axis)
             if not -math.inf < value < math.inf:  # NaN fails too

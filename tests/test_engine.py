@@ -1,8 +1,9 @@
-import logging
+import io
 import marshal
 import math
 import os
 import re
+import sys
 import threading
 import tracemalloc
 
@@ -11,12 +12,14 @@ import pytest
 from drs_sim import engine
 from drs_sim.channel import array_factor, direction_cosine_sums
 from drs_sim.engine import (
+    LOG_LEVELS,
     ConstraintViolation,
     MODE_OFF,
     RunSummary,
     SimConfig,
     _check_constraints,
     aggregate_improvement,
+    log,
     paired_sweep,
     replace,
     run_simulation,
@@ -253,6 +256,54 @@ class TestRunSimulation:
         assert f"above {node}, got {z_min}" in message
 
 
+class TestLog:
+    @pytest.mark.parametrize(
+        "setting, shown",
+        [
+            (None, ["warning", "error"]),
+            ("debug", LOG_LEVELS),
+            ("INFO", ["info", "warning", "error"]),
+            ("Warning", ["warning", "error"]),
+            ("error", ["error"]),
+            ("", ["warning", "error"]),  # unknown values show the default
+            ("verbose", ["warning", "error"]),
+        ],
+    )
+    def test_setting_shows_its_level_and_above(self, setting, shown, monkeypatch, capsys):
+        monkeypatch.delenv("DRS_SIM_LOG", raising=False)
+        if setting is not None:
+            monkeypatch.setenv("DRS_SIM_LOG", setting)
+        for level in LOG_LEVELS:
+            log(level, f"a {level} message")
+        assert capsys.readouterr().err == "".join(
+            f"{level.upper()}:drs_sim:a {level} message\n" for level in shown
+        )
+
+    def test_each_line_is_one_write_to_the_current_stderr(self, monkeypatch):
+        writes = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return len(text)
+
+        monkeypatch.setattr(sys, "stderr", Recorder())
+        monkeypatch.setenv("DRS_SIM_LOG", "info")
+        log("info", "seed 3: served")
+        assert writes == ["INFO:drs_sim:seed 3: served\n"]
+
+    @pytest.mark.parametrize("closed", [True, False], ids=["no stderr", "write fails"])
+    def test_unwritable_stderr_does_not_stop_the_run(self, closed, monkeypatch):
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        # sys.stderr is None when the process started with fd 2 closed.
+        monkeypatch.setattr(sys, "stderr", None if closed else Full())
+        monkeypatch.setenv("DRS_SIM_LOG", "warning")
+        log("warning", "the run served no step")
+
+
 class TestPairedSweep:
     @pytest.mark.parametrize("interferer", ["rsu", "vehicle", "none"])
     def test_single_pass_matches_two_separate_runs(self, interferer, monkeypatch):
@@ -298,44 +349,51 @@ class TestPairedSweep:
         assert on.mean_rate_bps is not None and off.mean_rate_bps is not None
         assert calls == config.steps
 
-    def test_each_seed_logs_its_time(self, caplog):
+    def test_each_seed_logs_its_time(self, monkeypatch, capsys):
         config = small_config(steps=300)
-        with caplog.at_level(logging.INFO, logger="drs_sim"):
-            runs = paired_sweep(config, [3, 4], jobs=1)
-        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("seed ")]
+        monkeypatch.setenv("DRS_SIM_LOG", "info")
+        runs = paired_sweep(config, [3, 4], jobs=1)
+        lines = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("INFO:drs_sim:seed ")
+        ]
         assert len(lines) == 2
         for (run, _), line in zip(runs, lines):
             match = re.fullmatch(
-                r"seed (\d+): (\d+) steps \((\d+) served\) in (\d+\.\d{3}) s, (\d+) steps/s", line
+                r"INFO:drs_sim:seed (\d+): (\d+) steps \((\d+) served\) in (\d+\.\d{3}) s, "
+                r"(\d+) steps/s",
+                line,
             )
             assert match, line
             assert int(match[1]) == run.seed
             assert int(match[2]) == config.steps
             assert int(match[3]) == run_simulation(config, run.seed).n_records
 
-    def test_serial_fallback_is_logged(self, monkeypatch, caplog):
+    def test_serial_fallback_is_logged(self, monkeypatch, capsys):
         def fork():
             raise OSError("no fork here")
 
         monkeypatch.setattr(os, "fork", fork)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("DRS_SIM_LOG", "warning")
         config = small_config(steps=300)
-        with caplog.at_level(logging.WARNING, logger="drs_sim"):
-            runs = paired_sweep(config, [3, 4], jobs=2)
+        runs = paired_sweep(config, [3, 4], jobs=2)
         assert [on.seed for on, _ in runs] == [3, 4]
         assert runs == paired_sweep(config, [3, 4], jobs=1)
-        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-        assert warnings == ["cannot fork worker 0: no fork here; running 2 seeds serially"]
+        assert capsys.readouterr().err.splitlines() == [
+            "WARNING:drs_sim:cannot fork worker 0: no fork here; running 2 seeds serially"
+        ]
 
-    def test_without_fork_seeds_run_serially(self, monkeypatch, caplog):
+    def test_without_fork_seeds_run_serially(self, monkeypatch, capsys):
         monkeypatch.delattr(os, "fork")
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("DRS_SIM_LOG", "warning")
         config = small_config(steps=300)
-        with caplog.at_level(logging.WARNING, logger="drs_sim"):
-            runs = paired_sweep(config, [3, 4], jobs=2)
+        runs = paired_sweep(config, [3, 4], jobs=2)
         assert runs == paired_sweep(config, [3, 4], jobs=1)
-        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-        assert warnings == ["os.fork is not available; running 2 seeds serially"]
+        assert capsys.readouterr().err.splitlines() == [
+            "WARNING:drs_sim:os.fork is not available; running 2 seeds serially"
+        ]
 
     @pytest.mark.parametrize(
         "seeds, jobs, cores, workers",
@@ -347,7 +405,7 @@ class TestPairedSweep:
             ([3, 4], 1, 8, None),  # one job: serial
         ],
     )
-    def test_worker_count(self, seeds, jobs, cores, workers, monkeypatch, caplog):
+    def test_worker_count(self, seeds, jobs, cores, workers, monkeypatch, capsys):
         forks = []
         fork = os.fork
 
@@ -357,32 +415,36 @@ class TestPairedSweep:
 
         monkeypatch.setattr(os, "fork", counted_fork)
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        monkeypatch.setenv("DRS_SIM_LOG", "info")
         config = small_config(steps=100)
-        with caplog.at_level(logging.INFO, logger="drs_sim"):
-            runs = paired_sweep(config, seeds, jobs=jobs)
-        messages = [r.getMessage() for r in caplog.records if "seeds ran" in r.getMessage()]
+        runs = paired_sweep(config, seeds, jobs=jobs)
+        messages = [line for line in capsys.readouterr().err.splitlines() if "seeds ran" in line]
         assert [on.seed for on, _ in runs] == seeds
         if workers is None:
             assert forks == []
-            assert messages == [f"{len(seeds)} seeds ran serially"]
+            assert messages == [f"INFO:drs_sim:{len(seeds)} seeds ran serially"]
         else:
             assert len(forks) == workers
-            assert messages == [f"{len(seeds)} seeds ran in {workers} forked worker processes"]
+            assert messages == [
+                f"INFO:drs_sim:{len(seeds)} seeds ran in {workers} forked worker processes"
+            ]
             assert runs == paired_sweep(config, seeds, jobs=1)
 
-    def test_workers_return_runs_in_seed_order(self, monkeypatch, caplog):
+    def test_workers_return_runs_in_seed_order(self, monkeypatch, capsys):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("DRS_SIM_LOG", "info")
         config = small_config(steps=200)
         seeds = [9, 3, 7, 1, 5]
-        with caplog.at_level(logging.INFO, logger="drs_sim"):
-            runs = paired_sweep(config, seeds, jobs=2)
-        assert "5 seeds ran in 2 forked worker processes" in caplog.text
+        runs = paired_sweep(config, seeds, jobs=2)
+        assert (
+            "INFO:drs_sim:5 seeds ran in 2 forked worker processes\n" in capsys.readouterr().err
+        )
         assert runs == paired_sweep(config, seeds, jobs=1)
         assert [on.seed for on, _ in runs] == seeds
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_worker_error_is_raised_again(self, monkeypatch, caplog):
+    def test_worker_error_is_raised_again(self, monkeypatch, capsys):
         """A worker that fails exits non-zero; its share reruns here and raises the same error."""
         def fails_for_seed_4(config, paired=False):
             if config.scenario.seed == 4:
@@ -391,17 +453,18 @@ class TestPairedSweep:
 
         monkeypatch.setattr(engine, "simulate", fails_for_seed_4)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        with caplog.at_level(logging.WARNING, logger="drs_sim"):
-            with pytest.raises(ConstraintViolation) as raised:
-                paired_sweep(small_config(steps=100), [3, 4], jobs=2)
+        monkeypatch.setenv("DRS_SIM_LOG", "warning")
+        with pytest.raises(ConstraintViolation) as raised:
+            paired_sweep(small_config(steps=100), [3, 4], jobs=2)
         assert type(raised.value) is ConstraintViolation
         assert str(raised.value) == "yaw step of 9 rad exceeds the budget"
-        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-        assert warnings == ["worker 1 exited with status 1; running 1 seeds serially"]
+        assert capsys.readouterr().err.splitlines() == [
+            "WARNING:drs_sim:worker 1 exited with status 1; running 1 seeds serially"
+        ]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_worker_that_sends_nothing_is_rerun(self, monkeypatch, caplog):
+    def test_worker_that_sends_nothing_is_rerun(self, monkeypatch, capsys):
         class Mute:
             """marshal for the workers: each writes an empty blob and exits 0."""
 
@@ -410,44 +473,46 @@ class TestPairedSweep:
 
         monkeypatch.setattr(engine, "marshal", Mute)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("DRS_SIM_LOG", "warning")
         config = small_config(steps=100)
-        with caplog.at_level(logging.WARNING, logger="drs_sim"):
-            runs = paired_sweep(config, [3, 4, 5], jobs=2)
+        runs = paired_sweep(config, [3, 4, 5], jobs=2)
         assert runs == paired_sweep(config, [3, 4, 5], jobs=1)
-        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-        assert warnings == [
-            "worker 0 sent no results; worker 1 sent no results; running 3 seeds serially"
+        assert capsys.readouterr().err.splitlines() == [
+            "WARNING:drs_sim:worker 0 sent no results; worker 1 sent no results; "
+            "running 3 seeds serially"
         ]
 
-    def test_threaded_process_does_not_fork(self, monkeypatch, caplog):
+    def test_threaded_process_does_not_fork(self, monkeypatch, capsys):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("DRS_SIM_LOG", "warning")
         release = threading.Event()
         thread = threading.Thread(target=release.wait)
         thread.start()
         try:
-            with caplog.at_level(logging.WARNING, logger="drs_sim"):
-                runs = paired_sweep(small_config(steps=100), [3, 4], jobs=2)
+            runs = paired_sweep(small_config(steps=100), [3, 4], jobs=2)
         finally:
             release.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
         assert [on.seed for on, _ in runs] == [3, 4]
-        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-        assert warnings == ["the process runs 2 threads; running 2 seeds serially"]
+        assert capsys.readouterr().err.splitlines() == [
+            "WARNING:drs_sim:the process runs 2 threads; running 2 seeds serially"
+        ]
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_rejects_jobs_below_one(self, jobs):
         with pytest.raises(ValueError, match="jobs"):
             paired_sweep(SimConfig(steps=50), [1, 2], jobs=jobs)
 
-    def test_zero_rate_runs_are_logged(self, caplog):
+    def test_zero_rate_runs_are_logged(self, monkeypatch, capsys):
+        monkeypatch.setenv("DRS_SIM_LOG", "warning")
         quiet = paired_sweep(SimConfig(scenario=QUIET, steps=200), [5, 6], jobs=1)
         assert [(on.mean_rate_bps, off.mean_rate_bps) for on, off in quiet] == [(None, None)] * 2
         runs = quiet + [(RunSummary(9, True, 4, 1, 110.0), RunSummary(9, False, 4, 1, 100.0))]
-        with caplog.at_level(logging.WARNING, logger="drs_sim"):
-            assert aggregate_improvement(iter(runs)) == (110.0, 100.0, 10.0)
-        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert aggregate_improvement(iter(runs)) == (110.0, 100.0, 10.0)
+        warnings = capsys.readouterr().err.splitlines()
         assert len(warnings) == 1
-        message = warnings[0].getMessage()
+        message = warnings[0].removeprefix("WARNING:drs_sim:")
+        assert message != warnings[0]
         assert "seeds 5, 6" in message
         assert "9" not in message

@@ -1,11 +1,14 @@
 """Start-up and exit cost of the command line: what importing the CLI pulls
-in, and the import-time heap the entry point freezes."""
+in, what a one-step run writes to stderr without ``logging``, and the
+import-time heap the entry point freezes."""
 
 import gc
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import drs_sim
 from drs_sim.cli import main
@@ -61,13 +64,54 @@ TYPING_GUARD = (
 )
 
 
+def source_env(**variables):
+    """The environment with the package's own source directory on PYTHONPATH,
+    DRS_SIM_LOG unset, and ``variables`` set."""
+    env = dict(os.environ, PYTHONPATH=str(Path(drs_sim.__file__).resolve().parent.parent))
+    env.pop("DRS_SIM_LOG", None)
+    return {**env, **variables}
+
+
 def test_cli_import_loads_no_typing_in_a_clean_interpreter():
-    src = str(Path(drs_sim.__file__).resolve().parent.parent)
     result = subprocess.run(
         [sys.executable, "-S", "-c", TYPING_GUARD],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        env=source_env(), capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
+
+
+# The same check runs in CI.  Messages are written to stderr by
+# engine.log, not through logging, whose import was about half of the
+# CLI's; a one-step run logs a warning, so the warning path is covered.
+LOGGING_GUARD = (
+    "import sys; from drs_sim.cli import main; "
+    "code = main(['run', '--steps', '1', '--out', sys.argv[1]]); "
+    "sys.exit(code or ('a one-step run loaded logging' if 'logging' in sys.modules else 0))"
+)
+NO_STEP_WARNING = (
+    b"WARNING:drs_sim:the run served no step: "
+    b"no pairing event found a partner within run.steps = 1\n"
+)
+
+
+def test_one_step_run_loads_no_logging_in_a_clean_interpreter(tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", LOGGING_GUARD, str(tmp_path)],
+        env=source_env(), capture_output=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == NO_STEP_WARNING
+
+
+@pytest.mark.parametrize("level, stderr", [(None, NO_STEP_WARNING), ("error", b"")])
+def test_one_step_run_stderr_bytes(level, stderr, tmp_path):
+    variables = {} if level is None else {"DRS_SIM_LOG": level}
+    result = subprocess.run(
+        [sys.executable, "-m", "drs_sim.cli", "run", "--steps", "1", "--out", str(tmp_path)],
+        env=source_env(**variables), capture_output=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == stderr
 
 
 # The same check runs in CI.  main is replaced by a stub that prints how

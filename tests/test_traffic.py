@@ -8,6 +8,7 @@ from drs_sim.rng import SplitMix64
 from drs_sim.traffic import (
     ANTENNA_HEIGHT_MAX,
     ANTENNA_HEIGHT_MIN,
+    MAX_LANE_VEHICLES,
     ScenarioConfig,
     TrafficModel,
     V2VPair,
@@ -232,3 +233,22 @@ class TestTrafficModel:
             ScenarioConfig(arrival_rate=-0.1)
         with pytest.raises(ValueError):
             ScenarioConfig(interferer_kind="martian")
+
+    # Configs here are only built, never run: a rate of 1e9 would spawn
+    # about 5e8 vehicles per lane in the first step.
+    @pytest.mark.parametrize(
+        "y_max, time_step, largest",
+        [
+            (5000.0, 0.5, 29.95),  # 333.8 s on the default lane: 9998 vehicles
+            (500.0, 0.5, 295.5),  # a tenth of the lane holds ten times the rate
+            (1e-6, 0.001, 9.99e6),  # a lane crossed within a step holds a step's arrivals
+        ],
+    )
+    def test_arrival_rate_bounded_by_vehicles_on_a_lane(self, y_max, time_step, largest):
+        config = {
+            "bounds": WorldBounds(y_max=y_max), "limits": MotionLimits(time_step=time_step),
+        }
+        assert ScenarioConfig(arrival_rate=largest, **config).arrival_rate == largest
+        for rate in (1.01 * largest, 1e9):
+            with pytest.raises(ValueError, match=rf"^scenario\.arrival_rate = .* {MAX_LANE_VEHICLES}$"):
+                ScenarioConfig(arrival_rate=rate, **config)
