@@ -90,28 +90,14 @@ def radiation_pattern(theta: float) -> float:
     return math.cos(theta) ** 3
 
 
-def dirichlet_ratio(count: int, arg: float) -> float:
-    """Normalized Dirichlet kernel sin(count * x) / (count * sin(x)).
-
-    Magnitude of the coherent sum of ``count`` equally spaced unit phasors,
-    normalized to [-1, 1].  At x = k*pi both numerator and denominator
-    vanish; the analytic limit (-1)^(k*(count-1)) is returned there.  Those
-    points are the grating lobes: the ratio returns to full magnitude, not
-    to zero.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    k = round(arg / math.pi)
-    if abs(arg - k * math.pi) < _SINGULARITY_SNAP:
-        return -1.0 if (k * (count - 1)) % 2 else 1.0
-    return math.sin(count * arg) / (count * math.sin(arg))
-
-
 def direction_cosine_sums(
-    theta_t: float, phi_t: float, theta_r: float, phi_r: float
+    sin_t: float, phi_t: float, sin_r: float, phi_r: float
 ) -> tuple[float, float]:
-    """Sums of the incident and exit direction cosines along local x and y."""
-    sin_t, sin_r = math.sin(theta_t), math.sin(theta_r)
+    """Sums of the incident and exit direction cosines along local x and y.
+
+    Takes the sines of the two elevations rather than the elevations: they
+    are fixed for a whole step, so a caller computes each once.
+    """
     return (
         sin_t * math.cos(phi_t) + sin_r * math.cos(phi_r),
         sin_t * math.sin(phi_t) + sin_r * math.sin(phi_r),
@@ -119,9 +105,30 @@ def direction_cosine_sums(
 
 
 def array_factor(ris: RisConfig, ux: float, uy: float) -> float:
-    """Array factor psi: row times column Dirichlet ratio at sums (ux, uy); 1 when specular."""
-    row = dirichlet_ratio(ris.m_rows, math.pi * ux * ris.dx / ris.wavelength)
-    col = dirichlet_ratio(ris.n_cols, math.pi * uy * ris.dy / ris.wavelength)
+    """Array factor psi: row times column Dirichlet ratio at sums (ux, uy); 1 when specular.
+
+    Each ratio is the normalized Dirichlet kernel sin(count x) / (count sin x),
+    the coherent sum of ``count`` equally spaced unit phasors, in [-1, 1],
+    at x = pi u pitch / wavelength.  At x = k*pi both numerator and
+    denominator vanish; within _SINGULARITY_SNAP of it the analytic limit
+    (-1)^(k*(count-1)) is taken.  Those points are the grating lobes: the
+    ratio returns to full magnitude, not to zero.
+    """
+    pi, sin = math.pi, math.sin
+    count = ris.m_rows
+    x = pi * ux * ris.dx / ris.wavelength
+    k = round(x / pi)
+    if abs(x - k * pi) < _SINGULARITY_SNAP:
+        row = -1.0 if (k * (count - 1)) % 2 else 1.0
+    else:
+        row = sin(count * x) / (count * sin(x))
+    count = ris.n_cols
+    x = pi * uy * ris.dy / ris.wavelength
+    k = round(x / pi)
+    if abs(x - k * pi) < _SINGULARITY_SNAP:
+        col = -1.0 if (k * (count - 1)) % 2 else 1.0
+    else:
+        col = sin(count * x) / (count * sin(x))
     return row * col
 
 

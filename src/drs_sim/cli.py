@@ -161,7 +161,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(
         f"wrote {steps_path} ({summary.n_records} records, "
         f"{summary.n_pairs} pairs, mean rate "
-        f"{'n/a' if mean is None else f'{mean:.1f} bit/s'})"
+        f"{'n/a' if mean is None else f'{mean:.6g} bit/s'})"
     )
     return 0
 
@@ -209,8 +209,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"wrote {out_dir / 'sweep.csv'} (no served pairs in any run)")
     else:
         print(
-            f"wrote {out_dir / 'sweep.csv'}: mean rate on={aggregate[0]:.1f} "
-            f"off={aggregate[1]:.1f} bit/s, improvement {aggregate[2]:+.3g}%"
+            f"wrote {out_dir / 'sweep.csv'}: mean rate on={aggregate[0]:.6g} "
+            f"off={aggregate[1]:.6g} bit/s, improvement {aggregate[2]:+.3g}%"
         )
     return 0
 

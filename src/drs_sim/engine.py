@@ -271,6 +271,7 @@ def run_step(
     if interferer is not None:
         theta_i, bearing_i, dist_i = sight(position, interferer)
         f_i = radiation_pattern(theta_i)
+        sin_i, sin_rx = math.sin(theta_i), math.sin(theta_rx)
 
     records = []
     for control in _arms(config, paired):
@@ -290,8 +291,8 @@ def run_step(
                 # +alpha, which corresponds to a yaw decrease of alpha.
                 yaw = wrap_angle(yaw - alpha)
             phi_i, phi_rx = local_azimuth(bearing_i, yaw), local_azimuth(bearing_rx, yaw)
-            sums = direction_cosine_sums(theta_i, phi_i, theta_rx, phi_rx)
-            psi_value = array_factor(ris, *sums)
+            ux, uy = direction_cosine_sums(sin_i, phi_i, sin_rx, phi_rx)
+            psi_value = array_factor(ris, ux, uy)
             pl_interference = path_loss(ris, f_i, f_rx, dist_i, dist_rx, psi_value)
 
         sinr_value = sinr(config.radio, pl_desired, pl_interference, config.sinr_form)

@@ -14,11 +14,18 @@ they are tested nearest-first, so a lone nearest null costs one residual.
 When none of them is a null inside the budget, the rotation that minimizes
 |psi| is found by a coarse scan whose bracketed minima are refined by
 golden-section search.
+
+The elevations are fixed for the whole step, so ``NullSteerInput`` holds
+their sines, computed once when it is built.  The analytic residuals go
+through ``psi_interference``; the fallback, which evaluates |psi| about 60
+times, goes through one evaluator built from ``psi_evaluator`` on the steps
+that reach it, bound to the step's sines, azimuths and surface.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from operator import itemgetter
 
 from .channel import RisConfig, array_factor, direction_cosine_sums
@@ -50,10 +57,11 @@ class NullSteerInput:
     theta_i, theta_r: elevations of the interferer and the receiver off
     boresight (straight down), in [0, pi]; any node strictly below the drone
     sits in [0, pi/2).  phi_i, phi_r: their azimuths in the yawed local
-    frame, wrapped to (-pi, pi] on construction.
+    frame, wrapped to (-pi, pi] on construction.  sin_i, sin_r: the sines of
+    the two elevations, computed on construction.
     """
 
-    __slots__ = ("theta_i", "phi_i", "theta_r", "phi_r", "ris", "alpha_bound")
+    __slots__ = ("theta_i", "phi_i", "theta_r", "phi_r", "ris", "alpha_bound", "sin_i", "sin_r")
 
     def __init__(
         self,
@@ -75,6 +83,8 @@ class NullSteerInput:
         self.phi_r = wrap_angle(phi_r)
         self.ris = ris
         self.alpha_bound = alpha_bound
+        self.sin_i = math.sin(theta_i)
+        self.sin_r = math.sin(theta_r)
 
 
 class NullSolution:
@@ -87,10 +97,39 @@ class NullSolution:
 
 
 def psi_interference(inp: NullSteerInput, alpha: float) -> float:
-    """Array factor of the interferer -> receiver reflection after rotating by alpha."""
-    return array_factor(inp.ris, *direction_cosine_sums(
-        inp.theta_i, wrap_angle(inp.phi_i + alpha), inp.theta_r, wrap_angle(inp.phi_r + alpha)
-    ))
+    """Array factor of the interferer -> receiver reflection after rotating by alpha.
+
+    A rotated azimuth is wrapped only when it leaves (-pi, pi]; inside it,
+    wrap_angle would return it unchanged.
+    """
+    phi_i, phi_r = inp.phi_i + alpha, inp.phi_r + alpha
+    if not -math.pi < phi_i <= math.pi:
+        phi_i = wrap_angle(phi_i)
+    if not -math.pi < phi_r <= math.pi:
+        phi_r = wrap_angle(phi_r)
+    ux, uy = direction_cosine_sums(inp.sin_i, phi_i, inp.sin_r, phi_r)
+    return array_factor(inp.ris, ux, uy)
+
+
+def psi_evaluator(inp: NullSteerInput) -> Callable[[float], float]:
+    """|psi_interference(inp, alpha)| as a function of alpha alone, bit for bit.
+
+    The step's sines, azimuths and surface are bound once, so each of the
+    fallback's evaluations reads locals instead of the input's fields.
+    """
+    sin_i, phi_i, sin_r, phi_r, ris = inp.sin_i, inp.phi_i, inp.sin_r, inp.phi_r, inp.ris
+    pi = math.pi
+
+    def magnitude(alpha: float) -> float:
+        rot_i, rot_r = phi_i + alpha, phi_r + alpha
+        if not -pi < rot_i <= pi:
+            rot_i = wrap_angle(rot_i)
+        if not -pi < rot_r <= pi:
+            rot_r = wrap_angle(rot_r)
+        ux, uy = direction_cosine_sums(sin_i, rot_i, sin_r, rot_r)
+        return abs(array_factor(ris, ux, uy))
+
+    return magnitude
 
 
 def null_rotations(inp: NullSteerInput) -> list[float]:
@@ -111,7 +150,7 @@ def null_rotations(inp: NullSteerInput) -> list[float]:
         sin(t_i) cos(p_i + alpha) + sin(t_r) cos(p_r + alpha) = P cos(alpha) - Q sin(alpha)
         sin(t_i) sin(p_i + alpha) + sin(t_r) sin(p_r + alpha) = Q cos(alpha) + P sin(alpha)
     """
-    p, q = direction_cosine_sums(inp.theta_i, inp.phi_i, inp.theta_r, inp.phi_r)
+    p, q = direction_cosine_sums(inp.sin_i, inp.phi_i, inp.sin_r, inp.phi_r)
     amplitude = math.hypot(p, q)
     if amplitude == 0.0:
         return []
@@ -172,24 +211,27 @@ def nearest_null(inp: NullSteerInput) -> tuple[float, float] | None:
     return best
 
 
-def _golden_section_min(inp: NullSteerInput, lo: float, hi: float) -> tuple[float, float]:
+def _golden_section_min(
+    magnitude: Callable[[float], float], lo: float, hi: float
+) -> tuple[float, float]:
     """Rotation in [lo, hi] with the lowest |psi| reached by golden-section search.
 
-    Converges to a local minimum of |psi| on the bracket (Kiefer 1953);
-    returns (alpha, |psi|) of the best of the two final interior points,
-    which is the best point evaluated.
+    ``magnitude`` is the step's ``psi_evaluator``.  Converges to a local
+    minimum of |psi| on the bracket (Kiefer 1953) in 2 + _REFINE_STEPS
+    evaluations; returns (alpha, |psi|) of the best of the two final
+    interior points, which is the best point evaluated.
     """
     c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
-    fc, fd = abs(psi_interference(inp, c)), abs(psi_interference(inp, d))
+    fc, fd = magnitude(c), magnitude(d)
     for _ in range(_REFINE_STEPS):
         if fc <= fd:
             hi, d, fd = d, c, fc
             c = hi - _INV_PHI * (hi - lo)
-            fc = abs(psi_interference(inp, c))
+            fc = magnitude(c)
         else:
             lo, c, fc = c, d, fd
             d = lo + _INV_PHI * (hi - lo)
-            fd = abs(psi_interference(inp, d))
+            fd = magnitude(d)
     return (c, fc) if fc <= fd else (d, fd)
 
 
@@ -205,7 +247,9 @@ def select_rotation(inp: NullSteerInput) -> NullSolution:
     neighbours is refined by golden-section search over the bracket its
     neighbours span (one-sided at the two ends).  The lowest point found
     wins (a tie keeps alpha = 0, else the first found); if it does not
-    improve on alpha = 0 by at least 1e-12 the pose is left alone.
+    improve on alpha = 0 by at least 1e-12 the pose is left alone.  The scan
+    and the refinement evaluate |psi| through one ``psi_evaluator``, built
+    only once no null is found.
     """
     null = nearest_null(inp)
     if null is not None:
@@ -214,7 +258,8 @@ def select_rotation(inp: NullSteerInput) -> NullSolution:
     alphas = [
         inp.alpha_bound * (i - _COARSE_HALF) / _COARSE_HALF for i in range(2 * _COARSE_HALF + 1)
     ]
-    residuals = [abs(psi_interference(inp, alpha)) for alpha in alphas]
+    magnitude = psi_evaluator(inp)
+    residuals = [magnitude(alpha) for alpha in alphas]
     baseline = residuals[_COARSE_HALF]
     best_alpha, best_residual = 0.0, baseline
     points = list(zip(alphas, residuals))
@@ -222,7 +267,7 @@ def select_rotation(inp: NullSteerInput) -> NullSolution:
     for i, residual in enumerate(residuals):
         left, right = max(i - 1, 0), min(i + 1, last)
         if residual <= residuals[left] and residual <= residuals[right]:
-            points.append(_golden_section_min(inp, alphas[left], alphas[right]))
+            points.append(_golden_section_min(magnitude, alphas[left], alphas[right]))
     for alpha, residual in points:
         if residual < best_residual:
             best_alpha, best_residual = alpha, residual

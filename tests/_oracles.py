@@ -7,6 +7,8 @@ full null enumeration the yaw controller used before it solved only the
 nearest null levels: it takes (P, Q) from the library's
 ``direction_cosine_sums`` and evaluates residuals with its
 ``psi_interference`` so that its filter matches the controller's exactly.
+``composed_psi_interference`` uses the library's ``wrap_angle``, as the
+composition it writes out did.
 """
 
 from __future__ import annotations
@@ -56,6 +58,32 @@ def phasor_sum_psi_scalar(
         for j in range(n):
             total += cmath.exp(1j * k * (i * dx * ux + j * dy * uy))
     return abs(total) / (m * n)
+
+
+def _dirichlet_ratio(count: int, arg: float) -> float:
+    """sin(count * arg) / (count * sin(arg)), with the limit within 1e-8 of a multiple of pi."""
+    k = round(arg / math.pi)
+    if abs(arg - k * math.pi) < 1e-8:
+        return -1.0 if (k * (count - 1)) % 2 else 1.0
+    return math.sin(count * arg) / (count * math.sin(arg))
+
+
+def composed_psi_interference(inp: NullSteerInput, alpha: float) -> float:
+    """The rotated interference array factor, composed step by step.
+
+    This is the float-for-float composition the library evaluated before
+    the input stored its elevation sines: both sines are taken here, both
+    rotated azimuths go through ``wrap_angle``, and each axis makes its own
+    Dirichlet-ratio call.  The library's evaluation must equal it exactly.
+    """
+    ris = inp.ris
+    phi_t, phi_r = wrap_angle(inp.phi_i + alpha), wrap_angle(inp.phi_r + alpha)
+    sin_t, sin_r = math.sin(inp.theta_i), math.sin(inp.theta_r)
+    ux = sin_t * math.cos(phi_t) + sin_r * math.cos(phi_r)
+    uy = sin_t * math.sin(phi_t) + sin_r * math.sin(phi_r)
+    row = _dirichlet_ratio(ris.m_rows, math.pi * ux * ris.dx / ris.wavelength)
+    col = _dirichlet_ratio(ris.n_cols, math.pi * uy * ris.dy / ris.wavelength)
+    return row * col
 
 
 def dirichlet_direct(count: int, x) -> np.ndarray:
@@ -224,7 +252,9 @@ def candidate_alphas(inp: NullSteerInput) -> list[float]:
     branches, wrapped, bound- and residual-filtered).  Sorted ascending,
     deduplicated at 1e-12; empty when nothing lands inside the budget.
     """
-    p, q = direction_cosine_sums(inp.theta_i, inp.phi_i, inp.theta_r, inp.phi_r)
+    p, q = direction_cosine_sums(
+        math.sin(inp.theta_i), inp.phi_i, math.sin(inp.theta_r), inp.phi_r
+    )
     amplitude = math.hypot(p, q)
     if amplitude == 0.0:
         return []

@@ -103,7 +103,9 @@ def test_criterion_02_null_quality():
         f_i, f_r = radiation_pattern(ti), radiation_pattern(tr)
 
         def hop_loss(alpha: float) -> float:
-            sums = direction_cosine_sums(ti, wrap_angle(pi_ + alpha), tr, wrap_angle(pr + alpha))
+            sums = direction_cosine_sums(
+                math.sin(ti), wrap_angle(pi_ + alpha), math.sin(tr), wrap_angle(pr + alpha)
+            )
             return path_loss(ris, f_i, f_r, 200.0, 200.0, array_factor(ris, *sums))
 
         pl_nulled = hop_loss(sol.alpha)
@@ -151,7 +153,9 @@ def test_criterion_04_array_factor_matches_phasor_sum():
                 m, n, ris.dx, ris.dy, ris.wavelength, theta_t, phi_t, theta_r, phi_r
             )
             for i in range(1000):
-                sums = direction_cosine_sums(theta_t[i], phi_t[i], theta_r[i], phi_r[i])
+                sums = direction_cosine_sums(
+                    math.sin(theta_t[i]), phi_t[i], math.sin(theta_r[i]), phi_r[i]
+                )
                 got = abs(array_factor(ris, *sums))
                 worst = max(worst, abs(got - oracle[i]))
     ok = worst <= 1e-9
@@ -200,7 +204,7 @@ def test_criterion_06_harmonic_identity():
     for _ in range(1000):
         inp = _random_steer_input(rng, ris)
         ti, pi_, tr, pr = inp.theta_i, inp.phi_i, inp.theta_r, inp.phi_r
-        p, q = direction_cosine_sums(ti, pi_, tr, pr)
+        p, q = direction_cosine_sums(math.sin(ti), pi_, math.sin(tr), pr)
         for _ in range(100):
             alpha = rng.uniform(-math.pi, math.pi)
             direct = math.sin(ti) * math.cos(pi_ + alpha) + math.sin(tr) * math.cos(pr + alpha)

@@ -13,7 +13,6 @@ from drs_sim.channel import (
     SINR_FORM_STANDARD,
     array_factor,
     direction_cosine_sums,
-    dirichlet_ratio,
     fraunhofer_distance,
     path_loss,
     radiation_pattern,
@@ -51,50 +50,70 @@ class TestRadiationPattern:
             radiation_pattern(math.pi + 0.01)
 
 
+def dirichlet(count: int, arg: float) -> float:
+    """The Dirichlet ratio at ``arg`` as ``array_factor`` computes it, on either axis.
+
+    On a ``count`` x 1 surface with dx = wavelength the row argument
+    pi * ux * dx / wavelength is pi * ux, and the one column's factor is
+    exactly 1.0.  The 1 x ``count`` surface does the same for the column
+    factor, and the two axes must agree.
+    """
+    u = arg / math.pi
+    row = array_factor(RisConfig(m_rows=count, n_cols=1, dx=1.0, wavelength=1.0), u, 0.0)
+    col = array_factor(RisConfig(m_rows=1, n_cols=count, dy=1.0, wavelength=1.0), 0.0, u)
+    assert row == col
+    return row
+
+
 class TestDirichletRatio:
     def test_single_element_is_flat(self):
         for arg in (0.0, 0.3, math.pi / 4, 2.9, -1.7):
-            assert dirichlet_ratio(1, arg) == 1.0
+            assert dirichlet(1, arg) == 1.0
 
     def test_main_lobe(self):
-        assert dirichlet_ratio(4, 0.0) == 1.0
+        assert dirichlet(4, 0.0) == 1.0
 
     def test_null(self):
-        assert dirichlet_ratio(4, math.pi / 4) == pytest.approx(0.0, abs=1e-15)
+        assert dirichlet(4, math.pi / 4) == pytest.approx(0.0, abs=1e-15)
 
     def test_rejects_bad_count(self):
-        with pytest.raises(ValueError):
-            dirichlet_ratio(0, 0.1)
+        for bad in ({"m_rows": 0}, {"n_cols": 0}, {"m_rows": -1}):
+            with pytest.raises(ValueError, match="must be >= 1"):
+                RisConfig(**bad)
 
     @pytest.mark.parametrize("count", [1, 2, 3, 4, 8, 16, 32])
     @pytest.mark.parametrize("k", [-3, -2, -1, 0, 1, 2, 3])
     def test_grating_lobe_limits(self, count, k):
         expected = -1.0 if (k * (count - 1)) % 2 else 1.0
-        assert dirichlet_ratio(count, k * math.pi) == expected
+        assert dirichlet(count, k * math.pi) == expected
 
     @pytest.mark.parametrize("count", [2, 4, 8, 16, 32])
     @pytest.mark.parametrize("k", [-3, -1, 0, 1, 2])
     def test_continuity_at_grating_lobes(self, count, k):
-        limit = dirichlet_ratio(count, k * math.pi)
+        limit = dirichlet(count, k * math.pi)
         for eps in (1e-9, -1e-9):
-            assert abs(dirichlet_ratio(count, k * math.pi + eps) - limit) < 1e-6
+            assert abs(dirichlet(count, k * math.pi + eps) - limit) < 1e-6
 
     @given(st.integers(1, 64), st.floats(-50.0, 50.0, allow_nan=False))
     def test_bounded_by_unit_magnitude(self, count, arg):
-        assert abs(dirichlet_ratio(count, arg)) <= 1.0 + 1e-12
+        assert abs(dirichlet(count, arg)) <= 1.0 + 1e-12
 
 
 class TestPsi:
     def test_specular_pair_is_unity(self):
-        assert array_factor(RIS, *direction_cosine_sums(0.7, 0.3, 0.7, 0.3 + math.pi)) == 1.0
+        sums = direction_cosine_sums(math.sin(0.7), 0.3, math.sin(0.7), 0.3 + math.pi)
+        assert array_factor(RIS, *sums) == 1.0
 
     def test_single_element_any_angles(self):
         one = RisConfig(m_rows=1, n_cols=1)
-        assert array_factor(one, *direction_cosine_sums(0.5, 1.1, 1.2, -2.0)) == 1.0
+        sums = direction_cosine_sums(math.sin(0.5), 1.1, math.sin(1.2), -2.0)
+        assert array_factor(one, *sums) == 1.0
 
     def test_spot_value_against_phasor_sum(self):
         ris = RisConfig(m_rows=8, n_cols=8)
-        sums = direction_cosine_sums(math.pi / 4, 0.0, math.pi / 4, math.pi / 3)
+        sums = direction_cosine_sums(
+            math.sin(math.pi / 4), 0.0, math.sin(math.pi / 4), math.pi / 3
+        )
         got = abs(array_factor(ris, *sums))
         # frozen from the explicit 64-element phasor sum
         assert got == pytest.approx(0.01304806761775329, abs=1e-12)
@@ -114,7 +133,8 @@ class TestPsi:
     )
     def test_matches_phasor_sum(self, m, n, theta_t, phi_t, theta_r, phi_r):
         ris = RisConfig(m_rows=m, n_cols=n)
-        got = abs(array_factor(ris, *direction_cosine_sums(theta_t, phi_t, theta_r, phi_r)))
+        sums = direction_cosine_sums(math.sin(theta_t), phi_t, math.sin(theta_r), phi_r)
+        got = abs(array_factor(ris, *sums))
         oracle = phasor_sum_psi_scalar(
             m, n, ris.dx, ris.dy, ris.wavelength, theta_t, phi_t, theta_r, phi_r
         )

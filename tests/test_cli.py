@@ -59,6 +59,10 @@ def config_file(tmp_path):
     return path
 
 
+# A mean as the stdout lines print it: six significant figures (format .6g).
+SIX_G = r"(\d+(?:\.\d+)?(?:e[+-]\d\d)?)"
+
+
 def read_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
@@ -584,13 +588,31 @@ class TestSweep:
         ]) == 0
         line = capsys.readouterr().out.strip()
         match = re.fullmatch(
-            r"wrote \S+sweep\.csv: mean rate on=\d+\.\d off=\d+\.\d bit/s, "
+            rf"wrote \S+sweep\.csv: mean rate on={SIX_G} off={SIX_G} bit/s, "
             r"improvement ([+-]\d(?:\.\d{1,2})?(?:e[+-]\d\d)?)%",
             line,
         )
         assert match, line
         aggregate = read_rows(out / "sweep.csv")[-1]
-        assert match.group(1) == f"{float(aggregate['improvement_pct']):+.3g}"
+        assert match.group(3) == f"{float(aggregate['improvement_pct']):+.3g}"
+
+    def test_printed_means_read_back_as_the_aggregate_row(self, tmp_path, capsys):
+        # 20 steps serve only a few low-rate steps: the means are about 1e-5
+        # bit/s, which a fixed one-decimal format printed as 0.0
+        out = tmp_path / "sweep"
+        assert main([
+            "sweep", "--seeds", "1,2", "--steps", "20", "--jobs", "2", "--out", str(out),
+        ]) == 0
+        line = capsys.readouterr().out.strip()
+        match = re.fullmatch(rf"wrote \S+: mean rate on={SIX_G} off={SIX_G} bit/s, .*", line)
+        assert match, line
+        aggregate = read_rows(out / "sweep.csv")[-1]
+        assert aggregate["seed"] == "aggregate"
+        for printed, column in zip(match.groups(), ("mean_rate_on", "mean_rate_off")):
+            value = float(aggregate[column])
+            assert 0.0 < value < 0.05
+            assert printed == f"{value:.6g}"
+            assert float(printed) == pytest.approx(value, rel=5e-6)
 
     def test_explicit_seed_list_matches_two_runs(self, config_file, tmp_path):
         out = tmp_path / "sweep"

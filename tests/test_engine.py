@@ -129,7 +129,8 @@ class TestControlEffect:
             # the rotated pose realizes exactly the factor the controller chose
             yaw = record.drs.yaw
             realized = abs(array_factor(config.ris, *direction_cosine_sums(
-                theta_i, local_azimuth(bearing_i, yaw), theta_r, local_azimuth(bearing_r, yaw)
+                math.sin(theta_i), local_azimuth(bearing_i, yaw),
+                math.sin(theta_r), local_azimuth(bearing_r, yaw),
             )))
             assert realized == pytest.approx(applied, abs=1e-12)
             checked += 1

@@ -22,6 +22,7 @@ from drs_sim.nullsteer import (
 
 from _oracles import (
     candidate_alphas,
+    composed_psi_interference,
     enumerated_selection,
     exhaustive_candidate_alphas,
     grid_fallback_min,
@@ -55,7 +56,9 @@ FALLBACK_BOUNDS = (0.001, BOUND, 0.3, 1.0)
 
 
 def oracle_candidates(inp):
-    p, q = direction_cosine_sums(inp.theta_i, inp.phi_i, inp.theta_r, inp.phi_r)
+    p, q = direction_cosine_sums(
+        math.sin(inp.theta_i), inp.phi_i, math.sin(inp.theta_r), inp.phi_r
+    )
     ris = inp.ris
     return exhaustive_candidate_alphas(
         p, q, ris.m_rows, ris.n_cols, ris.dx, ris.dy, ris.wavelength,
@@ -148,7 +151,8 @@ class TestNullSteerInput:
 class TestPsiInterference:
     def test_zero_rotation_is_identity(self):
         inp = make_input(0.7, 0.4, 0.9, -1.2)
-        unrotated = array_factor(RIS, *direction_cosine_sums(0.7, 0.4, 0.9, -1.2))
+        sums = direction_cosine_sums(math.sin(0.7), 0.4, math.sin(0.9), -1.2)
+        unrotated = array_factor(RIS, *sums)
         assert psi_interference(inp, 0.0) == unrotated
 
     def test_full_turn_periodicity(self):
@@ -166,14 +170,187 @@ class TestPsiInterference:
         assert np.max(np.abs(got - oracle)) < 1e-12
 
 
+# square and non-square grids, a single row, and a grid whose pitch is one
+# wavelength (every integer sum is a grating lobe)
+EVALUATION_GRIDS = FALLBACK_GRIDS + (
+    RisConfig(m_rows=8, n_cols=8),
+    RisConfig(m_rows=64, n_cols=2, dx=0.01, dy=0.05),
+    RisConfig(m_rows=5, n_cols=3, dx=0.0508, dy=0.0508),
+)
+
+
+def near_lobe_inputs(rng, count):
+    """Inputs whose axis arguments pi * u * pitch / wavelength lie near a multiple of pi.
+
+    Half are near-specular (u near 0: the receiver opposite the interferer
+    at the same elevation); half put both nodes at grazing elevation on one
+    grid axis (u near (+-2, 0) or (0, +-2): a grating lobe of the
+    half-wavelength grid on one axis, u near 0 on the other).  Each is
+    perturbed by up to 1e-7, so some arguments fall inside the 1e-8 snap to
+    the analytic limit and some just outside it.
+    """
+    found = []
+    for _ in range(count):
+        ris = rng.choice(EVALUATION_GRIDS)
+        jitter = [rng.uniform(-1e-7, 1e-7) * rng.choice((1.0, 1e-1, 1e-3)) for _ in range(2)]
+        if rng.random() < 0.5:
+            theta, phi = rng.uniform(0.0, math.pi / 2), rng.uniform(-math.pi, math.pi)
+            angles = (theta, phi, theta + abs(jitter[0]), phi + math.pi + jitter[1])
+        else:
+            phi = rng.choice((0.0, math.pi / 2, math.pi, -math.pi / 2))
+            angles = (math.pi / 2, phi, math.pi / 2 - abs(jitter[0]), phi + jitter[1])
+        found.append((make_input(*angles, ris=ris), rng.uniform(-1e-9, 1e-9)))
+    return found
+
+
+def near_a_multiple_of_pi(inp, alpha):
+    """Whether either axis argument lies within the 1e-8 snap of a multiple of pi."""
+    ris = inp.ris
+    sin_i, sin_r = math.sin(inp.theta_i), math.sin(inp.theta_r)
+    rot_i, rot_r = inp.phi_i + alpha, inp.phi_r + alpha
+    ux = sin_i * math.cos(rot_i) + sin_r * math.cos(rot_r)
+    uy = sin_i * math.sin(rot_i) + sin_r * math.sin(rot_r)
+    args = (math.pi * ux * ris.dx / ris.wavelength, math.pi * uy * ris.dy / ris.wavelength)
+    return any(abs(x - round(x / math.pi) * math.pi) < 1e-8 for x in args)
+
+
+class TestEvaluationBitForBit:
+    """psi_interference and the fallback's evaluator equal the composed evaluation exactly."""
+
+    def assert_exact(self, inp, alpha):
+        expected = composed_psi_interference(inp, alpha)
+        assert psi_interference(inp, alpha) == expected
+        assert nullsteer.psi_evaluator(inp)(alpha) == abs(expected)
+
+    def test_seeded_random_inputs(self):
+        rng = random.Random(20261019)
+        for _ in range(5000):
+            top = rng.choice((math.pi / 2, math.pi))
+            inp = make_input(
+                rng.uniform(0.0, top),
+                rng.uniform(-math.pi, math.pi),
+                rng.uniform(0.0, top),
+                rng.uniform(-math.pi, math.pi),
+                ris=rng.choice(EVALUATION_GRIDS),
+            )
+            bound = rng.choice((0.001, BOUND, 1.0, 4.0))
+            self.assert_exact(inp, rng.uniform(-bound, bound))
+
+    def test_rotations_that_carry_an_azimuth_across_pi(self):
+        rng = random.Random(31)
+        crossed = 0
+        for _ in range(2000):
+            margin = rng.uniform(0.0, 0.1)
+            side = rng.choice((1.0, -1.0))
+            phi = side * (math.pi - margin)
+            alpha = side * (margin + rng.uniform(-0.05, 0.05))
+            other = rng.uniform(-math.pi, math.pi)
+            phis = (phi, other) if rng.random() < 0.5 else (other, phi)
+            inp = make_input(
+                rng.uniform(0.0, math.pi / 2), phis[0],
+                rng.uniform(0.0, math.pi / 2), phis[1],
+                ris=rng.choice(EVALUATION_GRIDS),
+            )
+            crossed += not -math.pi < phi + alpha <= math.pi
+            self.assert_exact(inp, alpha)
+        assert crossed > 500
+        # sums that land on -pi exactly wrap to pi, and on pi stay there; the
+        # sign of sin(+-pi) shows in the other node's share of u_y
+        for phi, alpha in ((-math.pi / 2, -math.pi / 2), (math.pi / 2, math.pi / 2), (0.0, math.pi)):
+            assert phi + alpha in (-math.pi, math.pi)
+            for _ in range(50):
+                theta, other = rng.uniform(0.1, math.pi / 2), rng.uniform(-math.pi, math.pi)
+                self.assert_exact(make_input(0.7, phi, theta, other, ris=RIS), alpha)
+                self.assert_exact(make_input(theta, other, 0.7, phi, ris=RIS), alpha)
+
+    def test_zero_elevations(self):
+        rng = random.Random(5)
+        for _ in range(500):
+            theta = rng.uniform(0.0, math.pi / 2)
+            thetas = rng.choice(((0.0, theta), (theta, 0.0), (0.0, 0.0)))
+            inp = make_input(
+                thetas[0], rng.uniform(-math.pi, math.pi),
+                thetas[1], rng.uniform(-math.pi, math.pi),
+                ris=rng.choice(EVALUATION_GRIDS),
+            )
+            self.assert_exact(inp, rng.uniform(-1.0, 1.0))
+
+    def test_arguments_near_a_multiple_of_pi(self):
+        cases = near_lobe_inputs(random.Random(77), 3000)
+        for inp, alpha in cases:
+            self.assert_exact(inp, alpha)
+        near = sum(near_a_multiple_of_pi(inp, alpha) for inp, alpha in cases)
+        assert 500 < near < len(cases) - 500
+
+
+class TestFallbackWork:
+    """The fallback's evaluations are counted through the evaluator select_rotation builds."""
+
+    @staticmethod
+    def count_evaluations(monkeypatch):
+        built, calls = [], []
+        evaluator = nullsteer.psi_evaluator
+
+        def counted_evaluator(inp):
+            built.append(inp)
+            magnitude = evaluator(inp)
+
+            def counted(alpha):
+                calls.append(alpha)
+                return magnitude(alpha)
+
+            return counted
+
+        monkeypatch.setattr(nullsteer, "psi_evaluator", counted_evaluator)
+        return built, calls
+
+    def test_a_fallback_step_scans_17_points_and_refines_each_bracket(self, monkeypatch):
+        built, calls = self.count_evaluations(monkeypatch)
+        refine = 2 + nullsteer._REFINE_STEPS
+        for inp in no_null_instances(4242, 200):
+            built.clear()
+            calls.clear()
+            select_rotation(inp)
+            assert built == [inp]
+            coarse = calls[:17]
+            assert coarse == [inp.alpha_bound * (i - 8) / 8 for i in range(17)]
+            residuals = [abs(psi_interference(inp, alpha)) for alpha in coarse]
+            brackets = sum(
+                residual <= residuals[max(i - 1, 0)] and residual <= residuals[min(i + 1, 16)]
+                for i, residual in enumerate(residuals)
+            )
+            assert brackets >= 1
+            assert len(calls) == 17 + brackets * refine
+
+    def test_an_analytic_step_builds_no_evaluator(self, monkeypatch):
+        built, calls = self.count_evaluations(monkeypatch)
+        assert select_rotation(make_input(0.6, 0.3, 0.4, -1.0)).mode == MODE_ANALYTIC
+        assert built == [] and calls == []
+        rng = random.Random(8)
+        modes = set()
+        for _ in range(2000):
+            built.clear()
+            inp = make_input(
+                rng.uniform(0.0, math.pi / 2), rng.uniform(-math.pi, math.pi),
+                rng.uniform(0.0, math.pi / 2), rng.uniform(-math.pi, math.pi),
+                bound=rng.choice(FALLBACK_BOUNDS), ris=rng.choice(FALLBACK_GRIDS),
+            )
+            mode = select_rotation(inp).mode
+            modes.add(mode)
+            assert len(built) == (mode != MODE_ANALYTIC)
+        assert MODE_ANALYTIC in modes and MODE_FALLBACK in modes
+
+
 class TestHarmonicCoefficients:
     def test_antipodal_cancellation(self):
-        p, q = direction_cosine_sums(math.pi / 2, 0.0, math.pi / 2, math.pi)
+        p, q = direction_cosine_sums(math.sin(math.pi / 2), 0.0, math.sin(math.pi / 2), math.pi)
         assert p == 0.0
         assert abs(q) < 1e-12
 
     def test_symmetric_example(self):
-        p, q = direction_cosine_sums(math.pi / 4, 0.0, math.pi / 4, math.pi / 2)
+        p, q = direction_cosine_sums(
+            math.sin(math.pi / 4), 0.0, math.sin(math.pi / 4), math.pi / 2
+        )
         assert p == pytest.approx(math.sqrt(2) / 2, rel=1e-12)
         assert q == pytest.approx(math.sqrt(2) / 2, rel=1e-12)
 
@@ -186,7 +363,7 @@ class TestHarmonicCoefficients:
         st.floats(-10.0, 10.0, allow_nan=False),
     )
     def test_defining_identities(self, theta_i, phi_i, theta_r, phi_r, alpha):
-        p, q = direction_cosine_sums(theta_i, phi_i, theta_r, phi_r)
+        p, q = direction_cosine_sums(math.sin(theta_i), phi_i, math.sin(theta_r), phi_r)
         pi_, pr = phi_i, phi_r
         lhs_cos = math.sin(theta_i) * math.cos(pi_ + alpha) + math.sin(theta_r) * math.cos(
             pr + alpha
@@ -223,7 +400,7 @@ class TestCandidateAlphas:
     def test_unconstrained_candidates_are_true_nulls(self, ti, pi_, tr, pr):
         inp = make_input(ti, pi_, tr, pr, bound=math.pi)
         sol = select_rotation(inp)
-        p, q = direction_cosine_sums(ti, pi_, tr, pr)
+        p, q = direction_cosine_sums(math.sin(ti), pi_, math.sin(tr), pr)
         if math.hypot(p, q) >= inp.ris.wavelength / (inp.ris.m_rows * inp.ris.dx):
             # a row null is always admissible at full freedom
             assert sol.mode == MODE_ANALYTIC
