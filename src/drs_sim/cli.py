@@ -5,6 +5,13 @@ Subcommands:
   sweep  paired control-on/control-off runs across seeds, write sweep.csv
   plot   render steps.csv files into SVG charts
 
+``run`` hands each served step's rows to one forked writer process, which
+formats and writes steps.csv while the step loop goes on, when
+``engine.fork_refusal`` allows: ``os.fork`` exists, the process runs one
+thread and the machine has two cores.  Otherwise, a threaded caller of
+``main`` among them, the rows are written in process.  The bytes are the
+same either way.
+
 Set DRS_SIM_LOG=debug|info|warning|error to control log verbosity.  Messages
 are ``LEVEL:drs_sim:message`` lines written straight to stderr by
 ``engine.log``, not through ``logging``; library callers capture them by
@@ -18,6 +25,7 @@ import contextlib
 import gc
 import io
 import json
+import marshal
 import math
 import os
 import re
@@ -33,6 +41,7 @@ from .engine import (
     RunSummary,
     StepRecord,
     aggregate_improvement,
+    fork_refusal,
     improvement_pct,
     log,
     paired_sweep,
@@ -76,18 +85,26 @@ MAX_SEED_COUNT = 100_000
 # identical bytes and parsing the CSV recovers the exact doubles.  Lines end
 # in CRLF, as csv.writer's default dialect writes them.
 
+_STEP_ROW = "%s,%r,%s,%s,%r,%r,%r,%r,%r,%r,%r,%r,%r,%s,%r,%r,%r,%r,%s\r\n"
 
-def _step_row(r: StepRecord) -> str:
-    """One steps.csv line, in STEPS_CSV_COLUMNS order."""
+# Rows that the step loop hands the steps.csv writer at a time.
+ROWS_PER_BATCH = 256
+
+
+def _step_fields(r: StepRecord) -> tuple:
+    """A record's steps.csv fields in STEPS_CSV_COLUMNS order: ints, floats and strings."""
     tx, rx, drs = r.tx_pos, r.rx_pos, r.drs
     p = drs.position
     return (
-        f"{r.step_index},{r.time_s!r},{r.pair_id},{r.cycle_index},"
-        f"{tx.x!r},{tx.y!r},{rx.x!r},{rx.y!r},{p.x!r},{p.y!r},{p.z!r},"
-        f"{drs.yaw!r},{r.alpha_applied!r},{r.null_mode},{r.pl_desired_db!r},"
-        f"{r.pl_interference_db!r},{r.sinr_db!r},{r.rate_bps!r},"
-        f"{'on' if r.control_on else 'off'}\r\n"
+        r.step_index, r.time_s, r.pair_id, r.cycle_index, tx.x, tx.y, rx.x, rx.y,
+        p.x, p.y, p.z, drs.yaw, r.alpha_applied, r.null_mode, r.pl_desired_db,
+        r.pl_interference_db, r.sinr_db, r.rate_bps, "on" if r.control_on else "off",
     )
+
+
+def _step_row(fields: tuple) -> str:
+    """One steps.csv line from a record's ``_step_fields``."""
+    return _STEP_ROW % fields
 
 
 def _sweep_row(label: int | str, values: Iterable[float | None]) -> str:
@@ -95,14 +112,146 @@ def _sweep_row(label: int | str, values: Iterable[float | None]) -> str:
     return ",".join([str(label), *("" if v is None else repr(v) for v in values)]) + "\r\n"
 
 
-def _write_rows(fh, steps: Iterable[list[StepRecord]]) -> Iterator[list[StepRecord]]:
-    """Write the steps.csv header, then each step's rows as it arrives, passing the step on."""
-    write = fh.write
-    write(",".join(STEPS_CSV_COLUMNS) + "\r\n")
-    for records in steps:
-        for record in records:
-            write(_step_row(record))
-        yield records
+def _current_cpu() -> int | None:
+    """The CPU this process runs on, from /proc/self/stat (Linux), or None."""
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            return int(stat.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def _fork_writer(fh: io.TextIOWrapper) -> tuple[int, io.BufferedWriter, io.BufferedReader]:
+    """Fork a child that writes steps.csv rows to ``fh``; returns (pid, row pipe, status pipe).
+
+    The child keeps off the CPU this process runs on: a pipe write wakes its
+    reader on the writer's CPU (Linux), where it would take turns with the
+    step loop while another core idles.  It reads each batch's length, then
+    its marshal blob with one read of that size, and writes every row.  It
+    leaves through ``os._exit``, with status 0 once the row pipe is at its
+    end and ``fh`` is flushed; an OSError it hits goes back as its
+    marshalled args on the status pipe.
+    """
+    cpu = _current_cpu()
+    rows_r, rows_w = os.pipe()
+    status_r, status_w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (rows_r, rows_w, status_r, status_w):
+            os.close(fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(rows_w)
+            os.close(status_r)
+            with contextlib.suppress(AttributeError, OSError):  # no affinity calls, or no CPU left
+                os.sched_setaffinity(0, os.sched_getaffinity(0) - {cpu})
+            with open(rows_r, "rb") as rows:
+                read, write = rows.read, fh.write
+                try:
+                    while size := read(8):
+                        for fields in marshal.loads(read(int.from_bytes(size, "little"))):
+                            write(_step_row(fields))
+                    fh.flush()
+                    code = 0
+                except OSError as exc:
+                    os.write(status_w, marshal.dumps(exc.args))
+        finally:
+            os._exit(code)
+    os.close(rows_r)
+    os.close(status_w)
+    return pid, open(rows_w, "wb"), open(status_r, "rb")
+
+
+class _StepsCsv:
+    """Writes steps.csv to ``fh``: the header, then every served step's rows.
+
+    Rows go out ROWS_PER_BATCH at a time.  From the first served step on,
+    one forked child formats and writes them while this process keeps
+    stepping, when ``fork_refusal()`` allows; each batch of ``_step_fields``
+    tuples reaches it as one length-prefixed marshal blob over a pipe.
+    Otherwise, or when the fork fails (after one warning), they are written
+    here.  ``_step_row`` formats every row either way, so the bytes are the
+    same.  Leaving the ``with`` block writes what is left, closes the pipe
+    and reaps the child on every path, before ``fh`` is renamed or removed;
+    an OSError the child hit is raised here again, with its errno and text.
+    """
+
+    def __init__(self, fh: io.TextIOWrapper) -> None:
+        self.fh = fh
+        self.batch: list[tuple] = []
+        self.started = False
+        self.child: tuple[int, io.BufferedWriter, io.BufferedReader] | None = None
+
+    def __enter__(self) -> _StepsCsv:
+        self.fh.write(",".join(STEPS_CSV_COLUMNS) + "\r\n")
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        try:
+            if kind is None:
+                self._send()
+        except BaseException:
+            self._reap(raise_error=False)
+            raise
+        self._reap(raise_error=kind is None)
+
+    def pass_on(self, steps: Iterable[list[StepRecord]]) -> Iterator[list[StepRecord]]:
+        """Hand off each step's rows, passing the step on."""
+        batch = self.batch
+        for records in steps:
+            if not self.started:
+                self._start()
+            for record in records:
+                batch.append(_step_fields(record))
+            if len(batch) >= ROWS_PER_BATCH:
+                self._send()
+            yield records
+
+    def _start(self) -> None:
+        self.started = True
+        refusal = fork_refusal()
+        if refusal is not None:
+            log("info", f"{refusal}; steps.csv rows are written in process")
+            return
+        self.fh.flush()  # the child must not inherit the header as buffered bytes
+        try:
+            self.child = _fork_writer(self.fh)
+        except OSError as exc:
+            log("warning", f"cannot fork the steps.csv writer: {exc}; writing its rows in process")
+
+    def _send(self) -> None:
+        if self.child is None:
+            write = self.fh.write
+            for fields in self.batch:
+                write(_step_row(fields))
+        else:
+            blob = marshal.dumps(self.batch)
+            try:
+                self.child[1].write(len(blob).to_bytes(8, "little") + blob)
+            except BrokenPipeError:  # the child stopped reading: raise what it hit
+                self._reap(raise_error=True)
+                raise
+        self.batch.clear()
+
+    def _reap(self, raise_error: bool) -> None:
+        if self.child is None:
+            return
+        pid, rows, status = self.child
+        self.child = None
+        try:
+            with contextlib.suppress(OSError):  # a child that failed reads no more
+                rows.close()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            error = status.read()
+        finally:
+            status.close()
+        if raise_error and code:
+            if error:
+                raise OSError(*marshal.loads(error))
+            raise OSError(f"the steps.csv writer exited with status {code}")
 
 
 @contextlib.contextmanager
@@ -143,10 +292,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     log("info", f"running {config.sim.steps} steps with seed {config.sim.scenario.seed}")
     steps_path = out_dir / "steps.csv"
-    # steps.csv is renamed into place only once summary.json is, so an error
-    # before then replaces neither file.
+    # steps.csv is complete before summary.json is written, and renamed into
+    # place only once summary.json is, so an error before then replaces neither file.
     with _replacing(steps_path) as fh:
-        (summary,) = summarize(config.sim, _write_rows(fh, simulate(config.sim)))
+        with _StepsCsv(fh) as rows:
+            (summary,) = summarize(config.sim, rows.pass_on(simulate(config.sim)))
         write_summary_json(out_dir / "summary.json", summary_as_dict(config, summary))
     if summary.n_records == 0:
         scenario = config.sim.scenario

@@ -15,8 +15,9 @@ only the yaw-dependent interference hop, the SINR and the rate.
 
 The step loop is one generator of served steps' per-arm records, and one
 reduction keeps only their rates and pair ids, one summary per arm: a run
-streams its arm through it (the CLI writes each record as a CSV row on the
-way), the paired sweep both arms.  No record is kept once consumed.
+streams its arm through it (the CLI hands each record's fields to its
+steps.csv writer on the way), the paired sweep both arms.  No record is kept
+once consumed.
 
 The desired hop is beamformed (the element phases track the served pair),
 so its array factor stays at unit magnitude regardless of yaw; interference
@@ -405,6 +406,22 @@ def _paired_seed(config: SimConfig) -> tuple[RunSummary, RunSummary]:
     return on, off
 
 
+def fork_refusal() -> str | None:
+    """Why this process should not fork a helper process, or None when it may.
+
+    The one fork decision of the sweep's workers and the CLI's steps.csv
+    writer.  A forked child holds only the calling thread, and any lock
+    another thread held; on one core it only competes with its parent.
+    """
+    if not hasattr(os, "fork"):
+        return "os.fork is not available"
+    if threading.active_count() > 1:
+        return f"the process runs {threading.active_count()} threads"
+    if (os.cpu_count() or 1) < 2:
+        return "the machine has one core"
+    return None
+
+
 def _fork_share(share: list[SimConfig]) -> tuple[int, io.BufferedReader]:
     """Fork a child that runs ``share`` and pipes back its results; returns (pid, read end).
 
@@ -455,11 +472,9 @@ def paired_sweep(
     problems: list[str] = []
     forked = 0
     if workers > 1:
-        if not hasattr(os, "fork"):
-            problems.append("os.fork is not available")
-        elif threading.active_count() > 1:
-            # A forked child holds only the calling thread, and any lock another thread held.
-            problems.append(f"the process runs {threading.active_count()} threads")
+        refusal = fork_refusal()  # never the core count: workers > 1 needs two cores
+        if refusal is not None:
+            problems.append(refusal)
         children = []  # (worker, pid, read end of its pipe)
         received: dict[int, bytes] = {}
         try:

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from unittest import mock
@@ -20,7 +21,9 @@ from hypothesis import strategies as st
 from drs_sim.cli import (
     CONFIG_FLAGS,
     MAX_SEED_COUNT,
+    ROWS_PER_BATCH,
     STEPS_CSV_COLUMNS,
+    _step_fields,
     _step_row,
     _sweep_row,
     build_parser,
@@ -29,6 +32,7 @@ from drs_sim.cli import (
 )
 from drs_sim.channel import RadioConfig, RisConfig
 from drs_sim.config import _KEYS, ConfigError, config_as_dict, load_config, parse_config_text
+from drs_sim import engine
 from drs_sim.engine import MODE_OFF, SimConfig, StepRecord, simulate, summarize
 from drs_sim.geometry import Pose, Vec3
 from drs_sim.nullsteer import MODE_ANALYTIC, MODE_FALLBACK, MODE_NONE
@@ -69,11 +73,14 @@ def read_rows(path):
 
 
 def fill_disk_at(monkeypatch, name, nth):
-    """Make the nth write to ``name`` or ``name.partial``, opened by the CLI, raise ENOSPC."""
+    """Make the nth write to ``name`` or ``name.partial``, opened by the CLI, raise ENOSPC.
+
+    The count goes on in a forked steps.csv writer, which inherits the file.
+    """
 
     def full_disk_open(file, *args, **kwargs):
         fh = open(file, *args, **kwargs)
-        if Path(file).name in (name, f"{name}.partial"):
+        if not isinstance(file, int) and Path(file).name in (name, f"{name}.partial"):
             write, writes = fh.write, 0
 
             def write_until_full(text):
@@ -87,6 +94,12 @@ def fill_disk_at(monkeypatch, name, nth):
         return fh
 
     monkeypatch.setattr("drs_sim.cli.open", full_disk_open, raising=False)
+
+
+def assert_no_writer_left():
+    """No child process is left: every forked steps.csv writer was reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestRun:
@@ -310,14 +323,140 @@ class TestRun:
         assert err.count("\n") == 1
         assert not (tmp_path / "out" / "steps.csv").exists()
 
-    def test_io_error_mid_run_leaves_no_partial_csv(self, config_file, tmp_path, monkeypatch, capsys):
-        # The disk fills once the header and 10 rows are written: the next write fails.
+    def test_io_error_mid_run_leaves_no_partial_csv(
+        self, config_file, tmp_path, monkeypatch, capsys, forks
+    ):
+        # The disk fills once the header and 10 rows are written: the next write
+        # fails, in the forked writer, then in process where os.fork is missing.
         fill_disk_at(monkeypatch, "steps.csv", 12)
+        for transport in ("forked", "in-process"):
+            if transport == "in-process":
+                monkeypatch.delattr(os, "fork")
+            out = tmp_path / transport
+            code = main(["run", "--config", str(config_file), "--out", str(out)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("i/o error: [Errno 28] No space left on device\n"), err
+            assert list(out.iterdir()) == []
+            assert forks == [1]
+            assert_no_writer_left()
+
+    def test_writer_error_stops_the_run(self, config_file, tmp_path, monkeypatch, capsys, forks):
+        # The writer fails in its first batch; the run stops at a later batch
+        # that finds the pipe closed and raises the writer's error, not EPIPE.
+        served = 0
+        step_towards = engine.step_towards
+
+        def counted(*args):
+            nonlocal served
+            served += 1
+            return step_towards(*args)
+
+        monkeypatch.setattr("drs_sim.engine.step_towards", counted)
+        fill_disk_at(monkeypatch, "steps.csv", 12)
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(config_file), "--steps", "3000", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "i/o error: [Errno 28] No space left on device\n"
+        assert list(out.iterdir()) == []
+        assert ROWS_PER_BATCH < served < 2730  # 2730 steps are served in 3000
+        assert_no_writer_left()
+
+    def test_writer_that_dies_fails_the_run(
+        self, config_file, tmp_path, monkeypatch, capsys, forks
+    ):
+        def fails(fields):
+            raise ValueError("not an OSError")
+
+        monkeypatch.setattr("drs_sim.cli._step_row", fails)  # only the forked writer formats
         out = tmp_path / "out"
         code = main(["run", "--config", str(config_file), "--out", str(out)])
         assert code == 2
-        assert capsys.readouterr().err.startswith("i/o error:")
+        assert capsys.readouterr().err == "i/o error: the steps.csv writer exited with status 1\n"
         assert list(out.iterdir()) == []
+        assert forks == [1]
+        assert_no_writer_left()
+
+    @pytest.mark.parametrize(
+        "interrupt, nth", [(False, 5), (False, 300), (True, 300)],
+        ids=["teleport-5", "teleport-300", "interrupt-300"],
+    )
+    def test_failure_after_the_writer_started_writes_nothing(
+        self, interrupt, nth, config_file, tmp_path, monkeypatch, capsys, forks
+    ):
+        # The writer starts at the first served step; by step 300 it has a batch.
+        served = 0
+        step_towards = engine.step_towards
+
+        def fails_on_nth(position, target, limits, bounds):
+            nonlocal served
+            served += 1
+            if served == nth:
+                if interrupt:
+                    raise KeyboardInterrupt
+                return Vec3(position.x, position.y + 100.0, position.z)
+            return step_towards(position, target, limits, bounds)
+
+        monkeypatch.setattr("drs_sim.engine.step_towards", fails_on_nth)
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(config_file), "--out", str(out)]
+        if interrupt:
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            assert main(argv) == 3
+            assert capsys.readouterr().err.startswith("error: constraint violated: displacement")
+        assert list(out.iterdir()) == []
+        assert forks == [1]
+        assert_no_writer_left()
+
+    def test_run_that_serves_nothing_forks_nothing(self, config_file, tmp_path, forks):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_file), "--steps", "1", "--out", str(out)]) == 0
+        assert (out / "steps.csv").read_bytes() == ",".join(STEPS_CSV_COLUMNS).encode() + b"\r\n"
+        assert forks == []
+        assert_no_writer_left()
+
+    def test_threaded_caller_writes_in_process(self, config_file, tmp_path, monkeypatch, forks):
+        assert main(["run", "--config", str(config_file), "--out", str(tmp_path / "forked")]) == 0
+        monkeypatch.setenv("DRS_SIM_LOG", "info")
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        stderr = io.StringIO()
+        argv = ["run", "--config", str(config_file), "--out", str(tmp_path / "threaded")]
+        try:
+            with contextlib.redirect_stderr(stderr):
+                code = main(argv)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert code == 0
+        assert stderr.getvalue().endswith(
+            "INFO:drs_sim:the process runs 2 threads; steps.csv rows are written in process\n"
+        )
+        assert forks == [1]  # the first run's writer only
+        steps = [(tmp_path / run / "steps.csv").read_bytes() for run in ("forked", "threaded")]
+        assert steps[0] == steps[1]
+
+    def test_failed_fork_writes_in_process(self, config_file, tmp_path, monkeypatch, capsys):
+        assert main(["run", "--config", str(config_file), "--out", str(tmp_path / "a")]) == 0
+
+        def fork():
+            raise OSError("no fork here")
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("DRS_SIM_LOG", "warning")
+        capsys.readouterr()
+        assert main(["run", "--config", str(config_file), "--out", str(tmp_path / "b")]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "WARNING:drs_sim:cannot fork the steps.csv writer: no fork here; "
+            "writing its rows in process"
+        ]
+        steps = [(tmp_path / run / "steps.csv").read_bytes() for run in "ab"]
+        assert steps[0] == steps[1]
 
     def test_byte_identical_reruns(self, config_file, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -514,7 +653,7 @@ class TestRowFormat:
             "on" if r.control_on else "off",
         ]
         assert len(fields) == len(STEPS_CSV_COLUMNS)
-        assert _step_row(r) == csv_writer_line(fields)
+        assert _step_row(_step_fields(r)) == csv_writer_line(fields)
 
     @settings(max_examples=300)
     @given(st.integers(0, 2**64 - 1), st.lists(st.one_of(st.none(), FLOATS), min_size=3, max_size=3))
@@ -947,8 +1086,9 @@ def mostly(good, bad):
 
 # Command-line inputs for the whole-CLI property.  Flags come before the
 # final --out, which always points into a scratch directory; none asks for
-# more than one worker or more than a few steps, so no worker is forked
-# and every example stays short.
+# more than one worker or more than a few steps, so no sweep worker is
+# forked and every example stays short.  A run that serves a step forks its
+# steps.csv writer, which is reaped before main returns.
 EXTRA_FLAGS = st.sampled_from([
     ["--bogus"], ["--seed", "-1"], ["--seed", "x"], ["--seed", "3"], ["--steps", "0"],
     ["--steps", "x"], ["--steps", "2"], ["--jobs", "0"], ["--jobs", "x"], ["--jobs", "1"],

@@ -19,6 +19,7 @@ from drs_sim.engine import (
     SimConfig,
     _check_constraints,
     aggregate_improvement,
+    fork_refusal,
     log,
     paired_sweep,
     replace,
@@ -499,6 +500,14 @@ class TestPairedSweep:
         assert capsys.readouterr().err.splitlines() == [
             "WARNING:drs_sim:the process runs 2 threads; running 2 seeds serially"
         ]
+
+    @pytest.mark.parametrize(
+        "cores, refusal",
+        [(2, None), (1, "the machine has one core"), (None, "the machine has one core")],
+    )
+    def test_fork_refusal_needs_two_cores(self, cores, refusal, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        assert fork_refusal() == refusal
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_rejects_jobs_below_one(self, jobs):

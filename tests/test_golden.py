@@ -2,10 +2,13 @@
 
 Any change to the simulated numbers or to the CSV format changes these
 hashes.  A change that is meant to alter the output must update them and
-say why; every other change must leave them as they are.
+say why; every other change must leave them as they are.  Each steps.csv
+hash holds for both ways its rows are written: by the forked writer, and in
+process where ``os.fork`` is missing.
 """
 
 import hashlib
+import os
 
 import pytest
 
@@ -22,13 +25,24 @@ GOLDEN = [
 @pytest.mark.parametrize(
     "interferer, seed, digest", GOLDEN, ids=[f"{kind}-{seed}" for kind, seed, _ in GOLDEN]
 )
-def test_steps_csv_hash(interferer, seed, digest, tmp_path):
+def test_steps_csv_hash(interferer, seed, digest, tmp_path, forks, monkeypatch):
     config = tmp_path / "run.cfg"
     config.write_text(f"scenario.interferer = {interferer}\n", encoding="utf-8")
-    out = tmp_path / "out"
     args = ["run", "--config", str(config), "--seed", str(seed), "--steps", "2000"]
-    assert main(args + ["--out", str(out)]) == 0
-    assert hashlib.sha256((out / "steps.csv").read_bytes()).hexdigest() == digest
+    assert steps_csv_digests(args, tmp_path, forks, monkeypatch) == [digest, digest]
+
+
+def steps_csv_digests(args, tmp_path, forks, monkeypatch):
+    """sha256 of the steps.csv that ``args`` writes through the forked writer, then in process."""
+    digests = []
+    for transport in ("forked", "in-process"):
+        if transport == "in-process":
+            monkeypatch.delattr(os, "fork")
+        out = tmp_path / transport
+        assert main(args + ["--out", str(out)]) == 0
+        digests.append(hashlib.sha256((out / "steps.csv").read_bytes()).hexdigest())
+        assert forks == [1]  # the served run forked its writer once, the in-process one not
+    return digests
 
 
 # (config lines, sha256 of steps.csv) for ``drs-sim run --seed 1 --steps 2000``:
@@ -49,13 +63,11 @@ GOLDEN_CONFIGS = [
 @pytest.mark.parametrize(
     "lines, digest", GOLDEN_CONFIGS, ids=["control-off", "fallback-heavy"]
 )
-def test_steps_csv_hash_of_config(lines, digest, tmp_path):
+def test_steps_csv_hash_of_config(lines, digest, tmp_path, forks, monkeypatch):
     config = tmp_path / "run.cfg"
     config.write_text(lines, encoding="utf-8")
-    out = tmp_path / "out"
     args = ["run", "--config", str(config), "--seed", "1", "--steps", "2000"]
-    assert main(args + ["--out", str(out)]) == 0
-    assert hashlib.sha256((out / "steps.csv").read_bytes()).hexdigest() == digest
+    assert steps_csv_digests(args, tmp_path, forks, monkeypatch) == [digest, digest]
 
 
 # sha256 of sweep.csv from ``drs-sim sweep --seeds 1,2 --steps 2000 --jobs 1``
