@@ -5,12 +5,13 @@ Subcommands:
   sweep  paired control-on/control-off runs across seeds, write sweep.csv
   plot   render steps.csv files into SVG charts
 
-``run`` hands each served step's rows to one forked writer process, which
-formats and writes steps.csv while the step loop goes on, when
-``engine.fork_refusal`` allows: ``os.fork`` exists, the process runs one
-thread and the machine has two cores.  Otherwise, a threaded caller of
-``main`` among them, the rows are written in process.  The bytes are the
-same either way.
+From its first full batch of rows on, ``run`` hands each served step's rows
+to one writer process (``engine.fork_child``), which formats and writes
+steps.csv while the step loop goes on, when ``engine.fork_refusal`` allows:
+``os.fork`` exists, the process runs one thread and may run on two CPUs.
+Otherwise, a threaded caller of ``main`` among them, and in a run of less
+than one batch, the rows are written in process.  The bytes are the same
+either way.
 
 Set DRS_SIM_LOG=debug|info|warning|error to control log verbosity.  Messages
 are ``LEVEL:drs_sim:message`` lines written straight to stderr by
@@ -41,8 +42,10 @@ from .engine import (
     RunSummary,
     StepRecord,
     aggregate_improvement,
+    fork_child,
     fork_refusal,
     improvement_pct,
+    join_child,
     log,
     paired_sweep,
     simulate,
@@ -121,62 +124,19 @@ def _current_cpu() -> int | None:
         return None
 
 
-def _fork_writer(fh: io.TextIOWrapper) -> tuple[int, io.BufferedWriter, io.BufferedReader]:
-    """Fork a child that writes steps.csv rows to ``fh``; returns (pid, row pipe, status pipe).
-
-    The child keeps off the CPU this process runs on: a pipe write wakes its
-    reader on the writer's CPU (Linux), where it would take turns with the
-    step loop while another core idles.  It reads each batch's length, then
-    its marshal blob with one read of that size, and writes every row.  It
-    leaves through ``os._exit``, with status 0 once the row pipe is at its
-    end and ``fh`` is flushed; an OSError it hits goes back as its
-    marshalled args on the status pipe.
-    """
-    cpu = _current_cpu()
-    rows_r, rows_w = os.pipe()
-    status_r, status_w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        for fd in (rows_r, rows_w, status_r, status_w):
-            os.close(fd)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(rows_w)
-            os.close(status_r)
-            with contextlib.suppress(AttributeError, OSError):  # no affinity calls, or no CPU left
-                os.sched_setaffinity(0, os.sched_getaffinity(0) - {cpu})
-            with open(rows_r, "rb") as rows:
-                read, write = rows.read, fh.write
-                try:
-                    while size := read(8):
-                        for fields in marshal.loads(read(int.from_bytes(size, "little"))):
-                            write(_step_row(fields))
-                    fh.flush()
-                    code = 0
-                except OSError as exc:
-                    os.write(status_w, marshal.dumps(exc.args))
-        finally:
-            os._exit(code)
-    os.close(rows_r)
-    os.close(status_w)
-    return pid, open(rows_w, "wb"), open(status_r, "rb")
-
-
 class _StepsCsv:
     """Writes steps.csv to ``fh``: the header, then every served step's rows.
 
-    Rows go out ROWS_PER_BATCH at a time.  From the first served step on,
-    one forked child formats and writes them while this process keeps
-    stepping, when ``fork_refusal()`` allows; each batch of ``_step_fields``
-    tuples reaches it as one length-prefixed marshal blob over a pipe.
-    Otherwise, or when the fork fails (after one warning), they are written
-    here.  ``_step_row`` formats every row either way, so the bytes are the
-    same.  Leaving the ``with`` block writes what is left, closes the pipe
-    and reaps the child on every path, before ``fh`` is renamed or removed;
-    an OSError the child hit is raised here again, with its errno and text.
+    Rows go out ROWS_PER_BATCH at a time.  At the first full batch, when
+    ``fork_refusal()`` allows, ``fork_child`` starts a writer that formats
+    and writes them while this process keeps stepping; each batch of
+    ``_step_fields`` tuples reaches its inbox as one length-prefixed marshal
+    blob.  Otherwise, when the fork fails (after one warning), or for a run
+    of less than one batch, they are written here.  ``_step_row`` formats
+    every row either way, so the bytes are the same.  Leaving the ``with``
+    block writes what is left and reaps the writer on every path, before
+    ``fh`` is renamed or removed; an OSError the writer hit is raised here
+    again, with its errno and text.
     """
 
     def __init__(self, fh: io.TextIOWrapper) -> None:
@@ -193,20 +153,21 @@ class _StepsCsv:
         try:
             if kind is None:
                 self._send()
-        except BaseException:
-            self._reap(raise_error=False)
-            raise
-        self._reap(raise_error=kind is None)
+        finally:
+            # A write that found the inbox closed means the writer stopped: say why.
+            error = self._reap()
+            if error is not None and kind in (None, BrokenPipeError):
+                raise error
 
     def pass_on(self, steps: Iterable[list[StepRecord]]) -> Iterator[list[StepRecord]]:
         """Hand off each step's rows, passing the step on."""
         batch = self.batch
         for records in steps:
-            if not self.started:
-                self._start()
             for record in records:
                 batch.append(_step_fields(record))
             if len(batch) >= ROWS_PER_BATCH:
+                if not self.started:
+                    self._start()
                 self._send()
             yield records
 
@@ -216,11 +177,32 @@ class _StepsCsv:
         if refusal is not None:
             log("info", f"{refusal}; steps.csv rows are written in process")
             return
+        cpu = _current_cpu()
         self.fh.flush()  # the child must not inherit the header as buffered bytes
         try:
-            self.child = _fork_writer(self.fh)
+            self.child = fork_child(lambda inbox: self._write_batches(inbox, cpu))
         except OSError as exc:
             log("warning", f"cannot fork the steps.csv writer: {exc}; writing its rows in process")
+
+    def _write_batches(self, inbox: io.BufferedReader, cpu: int | None) -> tuple | None:
+        """The writer's body: every batch's rows to ``fh``; the args of an OSError it hit, or None.
+
+        It keeps off ``cpu``, the one the step loop runs on: a pipe write
+        wakes its reader on the writer's CPU (Linux), where the two would
+        take turns while another CPU idles.  It reads each batch's length,
+        then its blob with one read of that size.
+        """
+        with contextlib.suppress(AttributeError, OSError):  # no affinity calls, or no CPU left
+            os.sched_setaffinity(0, os.sched_getaffinity(0) - {cpu})
+        read, write = inbox.read, self.fh.write
+        try:
+            while size := read(8):
+                for fields in marshal.loads(read(int.from_bytes(size, "little"))):
+                    write(_step_row(fields))
+            self.fh.flush()
+        except OSError as exc:
+            return exc.args
+        return None
 
     def _send(self) -> None:
         if self.child is None:
@@ -229,29 +211,19 @@ class _StepsCsv:
                 write(_step_row(fields))
         else:
             blob = marshal.dumps(self.batch)
-            try:
-                self.child[1].write(len(blob).to_bytes(8, "little") + blob)
-            except BrokenPipeError:  # the child stopped reading: raise what it hit
-                self._reap(raise_error=True)
-                raise
+            self.child[1].write(len(blob).to_bytes(8, "little") + blob)
         self.batch.clear()
 
-    def _reap(self, raise_error: bool) -> None:
+    def _reap(self) -> OSError | None:
+        """Close the writer's inbox and reap it; the error it hit, or None."""
         if self.child is None:
-            return
-        pid, rows, status = self.child
-        self.child = None
-        try:
-            with contextlib.suppress(OSError):  # a child that failed reads no more
-                rows.close()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            error = status.read()
-        finally:
-            status.close()
-        if raise_error and code:
-            if error:
-                raise OSError(*marshal.loads(error))
-            raise OSError(f"the steps.csv writer exited with status {code}")
+            return None
+        child, self.child = self.child, None
+        status, blob = join_child(*child)
+        if status:
+            return OSError(f"the steps.csv writer exited with status {status}")
+        args = marshal.loads(blob)
+        return None if args is None else OSError(*args)
 
 
 @contextlib.contextmanager

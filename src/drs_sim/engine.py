@@ -27,6 +27,7 @@ rotating to cancel interference never costs desired-link rate.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import marshal
 import math
@@ -35,7 +36,7 @@ import sys
 import threading
 import time
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from .channel import (
     NO_PATH,
@@ -406,48 +407,73 @@ def _paired_seed(config: SimConfig) -> tuple[RunSummary, RunSummary]:
     return on, off
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask's, or os.cpu_count() without one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def fork_refusal() -> str | None:
-    """Why this process should not fork a helper process, or None when it may.
+    """Why this process should not ``fork_child`` a helper, or None when it may.
 
     The one fork decision of the sweep's workers and the CLI's steps.csv
     writer.  A forked child holds only the calling thread, and any lock
-    another thread held; on one core it only competes with its parent.
+    another thread held; on one CPU it only competes with its parent.
     """
     if not hasattr(os, "fork"):
         return "os.fork is not available"
     if threading.active_count() > 1:
         return f"the process runs {threading.active_count()} threads"
-    if (os.cpu_count() or 1) < 2:
-        return "the machine has one core"
+    if _usable_cpus() < 2:
+        return "the process may run on one CPU"
     return None
 
 
-def _fork_share(share: list[SimConfig]) -> tuple[int, io.BufferedReader]:
-    """Fork a child that runs ``share`` and pipes back its results; returns (pid, read end).
+def fork_child(
+    body: Callable[[io.BufferedReader], object],
+) -> tuple[int, io.BufferedWriter, io.BufferedReader]:
+    """Fork a child that runs ``body(inbox)``; returns (pid, inbox write end, outbox read end).
 
-    The child writes one marshal blob of each seed's ``(on, off)`` summaries
-    as plain tuples and leaves through ``os._exit``, with status 0 only once
-    the blob is written.
+    The child writes ``marshal.dumps`` of what ``body`` returns to the
+    outbox and leaves through ``os._exit``: status 0 only once it is written.
     """
-    read_fd, write_fd = os.pipe()
+    fds = os.pipe()
     try:
+        fds += os.pipe()
         pid = os.fork()
     except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
+        for fd in fds:
+            os.close(fd)
         raise
+    inbox_r, inbox_w, outbox_r, outbox_w = fds
     if pid == 0:
         code = 1
         try:
-            os.close(read_fd)
-            blob = marshal.dumps([tuple(map(tuple, _paired_seed(item))) for item in share])
-            with open(write_fd, "wb") as pipe:
-                pipe.write(blob)
+            os.close(inbox_w)
+            os.close(outbox_r)
+            with open(inbox_r, "rb") as inbox:
+                blob = marshal.dumps(body(inbox))
+            with open(outbox_w, "wb") as outbox:
+                outbox.write(blob)
             code = 0
         finally:
             os._exit(code)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
+    os.close(inbox_r)
+    os.close(outbox_w)
+    return pid, open(inbox_w, "wb"), open(outbox_r, "rb")
+
+
+def join_child(pid: int, inbox: io.BufferedWriter, outbox: io.BufferedReader) -> tuple[int, bytes]:
+    """Close a ``fork_child``'s inbox, read its outbox to the end and reap it: (status, blob)."""
+    try:
+        with contextlib.suppress(OSError):  # a child that stopped reading leaves bytes unflushed
+            inbox.close()
+        blob = outbox.read()
+    finally:
+        outbox.close()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    return status, blob
 
 
 def paired_sweep(
@@ -457,9 +483,10 @@ def paired_sweep(
 
     One pass per seed steps traffic and the drone once and evaluates both yaw
     arms on that shared trajectory, so the rate difference is attributable to
-    orientation control alone.  Seeds run in min(jobs, seeds, cores) forked
-    worker processes when that is more than one (jobs None adds no cap of its
-    own): worker w runs seeds[w::workers].  A share whose worker cannot be
+    orientation control alone.  Seeds run in min(jobs, seeds, CPUs the process
+    may run on) worker processes when that is more than one (jobs None adds no cap of its
+    own): worker w, a ``fork_child``, runs seeds[w::workers] and returns each
+    seed's summaries as plain tuples.  A share whose worker cannot be
     forked, fails or sends nothing runs serially here after one warning; the
     simulation is deterministic, so an error a worker hit is raised again.
     Results keep the input seed order.  Raises ValueError when jobs < 1.
@@ -467,38 +494,37 @@ def paired_sweep(
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     work = [replace(config, scenario=replace(config.scenario, seed=seed)) for seed in seeds]
-    workers = min(jobs or len(work), len(work), os.cpu_count() or 1)
+    workers = min(jobs or len(work), len(work), _usable_cpus())
     runs: list[tuple[RunSummary, RunSummary] | None] = [None] * len(work)
     problems: list[str] = []
     forked = 0
     if workers > 1:
-        refusal = fork_refusal()  # never the core count: workers > 1 needs two cores
+        refusal = fork_refusal()  # never the CPU count: workers > 1 needs two CPUs
         if refusal is not None:
             problems.append(refusal)
-        children = []  # (worker, pid, read end of its pipe)
-        received: dict[int, bytes] = {}
+        children = []  # (worker, fork_child's (pid, inbox, outbox))
         try:
             for w in range(0 if problems else workers):  # no fork once a problem is known
                 try:
-                    children.append((w, *_fork_share(work[w::workers])))
+                    child = fork_child(lambda _, share=work[w::workers]: [
+                        tuple(map(tuple, _paired_seed(c))) for c in share
+                    ])
                 except OSError as exc:
                     problems.append(f"cannot fork worker {w}: {exc}")
                     break
-            for w, _, pipe in children:
-                received[w] = pipe.read()
+                child[1].close()  # so that no later worker inherits this inbox
+                children.append((w, child))
         finally:
-            for w, pid, pipe in children:
-                pipe.close()
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            for w, child in children:
+                code, blob = join_child(*child)
                 if code:
                     problems.append(f"worker {w} exited with status {code}")
-                    received.pop(w, None)
-        for w, blob in received.items():
-            if blob:
-                runs[w::workers] = [tuple(map(RunSummary._make, r)) for r in marshal.loads(blob)]
-                forked += 1
-            else:
-                problems.append(f"worker {w} sent no results")
+                elif blob:
+                    share = marshal.loads(blob)
+                    runs[w::workers] = [tuple(map(RunSummary._make, r)) for r in share]
+                    forked += 1
+                else:
+                    problems.append(f"worker {w} sent no results")
     missing = [i for i, run in enumerate(runs) if run is None]
     if problems:
         log("warning", f"{'; '.join(problems)}; running {len(missing)} seeds serially")

@@ -4,10 +4,21 @@ import pytest
 
 
 @pytest.fixture()
-def forks(monkeypatch):
-    """The os.fork calls made on a two-core machine, one entry each.
+def cpus(monkeypatch):
+    """``cpus(n)`` lets the process run on n CPUs: its affinity and os.cpu_count() say n."""
 
-    A ``drs-sim run`` that serves a step forks one steps.csv writer here.
+    def set_cpus(n):
+        monkeypatch.setattr(os, "cpu_count", lambda: n)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n or 0)), raising=False)
+
+    return set_cpus
+
+
+@pytest.fixture()
+def forks(monkeypatch, cpus):
+    """The os.fork calls made by a process that may run on two CPUs, one entry each.
+
+    A ``drs-sim run`` that serves a full batch of rows forks one steps.csv writer here.
     """
     calls = []
     fork = os.fork
@@ -17,5 +28,5 @@ def forks(monkeypatch):
         return fork()
 
     monkeypatch.setattr(os, "fork", counted_fork)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cpus(2)
     return calls

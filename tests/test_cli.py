@@ -378,13 +378,14 @@ class TestRun:
         assert_no_writer_left()
 
     @pytest.mark.parametrize(
-        "interrupt, nth", [(False, 5), (False, 300), (True, 300)],
+        "interrupt, nth, forked", [(False, 5, []), (False, 300, [1]), (True, 300, [1])],
         ids=["teleport-5", "teleport-300", "interrupt-300"],
     )
     def test_failure_after_the_writer_started_writes_nothing(
-        self, interrupt, nth, config_file, tmp_path, monkeypatch, capsys, forks
+        self, interrupt, nth, forked, config_file, tmp_path, monkeypatch, capsys, forks
     ):
-        # The writer starts at the first served step; by step 300 it has a batch.
+        # The writer starts at the first full batch: after step 5 no writer runs
+        # yet, and by step 300 it has its first batch.
         served = 0
         step_towards = engine.step_towards
 
@@ -407,7 +408,7 @@ class TestRun:
             assert main(argv) == 3
             assert capsys.readouterr().err.startswith("error: constraint violated: displacement")
         assert list(out.iterdir()) == []
-        assert forks == [1]
+        assert forks == forked
         assert_no_writer_left()
 
     def test_run_that_serves_nothing_forks_nothing(self, config_file, tmp_path, forks):
@@ -416,6 +417,28 @@ class TestRun:
         assert (out / "steps.csv").read_bytes() == ",".join(STEPS_CSV_COLUMNS).encode() + b"\r\n"
         assert forks == []
         assert_no_writer_left()
+
+    def test_run_of_less_than_one_batch_forks_nothing(self, config_file, tmp_path, forks):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_file), "--steps", "200", "--out", str(out)]) == 0
+        assert 0 < len(read_rows(out / "steps.csv")) < ROWS_PER_BATCH
+        assert forks == []
+
+    def test_one_cpu_of_two_writes_in_process(
+        self, config_file, tmp_path, monkeypatch, capsys, forks
+    ):
+        # As under ``taskset -c 0``: the affinity is counted, not the machine's cores.
+        assert main(["run", "--config", str(config_file), "--out", str(tmp_path / "forked")]) == 0
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setenv("DRS_SIM_LOG", "info")
+        capsys.readouterr()
+        assert main(["run", "--config", str(config_file), "--out", str(tmp_path / "one")]) == 0
+        assert capsys.readouterr().err.endswith(
+            "INFO:drs_sim:the process may run on one CPU; steps.csv rows are written in process\n"
+        )
+        assert forks == [1]  # the first run's writer only
+        steps = [(tmp_path / run / "steps.csv").read_bytes() for run in ("forked", "one")]
+        assert steps[0] == steps[1]
 
     def test_threaded_caller_writes_in_process(self, config_file, tmp_path, monkeypatch, forks):
         assert main(["run", "--config", str(config_file), "--out", str(tmp_path / "forked")]) == 0
@@ -440,14 +463,16 @@ class TestRun:
         steps = [(tmp_path / run / "steps.csv").read_bytes() for run in ("forked", "threaded")]
         assert steps[0] == steps[1]
 
-    def test_failed_fork_writes_in_process(self, config_file, tmp_path, monkeypatch, capsys):
+    def test_failed_fork_writes_in_process(
+        self, config_file, tmp_path, monkeypatch, capsys, cpus
+    ):
         assert main(["run", "--config", str(config_file), "--out", str(tmp_path / "a")]) == 0
 
         def fork():
             raise OSError("no fork here")
 
         monkeypatch.setattr(os, "fork", fork)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cpus(2)
         monkeypatch.setenv("DRS_SIM_LOG", "warning")
         capsys.readouterr()
         assert main(["run", "--config", str(config_file), "--out", str(tmp_path / "b")]) == 0
@@ -1087,8 +1112,8 @@ def mostly(good, bad):
 # Command-line inputs for the whole-CLI property.  Flags come before the
 # final --out, which always points into a scratch directory; none asks for
 # more than one worker or more than a few steps, so no sweep worker is
-# forked and every example stays short.  A run that serves a step forks its
-# steps.csv writer, which is reaped before main returns.
+# forked and every example stays short, too short for a run to fill the batch
+# at which it would fork its steps.csv writer.
 EXTRA_FLAGS = st.sampled_from([
     ["--bogus"], ["--seed", "-1"], ["--seed", "x"], ["--seed", "3"], ["--steps", "0"],
     ["--steps", "x"], ["--steps", "2"], ["--jobs", "0"], ["--jobs", "x"], ["--jobs", "1"],

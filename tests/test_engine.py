@@ -19,7 +19,9 @@ from drs_sim.engine import (
     SimConfig,
     _check_constraints,
     aggregate_improvement,
+    fork_child,
     fork_refusal,
+    join_child,
     log,
     paired_sweep,
     replace,
@@ -308,8 +310,8 @@ class TestLog:
 
 class TestPairedSweep:
     @pytest.mark.parametrize("interferer", ["rsu", "vehicle", "none"])
-    def test_single_pass_matches_two_separate_runs(self, interferer, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    def test_single_pass_matches_two_separate_runs(self, interferer, cpus):
+        cpus(2)
         config = small_config(steps=2000, scenario=ScenarioConfig(interferer_kind=interferer))
         off = replace(config, orientation_control=False)
         seeds = [1, 2, 3, 4, 5]
@@ -371,12 +373,12 @@ class TestPairedSweep:
             assert int(match[2]) == config.steps
             assert int(match[3]) == run_simulation(config, run.seed).n_records
 
-    def test_serial_fallback_is_logged(self, monkeypatch, capsys):
+    def test_serial_fallback_is_logged(self, monkeypatch, capsys, cpus):
         def fork():
             raise OSError("no fork here")
 
         monkeypatch.setattr(os, "fork", fork)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cpus(2)
         monkeypatch.setenv("DRS_SIM_LOG", "warning")
         config = small_config(steps=300)
         runs = paired_sweep(config, [3, 4], jobs=2)
@@ -386,9 +388,9 @@ class TestPairedSweep:
             "WARNING:drs_sim:cannot fork worker 0: no fork here; running 2 seeds serially"
         ]
 
-    def test_without_fork_seeds_run_serially(self, monkeypatch, capsys):
+    def test_without_fork_seeds_run_serially(self, monkeypatch, capsys, cpus):
         monkeypatch.delattr(os, "fork")
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cpus(2)
         monkeypatch.setenv("DRS_SIM_LOG", "warning")
         config = small_config(steps=300)
         runs = paired_sweep(config, [3, 4], jobs=2)
@@ -407,7 +409,7 @@ class TestPairedSweep:
             ([3, 4], 1, 8, None),  # one job: serial
         ],
     )
-    def test_worker_count(self, seeds, jobs, cores, workers, monkeypatch, capsys):
+    def test_worker_count(self, seeds, jobs, cores, workers, monkeypatch, capsys, cpus):
         forks = []
         fork = os.fork
 
@@ -416,7 +418,7 @@ class TestPairedSweep:
             return fork()
 
         monkeypatch.setattr(os, "fork", counted_fork)
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        cpus(cores)
         monkeypatch.setenv("DRS_SIM_LOG", "info")
         config = small_config(steps=100)
         runs = paired_sweep(config, seeds, jobs=jobs)
@@ -432,8 +434,8 @@ class TestPairedSweep:
             ]
             assert runs == paired_sweep(config, seeds, jobs=1)
 
-    def test_workers_return_runs_in_seed_order(self, monkeypatch, capsys):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    def test_workers_return_runs_in_seed_order(self, monkeypatch, capsys, cpus):
+        cpus(2)
         monkeypatch.setenv("DRS_SIM_LOG", "info")
         config = small_config(steps=200)
         seeds = [9, 3, 7, 1, 5]
@@ -446,7 +448,7 @@ class TestPairedSweep:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_worker_error_is_raised_again(self, monkeypatch, capsys):
+    def test_worker_error_is_raised_again(self, monkeypatch, capsys, cpus):
         """A worker that fails exits non-zero; its share reruns here and raises the same error."""
         def fails_for_seed_4(config, paired=False):
             if config.scenario.seed == 4:
@@ -454,7 +456,7 @@ class TestPairedSweep:
             return simulate(config, paired)
 
         monkeypatch.setattr(engine, "simulate", fails_for_seed_4)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cpus(2)
         monkeypatch.setenv("DRS_SIM_LOG", "warning")
         with pytest.raises(ConstraintViolation) as raised:
             paired_sweep(small_config(steps=100), [3, 4], jobs=2)
@@ -466,7 +468,7 @@ class TestPairedSweep:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_worker_that_sends_nothing_is_rerun(self, monkeypatch, capsys):
+    def test_worker_that_sends_nothing_is_rerun(self, monkeypatch, capsys, cpus):
         class Mute:
             """marshal for the workers: each writes an empty blob and exits 0."""
 
@@ -474,7 +476,7 @@ class TestPairedSweep:
             loads = staticmethod(marshal.loads)
 
         monkeypatch.setattr(engine, "marshal", Mute)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cpus(2)
         monkeypatch.setenv("DRS_SIM_LOG", "warning")
         config = small_config(steps=100)
         runs = paired_sweep(config, [3, 4, 5], jobs=2)
@@ -484,8 +486,8 @@ class TestPairedSweep:
             "running 3 seeds serially"
         ]
 
-    def test_threaded_process_does_not_fork(self, monkeypatch, capsys):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    def test_threaded_process_does_not_fork(self, monkeypatch, capsys, cpus):
+        cpus(2)
         monkeypatch.setenv("DRS_SIM_LOG", "warning")
         release = threading.Event()
         thread = threading.Thread(target=release.wait)
@@ -503,11 +505,29 @@ class TestPairedSweep:
 
     @pytest.mark.parametrize(
         "cores, refusal",
-        [(2, None), (1, "the machine has one core"), (None, "the machine has one core")],
+        [
+            (2, None),
+            (1, "the process may run on one CPU"),
+            (None, "the process may run on one CPU"),
+        ],
     )
     def test_fork_refusal_needs_two_cores(self, cores, refusal, monkeypatch):
+        # Where the platform has no affinity calls, os.cpu_count() is the count.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         assert fork_refusal() == refusal
+
+    def test_one_cpu_of_two_runs_the_sweep_serially(self, monkeypatch, capsys):
+        # As under ``taskset -c 0``: the affinity is counted, not the machine's cores.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked on one CPU"))
+        monkeypatch.setenv("DRS_SIM_LOG", "info")
+        assert fork_refusal() == "the process may run on one CPU"
+        config = small_config(steps=100)
+        runs = paired_sweep(config, [3, 4], jobs=2)
+        assert runs == paired_sweep(config, [3, 4], jobs=1)
+        assert "INFO:drs_sim:2 seeds ran serially\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_rejects_jobs_below_one(self, jobs):
@@ -526,3 +546,31 @@ class TestPairedSweep:
         assert message != warnings[0]
         assert "seeds 5, 6" in message
         assert "9" not in message
+
+
+class TestForkChild:
+    def test_result_comes_back_with_status_0(self):
+        result = [(1, 2.5, "on"), None, -math.inf]
+        status, blob = join_child(*fork_child(lambda inbox: result))
+        assert (status, marshal.loads(blob)) == (0, result)
+        assert_no_child_left()
+
+    def test_raising_body_exits_1_with_no_blob(self):
+        def fails(inbox):
+            raise ValueError("not sent")
+
+        assert join_child(*fork_child(fails)) == (1, b"")
+        assert_no_child_left()
+
+    def test_body_reads_its_inbox_to_the_end(self):
+        # The body returns only at EOF, which join_child's close of the inbox brings.
+        pid, inbox, outbox = fork_child(lambda inbox: inbox.read())
+        inbox.write(b"rows")
+        status, blob = join_child(pid, inbox, outbox)
+        assert (status, marshal.loads(blob)) == (0, b"rows")
+        assert_no_child_left()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
