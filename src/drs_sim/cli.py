@@ -5,13 +5,14 @@ Subcommands:
   sweep  paired control-on/control-off runs across seeds, write sweep.csv
   plot   render steps.csv files into SVG charts
 
-From its first full batch of rows on, ``run`` hands each served step's rows
-to one writer process (``engine.fork_child``), which formats and writes
-steps.csv while the step loop goes on, when ``engine.fork_refusal`` allows:
-``os.fork`` exists, the process runs one thread and may run on two CPUs.
-Otherwise, a threaded caller of ``main`` among them, and in a run of less
-than one batch, the rows are written in process.  The bytes are the same
-either way.
+``run`` takes its steps from ``engine.trajectory_ahead``: after the first
+batch of served steps, one producer process (``engine.fork_child``) steps
+traffic and the drone's path ahead of the yaw loop, which evaluates each
+step's arms and writes its steps.csv rows here, when
+``engine.fork_refusal`` allows: ``os.fork`` exists, the process runs one
+thread and may run on two CPUs.  Otherwise, a threaded caller of ``main``
+among them, and in a run of less than one batch, the trajectory is stepped
+in process.  The bytes are the same either way.
 
 Set DRS_SIM_LOG=debug|info|warning|error to control log verbosity.  Messages
 are ``LEVEL:drs_sim:message`` lines written straight to stderr by
@@ -26,7 +27,6 @@ import contextlib
 import gc
 import io
 import json
-import marshal
 import math
 import os
 import re
@@ -42,14 +42,12 @@ from .engine import (
     RunSummary,
     StepRecord,
     aggregate_improvement,
-    fork_child,
-    fork_refusal,
     improvement_pct,
-    join_child,
     log,
     paired_sweep,
     simulate,
     summarize,
+    trajectory_ahead,
 )
 from .rng import SEED_LIMIT
 
@@ -90,24 +88,16 @@ MAX_SEED_COUNT = 100_000
 
 _STEP_ROW = "%s,%r,%s,%s,%r,%r,%r,%r,%r,%r,%r,%r,%r,%s,%r,%r,%r,%r,%s\r\n"
 
-# Rows that the step loop hands the steps.csv writer at a time.
-ROWS_PER_BATCH = 256
 
-
-def _step_fields(r: StepRecord) -> tuple:
-    """A record's steps.csv fields in STEPS_CSV_COLUMNS order: ints, floats and strings."""
+def _step_row(r: StepRecord) -> str:
+    """One steps.csv line, in STEPS_CSV_COLUMNS order."""
     tx, rx, drs = r.tx_pos, r.rx_pos, r.drs
     p = drs.position
-    return (
+    return _STEP_ROW % (
         r.step_index, r.time_s, r.pair_id, r.cycle_index, tx.x, tx.y, rx.x, rx.y,
         p.x, p.y, p.z, drs.yaw, r.alpha_applied, r.null_mode, r.pl_desired_db,
         r.pl_interference_db, r.sinr_db, r.rate_bps, "on" if r.control_on else "off",
     )
-
-
-def _step_row(fields: tuple) -> str:
-    """One steps.csv line from a record's ``_step_fields``."""
-    return _STEP_ROW % fields
 
 
 def _sweep_row(label: int | str, values: Iterable[float | None]) -> str:
@@ -115,115 +105,14 @@ def _sweep_row(label: int | str, values: Iterable[float | None]) -> str:
     return ",".join([str(label), *("" if v is None else repr(v) for v in values)]) + "\r\n"
 
 
-def _current_cpu() -> int | None:
-    """The CPU this process runs on, from /proc/self/stat (Linux), or None."""
-    try:
-        with open("/proc/self/stat", "rb") as stat:
-            return int(stat.read().rsplit(b")", 1)[1].split()[36])
-    except (OSError, IndexError, ValueError):
-        return None
-
-
-class _StepsCsv:
-    """Writes steps.csv to ``fh``: the header, then every served step's rows.
-
-    Rows go out ROWS_PER_BATCH at a time.  At the first full batch, when
-    ``fork_refusal()`` allows, ``fork_child`` starts a writer that formats
-    and writes them while this process keeps stepping; each batch of
-    ``_step_fields`` tuples reaches its inbox as one length-prefixed marshal
-    blob.  Otherwise, when the fork fails (after one warning), or for a run
-    of less than one batch, they are written here.  ``_step_row`` formats
-    every row either way, so the bytes are the same.  Leaving the ``with``
-    block writes what is left and reaps the writer on every path, before
-    ``fh`` is renamed or removed; an OSError the writer hit is raised here
-    again, with its errno and text.
-    """
-
-    def __init__(self, fh: io.TextIOWrapper) -> None:
-        self.fh = fh
-        self.batch: list[tuple] = []
-        self.started = False
-        self.child: tuple[int, io.BufferedWriter, io.BufferedReader] | None = None
-
-    def __enter__(self) -> _StepsCsv:
-        self.fh.write(",".join(STEPS_CSV_COLUMNS) + "\r\n")
-        return self
-
-    def __exit__(self, kind, exc, tb) -> None:
-        try:
-            if kind is None:
-                self._send()
-        finally:
-            # A write that found the inbox closed means the writer stopped: say why.
-            error = self._reap()
-            if error is not None and kind in (None, BrokenPipeError):
-                raise error
-
-    def pass_on(self, steps: Iterable[list[StepRecord]]) -> Iterator[list[StepRecord]]:
-        """Hand off each step's rows, passing the step on."""
-        batch = self.batch
-        for records in steps:
-            for record in records:
-                batch.append(_step_fields(record))
-            if len(batch) >= ROWS_PER_BATCH:
-                if not self.started:
-                    self._start()
-                self._send()
-            yield records
-
-    def _start(self) -> None:
-        self.started = True
-        refusal = fork_refusal()
-        if refusal is not None:
-            log("info", f"{refusal}; steps.csv rows are written in process")
-            return
-        cpu = _current_cpu()
-        self.fh.flush()  # the child must not inherit the header as buffered bytes
-        try:
-            self.child = fork_child(lambda inbox: self._write_batches(inbox, cpu))
-        except OSError as exc:
-            log("warning", f"cannot fork the steps.csv writer: {exc}; writing its rows in process")
-
-    def _write_batches(self, inbox: io.BufferedReader, cpu: int | None) -> tuple | None:
-        """The writer's body: every batch's rows to ``fh``; the args of an OSError it hit, or None.
-
-        It keeps off ``cpu``, the one the step loop runs on: a pipe write
-        wakes its reader on the writer's CPU (Linux), where the two would
-        take turns while another CPU idles.  It reads each batch's length,
-        then its blob with one read of that size.
-        """
-        with contextlib.suppress(AttributeError, OSError):  # no affinity calls, or no CPU left
-            os.sched_setaffinity(0, os.sched_getaffinity(0) - {cpu})
-        read, write = inbox.read, self.fh.write
-        try:
-            while size := read(8):
-                for fields in marshal.loads(read(int.from_bytes(size, "little"))):
-                    write(_step_row(fields))
-            self.fh.flush()
-        except OSError as exc:
-            return exc.args
-        return None
-
-    def _send(self) -> None:
-        if self.child is None:
-            write = self.fh.write
-            for fields in self.batch:
-                write(_step_row(fields))
-        else:
-            blob = marshal.dumps(self.batch)
-            self.child[1].write(len(blob).to_bytes(8, "little") + blob)
-        self.batch.clear()
-
-    def _reap(self) -> OSError | None:
-        """Close the writer's inbox and reap it; the error it hit, or None."""
-        if self.child is None:
-            return None
-        child, self.child = self.child, None
-        status, blob = join_child(*child)
-        if status:
-            return OSError(f"the steps.csv writer exited with status {status}")
-        args = marshal.loads(blob)
-        return None if args is None else OSError(*args)
+def _write_rows(fh, steps: Iterable[list[StepRecord]]) -> Iterator[list[StepRecord]]:
+    """Write the steps.csv header, then each step's rows as it arrives, passing the step on."""
+    write = fh.write
+    write(",".join(STEPS_CSV_COLUMNS) + "\r\n")
+    for records in steps:
+        for record in records:
+            write(_step_row(record))
+        yield records
 
 
 @contextlib.contextmanager
@@ -266,9 +155,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     steps_path = out_dir / "steps.csv"
     # steps.csv is complete before summary.json is written, and renamed into
     # place only once summary.json is, so an error before then replaces neither file.
-    with _replacing(steps_path) as fh:
-        with _StepsCsv(fh) as rows:
-            (summary,) = summarize(config.sim, rows.pass_on(simulate(config.sim)))
+    # Leaving the block early closes the trajectory's producer, if one was forked,
+    # and reaps it.
+    with _replacing(steps_path) as fh, contextlib.closing(trajectory_ahead(config.sim)) as steps:
+        (summary,) = summarize(config.sim, _write_rows(fh, simulate(config.sim, steps=steps)))
         write_summary_json(out_dir / "summary.json", summary_as_dict(config, summary))
     if summary.n_records == 0:
         scenario = config.sim.scenario

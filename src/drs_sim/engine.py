@@ -1,23 +1,28 @@
 """Time-stepped simulation loop tying traffic, planning, yaw control and the link budget.
 
-Each step advances traffic, which keeps the run's step count and clock.
-While a pair is served, the drone then moves one bounded step toward the
-current optimal hover point; for each yaw arm the surface optionally rotates
-to null the reflected interference, the served pair's link is evaluated, and
-the kinematic and box constraints are verified.  A constraint violation
-raises: it indicates a bug in the controller, not a runtime condition.  Yaw
-moves neither traffic nor the drone, so the arms share one trajectory: a run
-evaluates its configured arm, and a paired run (``paired=True``, as each
-seed of the paired sweep) evaluates control on, then off, in one pass.
-Within a step the arms also share each node's geometry and element pattern
-and the desired hop's path loss, computed once on plain floats; an arm adds
-only the yaw-dependent interference hop, the SINR and the rate.
+A run is two loops, as the model's two decisions are.  ``trajectory``
+advances traffic, which keeps the run's step count and clock; while a pair
+is served, the drone moves one bounded step toward the current optimal
+hover point, and the geometry every yaw arm shares is computed once on
+plain floats: each node's sight and element pattern, and the desired hop's
+path loss.  Neither traffic nor the drone's path reads the yaw, so the
+trajectory yields one plain tuple per served step and owns no pose.
+``run_step`` then evaluates one such step from the current pose: for each
+yaw arm the surface optionally rotates to null the reflected interference,
+and the arm adds only the yaw-dependent interference hop, the SINR and the
+rate; the kinematic and box constraints are verified.  A constraint
+violation raises: it indicates a bug in the controller, not a runtime
+condition.  The arms share one trajectory: a run evaluates its configured
+arm, and a paired run (``paired=True``, as each seed of the paired sweep)
+evaluates control on, then off, in one pass.
 
-The step loop is one generator of served steps' per-arm records, and one
+``simulate`` is the generator of served steps' per-arm records, and one
 reduction keeps only their rates and pair ids, one summary per arm: a run
-streams its arm through it (the CLI hands each record's fields to its
-steps.csv writer on the way), the paired sweep both arms.  No record is kept
-once consumed.
+streams its arm through it (the CLI writes each record's steps.csv row on
+the way), the paired sweep both arms.  No record is kept once consumed.
+``drs-sim run`` takes its steps from ``trajectory_ahead``, which forks one
+producer to run the trajectory ahead of the yaw loop on another CPU; the
+sweep's workers and library callers step it in process.
 
 The desired hop is beamformed (the element phases track the served pair),
 so its array factor stays at unit magnitude regardless of yaw; interference
@@ -27,8 +32,8 @@ rotating to cancel interference never costs desired-link rate.
 
 from __future__ import annotations
 
-import contextlib
 import io
+import itertools
 import marshal
 import math
 import os
@@ -75,6 +80,10 @@ MODE_OFF = "off"
 
 DISPLACEMENT_TOL = 1e-9  # [m]
 YAW_TOL = 1e-12  # [rad]
+
+# Served steps that ``trajectory_ahead`` steps before it forks, and that its
+# producer sends at a time.
+STEPS_PER_BATCH = 64
 
 
 class ConstraintViolation(RuntimeError):
@@ -234,59 +243,95 @@ def _arms(config: SimConfig, paired: bool) -> tuple[bool, ...]:
     return (True, False) if paired else (config.orientation_control,)
 
 
-def run_step(
-    traffic: TrafficModel, drs: Pose, config: SimConfig, paired: bool = False
-) -> list[StepRecord] | None:
-    """Take one step from pose ``drs``; return one record per arm while a pair is served.
+def _start_pose(config: SimConfig) -> Pose:
+    """Where every run starts: the centre of the flight box's floor, yaw 0."""
+    bounds = config.scenario.bounds
+    return Pose(Vec3(
+        0.5 * (bounds.x_min + bounds.x_max), 0.5 * (bounds.y_min + bounds.y_max), bounds.z_min
+    ), 0.0)
 
-    Order: (1) traffic ticks its clock, vehicles move and leavers despawn,
+
+def trajectory(config: SimConfig) -> Iterator[tuple]:
+    """The yaw-free part of every served step, in step order: one tuple per served step.
+
+    A step is (1) traffic ticks its clock, vehicles move and leavers despawn,
     (2) arrivals spawn and a pairing event may start service; on a served
-    step (3) the drone steps toward the optimal hover point and the geometry
-    every arm shares is computed once, then per arm (4) the surface rotates
-    per the arm's null-steering rule and (5) the yaw-dependent interference
-    hop is evaluated, and (6) constraints are checked on the first arm's move.
-    That covers every arm: all share the position and only the first may
-    turn.  The drone moves only on served steps, and its next pose is the
-    first record's ``drs``.
+    step (3) the drone moves one bounded step toward the optimal hover point
+    and the geometry every yaw arm shares is computed once.  Neither traffic
+    nor the drone's path reads the yaw, so this owns both: the road starts
+    empty and the drone at ``_start_pose(config)``'s position.  Each tuple is
+    (step_index, time_s, pair_id, cycle_index, tx, rx, position, pl_desired,
+    pl_desired_db, hop): the two vehicles' and the drone's positions are
+    ``Vec3``s, the desired hop is beamformed (|psi| = 1) so its path loss is
+    yaw-free, and ``hop`` is None without an interferer, else what the
+    interference hop needs: the interferer's, then the receiver's ``sight``
+    (elevation, bearing, distance), each followed by its elevation's sine and
+    element pattern.
     """
-    traffic.advance()
-    traffic.spawn_arrivals()
-    traffic.maybe_start_pair()
-    pair = traffic.active_pair
-    if pair is None:
-        return None
+    scenario = config.scenario
+    bounds, limits, ris = scenario.bounds, scenario.limits, config.ris
+    traffic = TrafficModel(scenario, SplitMix64(scenario.seed))
+    position = _start_pose(config).position
+    for _ in range(config.steps):
+        traffic.advance()
+        traffic.spawn_arrivals()
+        traffic.maybe_start_pair()
+        pair = traffic.active_pair
+        if pair is None:
+            continue
+        tx = traffic.position(pair.tx_id)
+        rx = traffic.position(pair.rx_id)
+        target = optimal_location(tx, rx, bounds)
+        position = step_towards(position, target, limits, bounds)
+        theta_tx, _, dist_tx = sight(position, tx)
+        theta_rx, bearing_rx, dist_rx = sight(position, rx)
+        f_rx = radiation_pattern(theta_rx)
+        pl_desired = path_loss(ris, radiation_pattern(theta_tx), f_rx, dist_tx, dist_rx, 1.0)
+        interferer = traffic.interferer_position()
+        if interferer is None:
+            hop = None
+        else:
+            theta_i, bearing_i, dist_i = sight(position, interferer)
+            hop = (
+                theta_i, bearing_i, dist_i, math.sin(theta_i), radiation_pattern(theta_i),
+                theta_rx, bearing_rx, dist_rx, math.sin(theta_rx), f_rx,
+            )
+        yield (
+            traffic.step, traffic.clock, pair.id, traffic.step - pair.start_step, tx, rx,
+            position, pl_desired, db(pl_desired), hop,
+        )
 
-    limits = config.scenario.limits
-    ris = config.ris
-    tx = traffic.position(pair.tx_id)
-    rx = traffic.position(pair.rx_id)
 
-    target = optimal_location(tx, rx, config.scenario.bounds)
-    position = step_towards(drs.position, target, limits, config.scenario.bounds)
-    theta_tx, _, dist_tx = sight(position, tx)
-    theta_rx, bearing_rx, dist_rx = sight(position, rx)
-    f_rx = radiation_pattern(theta_rx)
-    # The desired hop is beamformed (|psi| = 1) and its loss is yaw-free.
-    pl_desired = path_loss(ris, radiation_pattern(theta_tx), f_rx, dist_tx, dist_rx, 1.0)
-    pl_desired_db = db(pl_desired)
-    interferer = traffic.interferer_position()
-    if interferer is not None:
-        theta_i, bearing_i, dist_i = sight(position, interferer)
-        f_i = radiation_pattern(theta_i)
-        sin_i, sin_rx = math.sin(theta_i), math.sin(theta_rx)
+def run_step(step: tuple, drs: Pose, config: SimConfig, paired: bool = False) -> list[StepRecord]:
+    """The records of one ``trajectory`` step from pose ``drs``, one per arm.
+
+    Per arm (4) the surface rotates per the arm's null-steering rule and (5)
+    the yaw-dependent interference hop, the SINR and the rate are evaluated;
+    then (6) constraints are checked on the first arm's move.  That covers
+    every arm: all share the position and only the first may turn.  The
+    drone's next pose is the first record's ``drs``.
+    """
+    (
+        step_index, time_s, pair_id, cycle_index, tx, rx, position, pl_desired, pl_desired_db,
+        hop,
+    ) = step
+    ris, radio = config.ris, config.radio
+    if hop is not None:
+        theta_i, bearing_i, dist_i, sin_i, f_i, theta_rx, bearing_rx, dist_rx, sin_rx, f_rx = hop
 
     records = []
     for control in _arms(config, paired):
         yaw = drs.yaw if control else 0.0
         alpha, null_mode = 0.0, MODE_OFF
-        if interferer is None:
+        if hop is None:
             pl_interference = NO_PATH
         else:
             if control:
                 steer = select_rotation(NullSteerInput(  # positional, in field order
                     theta_i, local_azimuth(bearing_i, yaw),  # interferer
                     theta_rx, local_azimuth(bearing_rx, yaw),  # receiver
-                    ris, limits.yaw_budget,  # alpha_bound
+                    ris, config.scenario.limits.yaw_budget,  # alpha_bound
+                    sin_i, sin_rx,
                 ))
                 alpha, null_mode = steer.alpha, steer.mode
                 # Rotating the surface by alpha shifts local azimuths by
@@ -297,12 +342,12 @@ def run_step(
             psi_value = array_factor(ris, ux, uy)
             pl_interference = path_loss(ris, f_i, f_rx, dist_i, dist_rx, psi_value)
 
-        sinr_value = sinr(config.radio, pl_desired, pl_interference, config.sinr_form)
+        sinr_value = sinr(radio, pl_desired, pl_interference, config.sinr_form)
         records.append(StepRecord(  # positional, in field order
-            traffic.step,  # step_index
-            traffic.clock,  # time_s
-            pair.id,
-            traffic.step - pair.start_step,  # cycle_index
+            step_index,
+            time_s,
+            pair_id,
+            cycle_index,
             tx,
             rx,
             Pose(position, yaw),  # drs
@@ -311,7 +356,7 @@ def run_step(
             pl_desired_db,
             db(pl_interference),
             db(sinr_value) if sinr_value > 0.0 else -math.inf,  # sinr_db
-            rate(config.radio, sinr_value),  # rate_bps
+            rate(radio, sinr_value),  # rate_bps
             control,  # control_on
         ))
 
@@ -333,24 +378,20 @@ def _mean(values: list[float]) -> float | None:
     return math.fsum(values) / len(values) if values else None
 
 
-def simulate(config: SimConfig, paired: bool = False) -> Iterator[list[StepRecord]]:
-    """Step one seed's shared trajectory, yielding every served step's records, one per arm.
+def simulate(
+    config: SimConfig, paired: bool = False, steps: Iterable[tuple] | None = None
+) -> Iterator[list[StepRecord]]:
+    """Follow one seed's shared trajectory, yielding every served step's records, one per arm.
 
-    The road starts empty and the drone at the centre of the flight box's
-    floor, yaw 0.  The arms are the configured one, or on then off when
-    ``paired``.
+    The arms are the configured one, or on then off when ``paired``.  The
+    steps are ``trajectory(config)``'s, stepped here unless the caller
+    passes them (``drs-sim run`` passes ``trajectory_ahead(config)``).
     """
-    scenario = config.scenario
-    bounds = scenario.bounds
-    traffic = TrafficModel(scenario, SplitMix64(scenario.seed))
-    drs = Pose(Vec3(
-        0.5 * (bounds.x_min + bounds.x_max), 0.5 * (bounds.y_min + bounds.y_max), bounds.z_min
-    ), 0.0)
-    for _ in range(config.steps):
-        records = run_step(traffic, drs, config, paired)
-        if records is not None:
-            drs = records[0].drs
-            yield records
+    drs = _start_pose(config)
+    for step in trajectory(config) if steps is None else steps:
+        records = run_step(step, drs, config, paired)
+        drs = records[0].drs
+        yield records
 
 
 def summarize(
@@ -417,8 +458,8 @@ def _usable_cpus() -> int:
 def fork_refusal() -> str | None:
     """Why this process should not ``fork_child`` a helper, or None when it may.
 
-    The one fork decision of the sweep's workers and the CLI's steps.csv
-    writer.  A forked child holds only the calling thread, and any lock
+    The one fork decision of the sweep's workers and ``trajectory_ahead``'s
+    producer.  A forked child holds only the calling thread, and any lock
     another thread held; on one CPU it only competes with its parent.
     """
     if not hasattr(os, "fork"):
@@ -430,50 +471,118 @@ def fork_refusal() -> str | None:
     return None
 
 
-def fork_child(
-    body: Callable[[io.BufferedReader], object],
-) -> tuple[int, io.BufferedWriter, io.BufferedReader]:
-    """Fork a child that runs ``body(inbox)``; returns (pid, inbox write end, outbox read end).
+def fork_child(frames: Callable[[], Iterable[object]]) -> tuple[int, io.BufferedReader]:
+    """Fork a child that sends each of ``frames()`` up a pipe; returns (pid, the pipe's read end).
 
-    The child writes ``marshal.dumps`` of what ``body`` returns to the
-    outbox and leaves through ``os._exit``: status 0 only once it is written.
+    A frame goes as its ``marshal.dumps`` blob after the blob's length (8
+    bytes, little-endian); ``read_frames`` reads them back.  The child
+    leaves through ``os._exit``: status 0 only once every frame is written.
     """
-    fds = os.pipe()
+    read_fd, write_fd = os.pipe()
     try:
-        fds += os.pipe()
         pid = os.fork()
     except OSError:
-        for fd in fds:
-            os.close(fd)
+        os.close(read_fd)
+        os.close(write_fd)
         raise
-    inbox_r, inbox_w, outbox_r, outbox_w = fds
     if pid == 0:
         code = 1
         try:
-            os.close(inbox_w)
-            os.close(outbox_r)
-            with open(inbox_r, "rb") as inbox:
-                blob = marshal.dumps(body(inbox))
-            with open(outbox_w, "wb") as outbox:
-                outbox.write(blob)
+            os.close(read_fd)
+            with open(write_fd, "wb") as outbox:
+                for frame in frames():
+                    blob = marshal.dumps(frame)
+                    outbox.write(len(blob).to_bytes(8, "little") + blob)
             code = 0
         finally:
             os._exit(code)
-    os.close(inbox_r)
-    os.close(outbox_w)
-    return pid, open(inbox_w, "wb"), open(outbox_r, "rb")
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
 
 
-def join_child(pid: int, inbox: io.BufferedWriter, outbox: io.BufferedReader) -> tuple[int, bytes]:
-    """Close a ``fork_child``'s inbox, read its outbox to the end and reap it: (status, blob)."""
+def read_frames(outbox: io.BufferedReader) -> Iterator[object]:
+    """The frames a ``fork_child`` sent, in order, up to the end of the pipe or a cut-off frame."""
+    read = outbox.read
+    while len(head := read(8)) == 8:
+        size = int.from_bytes(head, "little")
+        blob = read(size)
+        if len(blob) < size:
+            return
+        yield marshal.loads(blob)
+
+
+def join_child(pid: int, outbox: io.BufferedReader) -> int:
+    """Close a ``fork_child``'s pipe, read to the end or not, and reap the child: its exit status.
+
+    A child that is still sending meets a closed pipe at its next write and exits 1.
+    """
     try:
-        with contextlib.suppress(OSError):  # a child that stopped reading leaves bytes unflushed
-            inbox.close()
-        blob = outbox.read()
-    finally:
         outbox.close()
+    finally:
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    return status, blob
+    return status
+
+
+def _flat(step: tuple) -> tuple:
+    """A ``trajectory`` step with its three ``Vec3``s spelled out as floats, for ``marshal``.
+
+    ``trajectory_ahead`` builds the ``Vec3``s again from the floats it reads.
+    """
+    tx, rx, p = step[4:7]
+    return (*step[:4], tx.x, tx.y, tx.z, rx.x, rx.y, rx.z, p.x, p.y, p.z, *step[7:])
+
+
+def _batches(steps: Iterator[tuple]) -> Iterator[list[tuple]]:
+    """The rest of ``steps`` as ``_flat`` lists of STEPS_PER_BATCH (the last one shorter)."""
+    while batch := [_flat(step) for step in itertools.islice(steps, STEPS_PER_BATCH)]:
+        yield batch
+
+
+def trajectory_ahead(config: SimConfig) -> Iterator[tuple]:
+    """``trajectory(config)``, run ahead of its consumer by a forked producer after one batch.
+
+    The first STEPS_PER_BATCH served steps are stepped here.  Then, when
+    ``fork_refusal()`` allows, ``fork_child`` forks a producer that
+    continues the same generator and sends its steps a batch at a time,
+    while the consumer evaluates the yaw arms of the ones it has; the pipe
+    holds a few batches, so the producer runs at most that far ahead.
+    Otherwise, or when the fork fails (after one warning), the rest is
+    stepped here too.  Either way the steps are the same.  Closing this
+    generator early, as an error or an interrupt in the consumer does,
+    closes the pipe unread and reaps the producer; a producer that dies
+    raises OSError naming its exit status.
+    """
+    steps = trajectory(config)
+    served = 0
+    for step in steps:
+        yield step
+        served += 1
+        if served == STEPS_PER_BATCH:
+            break
+    else:
+        return
+    refusal = fork_refusal()
+    if refusal is not None:
+        log("info", f"{refusal}; the trajectory is stepped in process")
+        yield from steps
+        return
+    try:
+        pid, outbox = fork_child(lambda: _batches(steps))
+    except OSError as exc:
+        log("warning", f"cannot fork the trajectory producer: {exc}; stepping it in process")
+        yield from steps
+        return
+    try:
+        for batch in read_frames(outbox):
+            for s in batch:
+                yield (
+                    *s[:4], Vec3(s[4], s[5], s[6]), Vec3(s[7], s[8], s[9]),
+                    Vec3(s[10], s[11], s[12]), *s[13:],
+                )
+    finally:
+        status = join_child(pid, outbox)
+    if status:
+        raise OSError(f"the trajectory producer exited with status {status}")
 
 
 def paired_sweep(
@@ -485,8 +594,8 @@ def paired_sweep(
     arms on that shared trajectory, so the rate difference is attributable to
     orientation control alone.  Seeds run in min(jobs, seeds, CPUs the process
     may run on) worker processes when that is more than one (jobs None adds no cap of its
-    own): worker w, a ``fork_child``, runs seeds[w::workers] and returns each
-    seed's summaries as plain tuples.  A share whose worker cannot be
+    own): worker w, a ``fork_child``, runs seeds[w::workers] and sends each
+    seed's summaries as one frame of plain tuples.  A share whose worker cannot be
     forked, fails or sends nothing runs serially here after one warning; the
     simulation is deterministic, so an error a worker hit is raised again.
     Results keep the input seed order.  Raises ValueError when jobs < 1.
@@ -502,26 +611,26 @@ def paired_sweep(
         refusal = fork_refusal()  # never the CPU count: workers > 1 needs two CPUs
         if refusal is not None:
             problems.append(refusal)
-        children = []  # (worker, fork_child's (pid, inbox, outbox))
+        children = []  # (worker, fork_child's (pid, outbox))
         try:
             for w in range(0 if problems else workers):  # no fork once a problem is known
                 try:
-                    child = fork_child(lambda _, share=work[w::workers]: [
+                    children.append((w, fork_child(lambda share=work[w::workers]: (
                         tuple(map(tuple, _paired_seed(c))) for c in share
-                    ])
+                    ))))
                 except OSError as exc:
                     problems.append(f"cannot fork worker {w}: {exc}")
                     break
-                child[1].close()  # so that no later worker inherits this inbox
-                children.append((w, child))
         finally:
-            for w, child in children:
-                code, blob = join_child(*child)
+            for w, (pid, outbox) in children:
+                try:
+                    share = [tuple(map(RunSummary._make, r)) for r in read_frames(outbox)]
+                finally:
+                    code = join_child(pid, outbox)
                 if code:
                     problems.append(f"worker {w} exited with status {code}")
-                elif blob:
-                    share = marshal.loads(blob)
-                    runs[w::workers] = [tuple(map(RunSummary._make, r)) for r in share]
+                elif share:
+                    runs[w::workers] = share
                     forked += 1
                 else:
                     problems.append(f"worker {w} sent no results")

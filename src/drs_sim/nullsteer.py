@@ -16,7 +16,7 @@ When none of them is a null inside the budget, the rotation that minimizes
 golden-section search.
 
 The elevations are fixed for the whole step, so ``NullSteerInput`` holds
-their sines, computed once when it is built.  The analytic residuals go
+their sines, which its caller computes once per step.  The analytic residuals go
 through ``psi_interference``; the fallback, which evaluates |psi| about 60
 times, goes through one evaluator built from ``psi_evaluator`` on the steps
 that reach it, bound to the step's sines, azimuths and surface.
@@ -58,7 +58,8 @@ class NullSteerInput:
     boresight (straight down), in [0, pi]; any node strictly below the drone
     sits in [0, pi/2).  phi_i, phi_r: their azimuths in the yawed local
     frame, wrapped to (-pi, pi] on construction.  sin_i, sin_r: the sines of
-    the two elevations, computed on construction.
+    the two elevations, which the caller computes once for the step (the
+    engine's trajectory does, for every served step).
     """
 
     __slots__ = ("theta_i", "phi_i", "theta_r", "phi_r", "ris", "alpha_bound", "sin_i", "sin_r")
@@ -71,6 +72,8 @@ class NullSteerInput:
         phi_r: float,
         ris: RisConfig,
         alpha_bound: float,  # [rad], rotation rate times step duration
+        sin_i: float,  # math.sin(theta_i)
+        sin_r: float,  # math.sin(theta_r)
     ) -> None:
         for theta in (theta_i, theta_r):
             if not 0.0 <= theta <= math.pi:  # NaN too
@@ -83,8 +86,8 @@ class NullSteerInput:
         self.phi_r = wrap_angle(phi_r)
         self.ris = ris
         self.alpha_bound = alpha_bound
-        self.sin_i = math.sin(theta_i)
-        self.sin_r = math.sin(theta_r)
+        self.sin_i = sin_i
+        self.sin_r = sin_r
 
 
 class NullSolution:

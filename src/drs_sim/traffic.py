@@ -185,7 +185,12 @@ class TrafficModel:
         if not partners:
             return None
         tx_y = self.position(tx.id).y
-        rx_id = min(partners, key=lambda v: (abs(self.position(v).y - tx_y), v))
+        # Each partner's y as ``advance`` computes it, without building its position.
+        step, vehicles = self.step, self.vehicles
+        _, y0, stride = self._motion[1 - tx.lane]
+        rx_id = min(
+            partners, key=lambda v: (abs(y0 + (step - vehicles[v].spawn_step) * stride - tx_y), v)
+        )
         self.active_pair = V2VPair(self.pairs_started, tx.id, rx_id, self.step)
         self.pairs_started += 1
         self.interferer_id = None

@@ -18,7 +18,7 @@ def cpus(monkeypatch):
 def forks(monkeypatch, cpus):
     """The os.fork calls made by a process that may run on two CPUs, one entry each.
 
-    A ``drs-sim run`` that serves a full batch of rows forks one steps.csv writer here.
+    A ``drs-sim run`` that serves a full batch of steps forks one trajectory producer here.
     """
     calls = []
     fork = os.fork

@@ -45,13 +45,11 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 def _random_steer_input(rng: SplitMix64, ris: RisConfig) -> NullSteerInput:
     # drawn in field order: interferer theta, phi, then receiver theta, phi
+    theta_i, phi_i = rng.uniform(0.1, 1.45), rng.uniform(-math.pi, math.pi)
+    theta_r, phi_r = rng.uniform(0.1, 1.45), rng.uniform(-math.pi, math.pi)
     return NullSteerInput(
-        rng.uniform(0.1, 1.45),
-        rng.uniform(-math.pi, math.pi),
-        rng.uniform(0.1, 1.45),
-        rng.uniform(-math.pi, math.pi),
-        ris=ris,
-        alpha_bound=YAW_BUDGET,
+        theta_i, phi_i, theta_r, phi_r, ris=ris, alpha_bound=YAW_BUDGET,
+        sin_i=math.sin(theta_i), sin_r=math.sin(theta_r),
     )
 
 

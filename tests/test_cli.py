@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -21,9 +22,7 @@ from hypothesis import strategies as st
 from drs_sim.cli import (
     CONFIG_FLAGS,
     MAX_SEED_COUNT,
-    ROWS_PER_BATCH,
     STEPS_CSV_COLUMNS,
-    _step_fields,
     _step_row,
     _sweep_row,
     build_parser,
@@ -33,7 +32,14 @@ from drs_sim.cli import (
 from drs_sim.channel import RadioConfig, RisConfig
 from drs_sim.config import _KEYS, ConfigError, config_as_dict, load_config, parse_config_text
 from drs_sim import engine
-from drs_sim.engine import MODE_OFF, SimConfig, StepRecord, simulate, summarize
+from drs_sim.engine import (
+    MODE_OFF,
+    STEPS_PER_BATCH,
+    SimConfig,
+    StepRecord,
+    simulate,
+    summarize,
+)
 from drs_sim.geometry import Pose, Vec3
 from drs_sim.nullsteer import MODE_ANALYTIC, MODE_FALLBACK, MODE_NONE
 from drs_sim.planner import MotionLimits, WorldBounds
@@ -73,14 +79,11 @@ def read_rows(path):
 
 
 def fill_disk_at(monkeypatch, name, nth):
-    """Make the nth write to ``name`` or ``name.partial``, opened by the CLI, raise ENOSPC.
-
-    The count goes on in a forked steps.csv writer, which inherits the file.
-    """
+    """Make the nth write to ``name`` or ``name.partial``, opened by the CLI, raise ENOSPC."""
 
     def full_disk_open(file, *args, **kwargs):
         fh = open(file, *args, **kwargs)
-        if not isinstance(file, int) and Path(file).name in (name, f"{name}.partial"):
+        if Path(file).name in (name, f"{name}.partial"):
             write, writes = fh.write, 0
 
             def write_until_full(text):
@@ -96,10 +99,30 @@ def fill_disk_at(monkeypatch, name, nth):
     monkeypatch.setattr("drs_sim.cli.open", full_disk_open, raising=False)
 
 
-def assert_no_writer_left():
-    """No child process is left: every forked steps.csv writer was reaped."""
+def assert_no_child_left():
+    """No child process is left: every forked trajectory producer was reaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def counting_sent_steps(monkeypatch, path):
+    """Yield a function that counts the steps a forked producer has put in its pipe so far.
+
+    The producer writes one byte to ``path`` for each step it flattens for the pipe.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    flat = engine._flat
+
+    def counted(step):
+        os.write(fd, b".")
+        return flat(step)
+
+    monkeypatch.setattr("drs_sim.engine._flat", counted)
+    try:
+        yield lambda: path.stat().st_size
+    finally:
+        os.close(fd)
 
 
 class TestRun:
@@ -326,9 +349,10 @@ class TestRun:
     def test_io_error_mid_run_leaves_no_partial_csv(
         self, config_file, tmp_path, monkeypatch, capsys, forks
     ):
-        # The disk fills once the header and 10 rows are written: the next write
-        # fails, in the forked writer, then in process where os.fork is missing.
-        fill_disk_at(monkeypatch, "steps.csv", 12)
+        # The disk fills once the header and 298 rows are written, after the
+        # producer forked at the first full batch; then in process, where
+        # os.fork is missing.
+        fill_disk_at(monkeypatch, "steps.csv", 300)
         for transport in ("forked", "in-process"):
             if transport == "in-process":
                 monkeypatch.delattr(os, "fork")
@@ -339,43 +363,42 @@ class TestRun:
             assert err.startswith("i/o error: [Errno 28] No space left on device\n"), err
             assert list(out.iterdir()) == []
             assert forks == [1]
-            assert_no_writer_left()
+            assert_no_child_left()
 
     def test_writer_error_stops_the_run(self, config_file, tmp_path, monkeypatch, capsys, forks):
-        # The writer fails in its first batch; the run stops at a later batch
-        # that finds the pipe closed and raises the writer's error, not EPIPE.
-        served = 0
-        step_towards = engine.step_towards
-
-        def counted(*args):
-            nonlocal served
-            served += 1
-            return step_towards(*args)
-
-        monkeypatch.setattr("drs_sim.engine.step_towards", counted)
-        fill_disk_at(monkeypatch, "steps.csv", 12)
+        # A steps.csv write that fails after the fork drops the producer at
+        # once: it is not waited for to step the rest of the trajectory.
+        fill_disk_at(monkeypatch, "steps.csv", 300)
         out = tmp_path / "out"
-        code = main(["run", "--config", str(config_file), "--steps", "3000", "--out", str(out)])
+        with counting_sent_steps(monkeypatch, tmp_path / "sent") as sent:
+            code = main(["run", "--config", str(config_file), "--steps", "3000", "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err == "i/o error: [Errno 28] No space left on device\n"
         assert list(out.iterdir()) == []
-        assert ROWS_PER_BATCH < served < 2730  # 2730 steps are served in 3000
-        assert_no_writer_left()
+        assert forks == [1]
+        assert 0 < sent() < (2730 - STEPS_PER_BATCH) // 2  # 2730 steps are served in 3000
+        assert_no_child_left()
 
-    def test_writer_that_dies_fails_the_run(
-        self, config_file, tmp_path, monkeypatch, capsys, forks
+    @pytest.mark.parametrize("signal_number", [None, signal.SIGKILL], ids=["raises", "killed"])
+    def test_producer_that_dies_fails_the_run(
+        self, signal_number, config_file, tmp_path, monkeypatch, capsys, forks
     ):
-        def fails(fields):
+        def dies(step):
+            if signal_number is not None:
+                os.kill(os.getpid(), signal_number)
             raise ValueError("not an OSError")
 
-        monkeypatch.setattr("drs_sim.cli._step_row", fails)  # only the forked writer formats
+        monkeypatch.setattr("drs_sim.engine._flat", dies)  # only the forked producer flattens
         out = tmp_path / "out"
         code = main(["run", "--config", str(config_file), "--out", str(out)])
         assert code == 2
-        assert capsys.readouterr().err == "i/o error: the steps.csv writer exited with status 1\n"
+        status = 1 if signal_number is None else -signal_number
+        assert capsys.readouterr().err == (
+            f"i/o error: the trajectory producer exited with status {status}\n"
+        )
         assert list(out.iterdir()) == []
         assert forks == [1]
-        assert_no_writer_left()
+        assert_no_child_left()
 
     @pytest.mark.parametrize(
         "interrupt, nth, forked", [(False, 5, []), (False, 300, [1]), (True, 300, [1])],
@@ -384,44 +407,83 @@ class TestRun:
     def test_failure_after_the_writer_started_writes_nothing(
         self, interrupt, nth, forked, config_file, tmp_path, monkeypatch, capsys, forks
     ):
-        # The writer starts at the first full batch: after step 5 no writer runs
-        # yet, and by step 300 it has its first batch.
+        # The producer forks at the first full batch: by served step 5 none
+        # runs yet, and by step 300 it steps the trajectory.  A teleport is
+        # made there, by step_towards; an interrupt hits a function that
+        # evaluates the yaw arm here.  Either way the producer is dropped at
+        # once, not waited for to step the rest.
         served = 0
-        step_towards = engine.step_towards
+        step_towards, select_rotation = engine.step_towards, engine.select_rotation
 
-        def fails_on_nth(position, target, limits, bounds):
+        def teleports_on_nth(position, target, limits, bounds):
             nonlocal served
             served += 1
             if served == nth:
-                if interrupt:
-                    raise KeyboardInterrupt
                 return Vec3(position.x, position.y + 100.0, position.z)
             return step_towards(position, target, limits, bounds)
 
-        monkeypatch.setattr("drs_sim.engine.step_towards", fails_on_nth)
-        out = tmp_path / "out"
-        argv = ["run", "--config", str(config_file), "--out", str(out)]
+        def interrupted_on_nth(inp):
+            nonlocal served
+            served += 1
+            if served == nth:
+                raise KeyboardInterrupt
+            return select_rotation(inp)
+
         if interrupt:
-            with pytest.raises(KeyboardInterrupt):
-                main(argv)
+            monkeypatch.setattr("drs_sim.engine.select_rotation", interrupted_on_nth)
         else:
-            assert main(argv) == 3
-            assert capsys.readouterr().err.startswith("error: constraint violated: displacement")
+            monkeypatch.setattr("drs_sim.engine.step_towards", teleports_on_nth)
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(config_file), "--steps", "3000", "--out", str(out)]
+        with counting_sent_steps(monkeypatch, tmp_path / "sent") as sent:
+            if interrupt:
+                with pytest.raises(KeyboardInterrupt):
+                    main(argv)
+            else:
+                assert main(argv) == 3
+                assert capsys.readouterr().err.startswith("error: constraint violated: displacement")
         assert list(out.iterdir()) == []
         assert forks == forked
-        assert_no_writer_left()
+        assert sent() < (2730 - STEPS_PER_BATCH) // 2  # 2730 steps are served in 3000
+        assert_no_child_left()
+
+    def test_forked_run_evaluates_each_record_here_once(
+        self, config_file, tmp_path, monkeypatch, forks
+    ):
+        # perfbench's tracer wraps these two names in the traced process and
+        # counts run_step's records as engine.records, which it checks against
+        # n_records; CI checks select_rotation's calls against engine.records.
+        counts = {"records": 0, "rotations": 0}
+        run_step, select_rotation = engine.run_step, engine.select_rotation
+
+        def counted_run_step(*args):
+            records = run_step(*args)
+            counts["records"] += records is not None
+            return records
+
+        def counted_select_rotation(*args):
+            counts["rotations"] += 1
+            return select_rotation(*args)
+
+        monkeypatch.setattr("drs_sim.engine.run_step", counted_run_step)
+        monkeypatch.setattr("drs_sim.engine.select_rotation", counted_select_rotation)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_file), "--out", str(out)]) == 0
+        n_records = json.loads((out / "summary.json").read_text())["n_records"]
+        assert forks == [1]
+        assert counts["records"] == counts["rotations"] == n_records > STEPS_PER_BATCH
 
     def test_run_that_serves_nothing_forks_nothing(self, config_file, tmp_path, forks):
         out = tmp_path / "out"
         assert main(["run", "--config", str(config_file), "--steps", "1", "--out", str(out)]) == 0
         assert (out / "steps.csv").read_bytes() == ",".join(STEPS_CSV_COLUMNS).encode() + b"\r\n"
         assert forks == []
-        assert_no_writer_left()
+        assert_no_child_left()
 
     def test_run_of_less_than_one_batch_forks_nothing(self, config_file, tmp_path, forks):
         out = tmp_path / "out"
-        assert main(["run", "--config", str(config_file), "--steps", "200", "--out", str(out)]) == 0
-        assert 0 < len(read_rows(out / "steps.csv")) < ROWS_PER_BATCH
+        assert main(["run", "--config", str(config_file), "--steps", "100", "--out", str(out)]) == 0
+        assert 0 < len(read_rows(out / "steps.csv")) < STEPS_PER_BATCH
         assert forks == []
 
     def test_one_cpu_of_two_writes_in_process(
@@ -434,9 +496,9 @@ class TestRun:
         capsys.readouterr()
         assert main(["run", "--config", str(config_file), "--out", str(tmp_path / "one")]) == 0
         assert capsys.readouterr().err.endswith(
-            "INFO:drs_sim:the process may run on one CPU; steps.csv rows are written in process\n"
+            "INFO:drs_sim:the process may run on one CPU; the trajectory is stepped in process\n"
         )
-        assert forks == [1]  # the first run's writer only
+        assert forks == [1]  # the first run's producer only
         steps = [(tmp_path / run / "steps.csv").read_bytes() for run in ("forked", "one")]
         assert steps[0] == steps[1]
 
@@ -457,9 +519,9 @@ class TestRun:
         assert not thread.is_alive()
         assert code == 0
         assert stderr.getvalue().endswith(
-            "INFO:drs_sim:the process runs 2 threads; steps.csv rows are written in process\n"
+            "INFO:drs_sim:the process runs 2 threads; the trajectory is stepped in process\n"
         )
-        assert forks == [1]  # the first run's writer only
+        assert forks == [1]  # the first run's producer only
         steps = [(tmp_path / run / "steps.csv").read_bytes() for run in ("forked", "threaded")]
         assert steps[0] == steps[1]
 
@@ -477,8 +539,8 @@ class TestRun:
         capsys.readouterr()
         assert main(["run", "--config", str(config_file), "--out", str(tmp_path / "b")]) == 0
         assert capsys.readouterr().err.splitlines() == [
-            "WARNING:drs_sim:cannot fork the steps.csv writer: no fork here; "
-            "writing its rows in process"
+            "WARNING:drs_sim:cannot fork the trajectory producer: no fork here; "
+            "stepping it in process"
         ]
         steps = [(tmp_path / run / "steps.csv").read_bytes() for run in "ab"]
         assert steps[0] == steps[1]
@@ -678,7 +740,7 @@ class TestRowFormat:
             "on" if r.control_on else "off",
         ]
         assert len(fields) == len(STEPS_CSV_COLUMNS)
-        assert _step_row(_step_fields(r)) == csv_writer_line(fields)
+        assert _step_row(r) == csv_writer_line(fields)
 
     @settings(max_examples=300)
     @given(st.integers(0, 2**64 - 1), st.lists(st.one_of(st.none(), FLOATS), min_size=3, max_size=3))
@@ -703,7 +765,7 @@ class TestRowFormat:
         ids=["rsu", "vehicle", "none", "control-off", "fallback-heavy", "integer-spelled"],
     )
     def test_written_numbers_are_floats(self, lines):
-        # The writer formats these fields with repr() as they are, so each must be a float.
+        # steps.csv rows format these fields with repr() as they are, so each must be a float.
         config = parse_config_text(BASE_CONFIG + lines + "run.steps = 300\n")
         records = [record for record, in simulate(config.sim)]
         assert records
@@ -1113,7 +1175,7 @@ def mostly(good, bad):
 # final --out, which always points into a scratch directory; none asks for
 # more than one worker or more than a few steps, so no sweep worker is
 # forked and every example stays short, too short for a run to fill the batch
-# at which it would fork its steps.csv writer.
+# at which it would fork its trajectory producer.
 EXTRA_FLAGS = st.sampled_from([
     ["--bogus"], ["--seed", "-1"], ["--seed", "x"], ["--seed", "3"], ["--steps", "0"],
     ["--steps", "x"], ["--steps", "2"], ["--jobs", "0"], ["--jobs", "x"], ["--jobs", "1"],

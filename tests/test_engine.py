@@ -24,16 +24,17 @@ from drs_sim.engine import (
     join_child,
     log,
     paired_sweep,
+    read_frames,
     replace,
     run_simulation,
     run_step,
     simulate,
     summarize,
+    trajectory,
 )
 from drs_sim.geometry import Pose, Vec3, local_azimuth, sight, wrap_angle
 from drs_sim.nullsteer import MODE_ANALYTIC, MODE_FALLBACK, NullSteerInput, psi_interference
 from drs_sim.planner import WorldBounds, optimal_location, step_towards
-from drs_sim.rng import SplitMix64
 from drs_sim.traffic import ScenarioConfig, TrafficModel
 
 QUIET = ScenarioConfig(arrival_rate=0.0, v2v_rate=0.0)
@@ -49,10 +50,6 @@ def records_of(config, seed):
     return [r for r, in simulate(replace(config, scenario=replace(config.scenario, seed=seed)))]
 
 
-def traffic_of(config):
-    return TrafficModel(config.scenario, SplitMix64(config.scenario.seed))
-
-
 def start_pose(config):
     """The pose ``simulate`` starts from: the centre of the flight box's floor, yaw 0."""
     b = config.scenario.bounds
@@ -60,28 +57,33 @@ def start_pose(config):
 
 
 class TestRunStep:
-    def test_no_pair_no_record(self):
+    def test_no_pair_no_record(self, monkeypatch):
+        # Every step still ticks the clock; none is served, so none is yielded.
+        ticks = []
+        advance = TrafficModel.advance
+
+        def counted(self):
+            advance(self)
+            ticks.append((self.step, self.clock))
+
+        monkeypatch.setattr(TrafficModel, "advance", counted)
         config = SimConfig(scenario=QUIET, steps=10)
-        traffic, drs = traffic_of(config), start_pose(config)
-        for _ in range(10):
-            assert run_step(traffic, drs, config) is None
-        assert traffic.step == 10
-        assert traffic.clock == pytest.approx(5.0)
+        assert list(trajectory(config)) == []
+        assert [step for step, _ in ticks] == list(range(1, 11))
+        assert ticks[-1][1] == pytest.approx(5.0)
 
     def test_drone_hovers_without_a_pair(self):
         # The first served step starts from the start pose: one bounded step toward the target.
         config = small_config(steps=2000)
         scenario = config.scenario
-        traffic, start = traffic_of(config), start_pose(config)
-        unserved = 0
-        while (records := run_step(traffic, start, config)) is None:
-            unserved += 1
-        assert unserved > 0
-        (record,) = records
+        start = start_pose(config)
+        step = next(trajectory(config))
+        (record,) = run_step(step, start, config)
+        assert record.step_index > 1  # the road starts empty: unserved steps came first
         target = optimal_location(record.tx_pos, record.rx_pos, scenario.bounds)
         moved = step_towards(start.position, target, scenario.limits, scenario.bounds)
         assert record.drs.position == moved
-        assert next(simulate(config)) == records
+        assert next(simulate(config)) == [record]
 
     def test_cycle_index_starts_at_zero_per_pair(self):
         first_seen = {}
@@ -125,6 +127,8 @@ class TestControlEffect:
                 theta_r, local_azimuth(bearing_r, before),
                 ris=config.ris,
                 alpha_bound=budget,
+                sin_i=math.sin(theta_i),
+                sin_r=math.sin(theta_r),
             )
             applied = abs(psi_interference(inp, record.alpha_applied))
             baseline = abs(psi_interference(inp, 0.0))
@@ -469,13 +473,9 @@ class TestPairedSweep:
             os.waitpid(-1, os.WNOHANG)
 
     def test_worker_that_sends_nothing_is_rerun(self, monkeypatch, capsys, cpus):
-        class Mute:
-            """marshal for the workers: each writes an empty blob and exits 0."""
-
-            dumps = staticmethod(lambda runs: b"")
-            loads = staticmethod(marshal.loads)
-
-        monkeypatch.setattr(engine, "marshal", Mute)
+        # Each worker is forked with no frames to send: it exits 0 having sent nothing.
+        fork_child = engine.fork_child
+        monkeypatch.setattr(engine, "fork_child", lambda frames: fork_child(lambda: ()))
         cpus(2)
         monkeypatch.setenv("DRS_SIM_LOG", "warning")
         config = small_config(steps=100)
@@ -550,25 +550,39 @@ class TestPairedSweep:
 
 class TestForkChild:
     def test_result_comes_back_with_status_0(self):
-        result = [(1, 2.5, "on"), None, -math.inf]
-        status, blob = join_child(*fork_child(lambda inbox: result))
-        assert (status, marshal.loads(blob)) == (0, result)
+        frames = [[(1, 2.5, "on"), None], -math.inf, []]
+        pid, outbox = fork_child(lambda: frames)
+        assert list(read_frames(outbox)) == frames
+        assert join_child(pid, outbox) == 0
         assert_no_child_left()
 
     def test_raising_body_exits_1_with_no_blob(self):
-        def fails(inbox):
+        def fails():
             raise ValueError("not sent")
 
-        assert join_child(*fork_child(fails)) == (1, b"")
+        pid, outbox = fork_child(fails)
+        assert list(read_frames(outbox)) == []
+        assert join_child(pid, outbox) == 1
         assert_no_child_left()
 
-    def test_body_reads_its_inbox_to_the_end(self):
-        # The body returns only at EOF, which join_child's close of the inbox brings.
-        pid, inbox, outbox = fork_child(lambda inbox: inbox.read())
-        inbox.write(b"rows")
-        status, blob = join_child(pid, inbox, outbox)
-        assert (status, marshal.loads(blob)) == (0, b"rows")
+    def test_child_dropped_mid_stream_is_reaped(self):
+        # A child that would send forever meets the closed pipe and exits 1.
+        def endless():
+            while True:
+                yield list(range(1000))
+
+        pid, outbox = fork_child(endless)
+        assert next(read_frames(outbox)) == list(range(1000))
+        assert join_child(pid, outbox) == 1
         assert_no_child_left()
+
+    def test_cut_off_frame_ends_the_frames(self):
+        # A child that dies inside a frame leaves a short blob or length, not read as a frame.
+        blobs = [marshal.dumps("whole"), marshal.dumps("x" * 1000)]
+        stream = b"".join(len(blob).to_bytes(8, "little") + blob for blob in blobs)
+        whole = 8 + len(blobs[0])
+        for cut in (len(stream) - 1, whole + 8, whole + 3):
+            assert list(read_frames(io.BytesIO(stream[:cut]))) == ["whole"]
 
 
 def assert_no_child_left():

@@ -3,8 +3,8 @@
 Any change to the simulated numbers or to the CSV format changes these
 hashes.  A change that is meant to alter the output must update them and
 say why; every other change must leave them as they are.  Each steps.csv
-hash holds for both ways its rows are written: by the forked writer, and in
-process where ``os.fork`` is missing.
+hash holds for both ways a run steps its trajectory: ahead of the yaw loop in
+a forked producer, and in process where ``os.fork`` is missing.
 """
 
 import hashlib
@@ -33,7 +33,7 @@ def test_steps_csv_hash(interferer, seed, digest, tmp_path, forks, monkeypatch):
 
 
 def steps_csv_digests(args, tmp_path, forks, monkeypatch):
-    """sha256 of the steps.csv that ``args`` writes through the forked writer, then in process."""
+    """sha256 of the steps.csv that ``args`` writes with a forked producer, then in process."""
     digests = []
     for transport in ("forked", "in-process"):
         if transport == "in-process":
@@ -41,7 +41,7 @@ def steps_csv_digests(args, tmp_path, forks, monkeypatch):
         out = tmp_path / transport
         assert main(args + ["--out", str(out)]) == 0
         digests.append(hashlib.sha256((out / "steps.csv").read_bytes()).hexdigest())
-        assert forks == [1]  # the served run forked its writer once, the in-process one not
+        assert forks == [1]  # the served run forked its producer once, the in-process one not
     return digests
 
 

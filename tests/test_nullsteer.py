@@ -38,7 +38,10 @@ azimuths = st.floats(-math.pi, math.pi, allow_nan=False, exclude_min=True)
 
 
 def make_input(theta_i, phi_i, theta_r, phi_r, bound=BOUND, ris=RIS):
-    return NullSteerInput(theta_i, phi_i, theta_r, phi_r, ris=ris, alpha_bound=bound)
+    return NullSteerInput(
+        theta_i, phi_i, theta_r, phi_r, ris=ris, alpha_bound=bound,
+        sin_i=math.sin(theta_i), sin_r=math.sin(theta_r),
+    )
 
 
 # default grid, a non-square grid with unequal pitch, and a single row

@@ -212,6 +212,27 @@ class TestTrafficModel:
                 assert tx.id != rx.id
                 assert tx.lane != rx.lane
         assert pairs_seen  # the scenario actually served someone
+
+    def test_receiver_is_the_nearest_opposite_lane_vehicle(self):
+        # maybe_start_pair computes the partners' y without position(); the
+        # choice must be the one position() gives, ties to the lower id.
+        config = ScenarioConfig(seed=17, arrival_rate=0.8, v2v_rate=0.3)
+        model = TrafficModel(config, SplitMix64(config.seed))
+        started = 0
+        for _ in range(600):
+            model.advance()
+            model.spawn_arrivals()
+            model.active_pair = None  # so that every pairing event may start a pair
+            pair = model.maybe_start_pair()
+            if pair is None:
+                continue
+            tx = model.vehicles[pair.tx_id]
+            tx_y = model.position(tx.id).y
+            partners = model.lanes[1 - tx.lane]
+            assert pair.rx_id == min(partners, key=lambda v: (abs(model.position(v).y - tx_y), v))
+            started += 1
+        assert started > 50
+
     def test_trace_determinism(self):
         trace_a = [snap for _, snap in self.run_model(seed=21)]
         trace_b = [snap for _, snap in self.run_model(seed=21)]
