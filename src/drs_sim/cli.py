@@ -8,7 +8,7 @@ Subcommands:
 ``run`` takes its steps from ``engine.trajectory_ahead``: after the first
 batch of served steps, one producer process (``engine.fork_child``) steps
 traffic and the drone's path ahead of the yaw loop, which evaluates each
-step's arms and writes its steps.csv rows here, when
+step's arms and writes each arm's record as its steps.csv row here, when
 ``engine.fork_refusal`` allows: ``os.fork`` exists, the process runs one
 thread and may run on two CPUs.  Otherwise, a threaded caller of ``main``
 among them, and in a run of less than one batch, the trajectory is stepped
@@ -51,27 +51,7 @@ from .engine import (
 )
 from .rng import SEED_LIMIT
 
-STEPS_CSV_COLUMNS = [
-    "step",
-    "time_s",
-    "pair_id",
-    "cycle_index",
-    "tx_x",
-    "tx_y",
-    "rx_x",
-    "rx_y",
-    "drs_x",
-    "drs_y",
-    "drs_z",
-    "drs_yaw_rad",
-    "alpha_rad",
-    "null_mode",
-    "pl_desired_db",
-    "pl_interf_db",
-    "sinr_db",
-    "rate_bps",
-    "control",
-]
+STEPS_CSV_COLUMNS = list(StepRecord._fields)
 
 SWEEP_CSV_COLUMNS = ["seed", "mean_rate_on", "mean_rate_off", "improvement_pct"]
 
@@ -84,20 +64,10 @@ MAX_SEED_COUNT = 100_000
 # "off", a seed or "aggregate", or empty, so no field ever needs quoting.
 # repr() is the shortest round-trip form, so identical runs serialize to
 # identical bytes and parsing the CSV recovers the exact doubles.  Lines end
-# in CRLF, as csv.writer's default dialect writes them.
+# in CRLF, as csv.writer's default dialect writes them.  A StepRecord's
+# fields are the steps.csv columns, in order: its line is ``_STEP_ROW % record``.
 
 _STEP_ROW = "%s,%r,%s,%s,%r,%r,%r,%r,%r,%r,%r,%r,%r,%s,%r,%r,%r,%r,%s\r\n"
-
-
-def _step_row(r: StepRecord) -> str:
-    """One steps.csv line, in STEPS_CSV_COLUMNS order."""
-    tx, rx, drs = r.tx_pos, r.rx_pos, r.drs
-    p = drs.position
-    return _STEP_ROW % (
-        r.step_index, r.time_s, r.pair_id, r.cycle_index, tx.x, tx.y, rx.x, rx.y,
-        p.x, p.y, p.z, drs.yaw, r.alpha_applied, r.null_mode, r.pl_desired_db,
-        r.pl_interference_db, r.sinr_db, r.rate_bps, "on" if r.control_on else "off",
-    )
 
 
 def _sweep_row(label: int | str, values: Iterable[float | None]) -> str:
@@ -111,7 +81,7 @@ def _write_rows(fh, steps: Iterable[list[StepRecord]]) -> Iterator[list[StepReco
     write(",".join(STEPS_CSV_COLUMNS) + "\r\n")
     for records in steps:
         for record in records:
-            write(_step_row(record))
+            write(_STEP_ROW % record)
         yield records
 
 

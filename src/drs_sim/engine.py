@@ -6,11 +6,13 @@ is served, the drone moves one bounded step toward the current optimal
 hover point, and the geometry every yaw arm shares is computed once on
 plain floats: each node's sight and element pattern, and the desired hop's
 path loss.  Neither traffic nor the drone's path reads the yaw, so the
-trajectory yields one plain tuple per served step and owns no pose.
-``run_step`` then evaluates one such step from the current pose: for each
-yaw arm the surface optionally rotates to null the reflected interference,
-and the arm adds only the yaw-dependent interference hop, the SINR and the
-rate; the kinematic and box constraints are verified.  A constraint
+trajectory yields one tuple of plain numbers per served step and owns no
+pose.  ``run_step`` then evaluates one such step from the current pose, an
+(x, y, z, yaw) tuple: for each yaw arm the surface optionally rotates to
+null the reflected interference, and the arm adds only the yaw-dependent
+interference hop, the SINR and the rate, into one ``StepRecord``, whose
+fields are the steps.csv columns; the kinematic and box constraints are
+verified.  A constraint
 violation raises: it indicates a bug in the controller, not a runtime
 condition.  The arms share one trajectory: a run evaluates its configured
 arm, and a paired run (``paired=True``, as each seed of the paired sweep)
@@ -57,16 +59,7 @@ from .channel import (
     rate,
     sinr,
 )
-from .geometry import (
-    Pose,
-    Value,
-    Vec3,
-    local_azimuth,
-    rotation_between,
-    sight,
-    step_displacement,
-    wrap_angle,
-)
+from .geometry import Vec3, local_azimuth, sight, step_displacement, wrap_angle
 from .nullsteer import NullSteerInput, select_rotation
 from .planner import optimal_location, step_towards
 from .rng import SplitMix64
@@ -119,46 +112,16 @@ def replace(config, **changes):
     return type(config)(**{**vars(config), **changes})
 
 
-class StepRecord(Value):
-    """Per-step metrics while a pair is being served."""
+StepRecord = namedtuple("StepRecord", [
+    "step", "time_s", "pair_id", "cycle_index", "tx_x", "tx_y", "rx_x", "rx_y",
+    "drs_x", "drs_y", "drs_z", "drs_yaw_rad", "alpha_rad", "null_mode",
+    "pl_desired_db", "pl_interf_db", "sinr_db", "rate_bps", "control",
+])
+StepRecord.__doc__ = """One yaw arm's metrics at a served step: one steps.csv row, field for column.
 
-    __slots__ = (
-        "step_index", "time_s", "pair_id", "cycle_index", "tx_pos", "rx_pos", "drs",
-        "alpha_applied", "null_mode", "pl_desired_db", "pl_interference_db", "sinr_db",
-        "rate_bps", "control_on",
-    )
-
-    def __init__(
-        self,
-        step_index: int,
-        time_s: float,
-        pair_id: int,
-        cycle_index: int,  # steps since the pair started
-        tx_pos: Vec3,
-        rx_pos: Vec3,
-        drs: Pose,
-        alpha_applied: float,
-        null_mode: str,
-        pl_desired_db: float,
-        pl_interference_db: float,
-        sinr_db: float,
-        rate_bps: float,
-        control_on: bool,
-    ) -> None:
-        self.step_index = step_index
-        self.time_s = time_s
-        self.pair_id = pair_id
-        self.cycle_index = cycle_index
-        self.tx_pos = tx_pos
-        self.rx_pos = rx_pos
-        self.drs = drs
-        self.alpha_applied = alpha_applied
-        self.null_mode = null_mode
-        self.pl_desired_db = pl_desired_db
-        self.pl_interference_db = pl_interference_db
-        self.sinr_db = sinr_db
-        self.rate_bps = rate_bps
-        self.control_on = control_on
+``cycle_index`` counts the steps since the pair started; ``control`` is
+"on" or "off".  ``(drs_x, drs_y, drs_z, drs_yaw_rad)`` is the drone's pose.
+"""
 
 
 class SimConfig:
@@ -218,21 +181,27 @@ def db(linear: float) -> float:
     return 10.0 * math.log10(linear)
 
 
-def _check_constraints(previous: Pose, current: Pose, config: SimConfig) -> None:
+def _check_constraints(previous: tuple, current: tuple, config: SimConfig) -> None:
+    """Raise ConstraintViolation unless the move between two (x, y, z, yaw) poses is allowed.
+
+    The yaw change is the wrapped difference, so a turn across the ±pi seam
+    counts its true size.
+    """
     limits = config.scenario.limits
     bounds = config.scenario.bounds
-    moved = step_displacement(previous.position, current.position)
+    moved = step_displacement(previous, current)
     if moved > limits.step_length + DISPLACEMENT_TOL:
         raise ConstraintViolation(
             f"displacement {moved:.9f} m exceeds budget {limits.step_length} m"
         )
-    turned = rotation_between(previous, current)
+    x, y, z, yaw = current
+    turned = abs(wrap_angle(previous[3] - yaw))
     if turned > limits.yaw_budget + YAW_TOL:
         raise ConstraintViolation(
             f"yaw change {turned:.15f} rad exceeds budget {limits.yaw_budget} rad"
         )
-    if not bounds.contains(current.position):
-        raise ConstraintViolation(f"position {current.position} outside flight box")
+    if not bounds.contains(x, y, z):
+        raise ConstraintViolation(f"position {Vec3(x, y, z)} outside flight box")
 
 
 def _arms(config: SimConfig, paired: bool) -> tuple[bool, ...]:
@@ -243,12 +212,13 @@ def _arms(config: SimConfig, paired: bool) -> tuple[bool, ...]:
     return (True, False) if paired else (config.orientation_control,)
 
 
-def _start_pose(config: SimConfig) -> Pose:
-    """Where every run starts: the centre of the flight box's floor, yaw 0."""
+def _start_pose(config: SimConfig) -> tuple[float, float, float, float]:
+    """Where every run starts, as (x, y, z, yaw): the centre of the flight box's floor, yaw 0."""
     bounds = config.scenario.bounds
-    return Pose(Vec3(
-        0.5 * (bounds.x_min + bounds.x_max), 0.5 * (bounds.y_min + bounds.y_max), bounds.z_min
-    ), 0.0)
+    return (
+        0.5 * (bounds.x_min + bounds.x_max), 0.5 * (bounds.y_min + bounds.y_max), bounds.z_min,
+        0.0,
+    )
 
 
 def trajectory(config: SimConfig) -> Iterator[tuple]:
@@ -260,18 +230,20 @@ def trajectory(config: SimConfig) -> Iterator[tuple]:
     and the geometry every yaw arm shares is computed once.  Neither traffic
     nor the drone's path reads the yaw, so this owns both: the road starts
     empty and the drone at ``_start_pose(config)``'s position.  Each tuple is
-    (step_index, time_s, pair_id, cycle_index, tx, rx, position, pl_desired,
-    pl_desired_db, hop): the two vehicles' and the drone's positions are
-    ``Vec3``s, the desired hop is beamformed (|psi| = 1) so its path loss is
-    yaw-free, and ``hop`` is None without an interferer, else what the
-    interference hop needs: the interferer's, then the receiver's ``sight``
-    (elevation, bearing, distance), each followed by its elevation's sine and
-    element pattern.
+    (step, time_s, pair_id, cycle_index, tx_x, tx_y, rx_x, rx_y, drs_x,
+    drs_y, drs_z, pl_desired, pl_desired_db, hop): its first eleven items are
+    the first eleven fields of the step's records, the desired hop is
+    beamformed (|psi| = 1) so its path loss is yaw-free, and ``hop`` is None
+    without an interferer, else what the interference hop needs: the
+    interferer's, then the receiver's ``sight`` (elevation, bearing,
+    distance), each followed by its elevation's sine and element pattern.
+    Every item is an int, a float, None or a tuple of them, so ``marshal``
+    sends a step as it is.
     """
     scenario = config.scenario
     bounds, limits, ris = scenario.bounds, scenario.limits, config.ris
     traffic = TrafficModel(scenario, SplitMix64(scenario.seed))
-    position = _start_pose(config).position
+    position = Vec3(*_start_pose(config)[:3])
     for _ in range(config.steps):
         traffic.advance()
         traffic.spawn_arrivals()
@@ -297,23 +269,24 @@ def trajectory(config: SimConfig) -> Iterator[tuple]:
                 theta_rx, bearing_rx, dist_rx, math.sin(theta_rx), f_rx,
             )
         yield (
-            traffic.step, traffic.clock, pair.id, traffic.step - pair.start_step, tx, rx,
-            position, pl_desired, db(pl_desired), hop,
+            traffic.step, traffic.clock, pair.id, traffic.step - pair.start_step,
+            tx.x, tx.y, rx.x, rx.y, position.x, position.y, position.z,
+            pl_desired, db(pl_desired), hop,
         )
 
 
-def run_step(step: tuple, drs: Pose, config: SimConfig, paired: bool = False) -> list[StepRecord]:
-    """The records of one ``trajectory`` step from pose ``drs``, one per arm.
+def run_step(step: tuple, drs: tuple, config: SimConfig, paired: bool = False) -> list[StepRecord]:
+    """The records of one ``trajectory`` step from pose ``drs`` (x, y, z, yaw), one per arm.
 
     Per arm (4) the surface rotates per the arm's null-steering rule and (5)
     the yaw-dependent interference hop, the SINR and the rate are evaluated;
     then (6) constraints are checked on the first arm's move.  That covers
     every arm: all share the position and only the first may turn.  The
-    drone's next pose is the first record's ``drs``.
+    drone's next pose is the first record's (drs_x, drs_y, drs_z, drs_yaw_rad).
     """
     (
-        step_index, time_s, pair_id, cycle_index, tx, rx, position, pl_desired, pl_desired_db,
-        hop,
+        step_index, time_s, pair_id, cycle_index, tx_x, tx_y, rx_x, rx_y, x, y, z,
+        pl_desired, pl_desired_db, hop,
     ) = step
     ris, radio = config.ris, config.radio
     if hop is not None:
@@ -321,7 +294,7 @@ def run_step(step: tuple, drs: Pose, config: SimConfig, paired: bool = False) ->
 
     records = []
     for control in _arms(config, paired):
-        yaw = drs.yaw if control else 0.0
+        yaw = drs[3] if control else 0.0
         alpha, null_mode = 0.0, MODE_OFF
         if hop is None:
             pl_interference = NO_PATH
@@ -343,24 +316,19 @@ def run_step(step: tuple, drs: Pose, config: SimConfig, paired: bool = False) ->
             pl_interference = path_loss(ris, f_i, f_rx, dist_i, dist_rx, psi_value)
 
         sinr_value = sinr(radio, pl_desired, pl_interference, config.sinr_form)
-        records.append(StepRecord(  # positional, in field order
-            step_index,
-            time_s,
-            pair_id,
-            cycle_index,
-            tx,
-            rx,
-            Pose(position, yaw),  # drs
-            alpha,  # alpha_applied
+        records.append(StepRecord._make((  # in field order
+            step_index, time_s, pair_id, cycle_index, tx_x, tx_y, rx_x, rx_y, x, y, z,
+            yaw,  # drs_yaw_rad
+            alpha,  # alpha_rad
             null_mode,
             pl_desired_db,
-            db(pl_interference),
+            db(pl_interference),  # pl_interf_db
             db(sinr_value) if sinr_value > 0.0 else -math.inf,  # sinr_db
             rate(radio, sinr_value),  # rate_bps
-            control,  # control_on
-        ))
+            "on" if control else "off",  # control
+        )))
 
-    _check_constraints(drs, records[0].drs, config)
+    _check_constraints(drs, records[0][8:12], config)
     return records
 
 
@@ -390,7 +358,7 @@ def simulate(
     drs = _start_pose(config)
     for step in trajectory(config) if steps is None else steps:
         records = run_step(step, drs, config, paired)
-        drs = records[0].drs
+        drs = records[0][8:12]
         yield records
 
 
@@ -410,10 +378,11 @@ def summarize(
         pairs.add(records[0].pair_id)
         for kept, record in zip(rates, records):
             kept.append(record.rate_bps)
-    got = tuple(record.control_on for record in records)
-    if records and got != arms:
+    expected = tuple("on" if control else "off" for control in arms)
+    got = tuple(record.control for record in records)
+    if records and got != expected:
         raise ValueError(
-            f"summarize(paired={paired}) expects records with control {arms} per step, "
+            f"summarize(paired={paired}) expects records with control {expected} per step, "
             f"got {got}: pass simulate and summarize the same config and paired"
         )
     return [
@@ -523,18 +492,9 @@ def join_child(pid: int, outbox: io.BufferedReader) -> int:
     return status
 
 
-def _flat(step: tuple) -> tuple:
-    """A ``trajectory`` step with its three ``Vec3``s spelled out as floats, for ``marshal``.
-
-    ``trajectory_ahead`` builds the ``Vec3``s again from the floats it reads.
-    """
-    tx, rx, p = step[4:7]
-    return (*step[:4], tx.x, tx.y, tx.z, rx.x, rx.y, rx.z, p.x, p.y, p.z, *step[7:])
-
-
 def _batches(steps: Iterator[tuple]) -> Iterator[list[tuple]]:
-    """The rest of ``steps`` as ``_flat`` lists of STEPS_PER_BATCH (the last one shorter)."""
-    while batch := [_flat(step) for step in itertools.islice(steps, STEPS_PER_BATCH)]:
+    """The rest of ``steps`` as lists of STEPS_PER_BATCH (the last one shorter)."""
+    while batch := list(itertools.islice(steps, STEPS_PER_BATCH)):
         yield batch
 
 
@@ -574,11 +534,7 @@ def trajectory_ahead(config: SimConfig) -> Iterator[tuple]:
         return
     try:
         for batch in read_frames(outbox):
-            for s in batch:
-                yield (
-                    *s[:4], Vec3(s[4], s[5], s[6]), Vec3(s[7], s[8], s[9]),
-                    Vec3(s[10], s[11], s[12]), *s[13:],
-                )
+            yield from batch
     finally:
         status = join_child(pid, outbox)
     if status:

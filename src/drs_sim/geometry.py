@@ -28,25 +28,7 @@ def wrap_angle(angle: float) -> float:
     return r
 
 
-class Value:
-    """Field-wise ``==`` and a ``Name(field=value, ...)`` repr over ``__slots__``."""
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-
-class Vec3(Value):
+class Vec3:
     """Point or displacement in meters: x lateral, y longitudinal, z vertical."""
 
     __slots__ = ("x", "y", "z")
@@ -56,20 +38,13 @@ class Vec3(Value):
         self.y = y
         self.z = z
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x, self.y, self.z) == (other.x, other.y, other.z)
 
-class Pose(Value):
-    """Drone position plus yaw about the world vertical axis.
-
-    Rotation of the surface is restricted to the horizontal plane, so the
-    yaw angle alone fixes its orientation.  Yaw is normalized to (-pi, pi]
-    on construction.
-    """
-
-    __slots__ = ("position", "yaw")
-
-    def __init__(self, position: Vec3, yaw: float = 0.0) -> None:
-        self.position = position
-        self.yaw = wrap_angle(yaw)
+    def __repr__(self) -> str:
+        return f"Vec3(x={self.x!r}, y={self.y!r}, z={self.z!r})"
 
 
 def sight(surface: Vec3, target: Vec3) -> tuple[float, float | None, float]:
@@ -98,17 +73,10 @@ def local_azimuth(bearing: float | None, yaw: float) -> float:
     return 0.0 if bearing is None else wrap_angle(bearing - yaw)
 
 
-def rotation_between(a: Pose, b: Pose) -> float:
-    """Rotation angle between two yaw-only poses, in [0, pi].
+def step_displacement(a: tuple, b: tuple) -> float:
+    """Euclidean distance in meters traveled when moving from ``a`` to ``b``.
 
-    For rotations about a single axis this equals the axis-angle magnitude
-    acos((tr(R) - 1) / 2) of the relative rotation matrix, so the wrapped
-    yaw difference is the exact rotation angle.
+    Each is a tuple that starts (x, y, z): a point, or a pose (x, y, z, yaw).
     """
-    return abs(wrap_angle(a.yaw - b.yaw))
-
-
-def step_displacement(a: Vec3, b: Vec3) -> float:
-    """Euclidean distance in meters traveled when moving from ``a`` to ``b``."""
-    dx, dy, dz = b.x - a.x, b.y - a.y, b.z - a.z
+    dx, dy, dz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
     return math.sqrt(dx * dx + dy * dy + dz * dz)

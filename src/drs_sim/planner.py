@@ -50,11 +50,12 @@ class WorldBounds:
             min(max(z, self.z_min), self.z_max),
         )
 
-    def contains(self, p: Vec3) -> bool:
+    def contains(self, x: float, y: float, z: float) -> bool:
+        """Whether the point (x, y, z) is in the box."""
         return (
-            self.x_min <= p.x <= self.x_max
-            and self.y_min <= p.y <= self.y_max
-            and self.z_min <= p.z <= self.z_max
+            self.x_min <= x <= self.x_max
+            and self.y_min <= y <= self.y_max
+            and self.z_min <= z <= self.z_max
         )
 
 

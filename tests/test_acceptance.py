@@ -170,21 +170,19 @@ def test_criterion_05_constraints_hold_over_long_run():
     previous = None
     for record, in simulate(config):  # raises on any internal violation
         served += 1
-        pose = record.drs
-        p = pose.position
+        x, y, z, yaw = record.drs_x, record.drs_y, record.drs_z, record.drs_yaw_rad
         if not (
-            bounds.x_min - 1e-9 <= p.x <= bounds.x_max + 1e-9
-            and bounds.y_min - 1e-9 <= p.y <= bounds.y_max + 1e-9
-            and bounds.z_min - 1e-9 <= p.z <= bounds.z_max + 1e-9
+            bounds.x_min - 1e-9 <= x <= bounds.x_max + 1e-9
+            and bounds.y_min - 1e-9 <= y <= bounds.y_max + 1e-9
+            and bounds.z_min - 1e-9 <= z <= bounds.z_max + 1e-9
         ):
             violations += 1
         if previous is not None:
-            q = previous.position
-            if math.dist((p.x, p.y, p.z), (q.x, q.y, q.z)) > limits.step_length + 1e-9:
+            if math.dist((x, y, z), previous[:3]) > limits.step_length + 1e-9:
                 violations += 1
-            if abs(wrap_angle(pose.yaw - previous.yaw)) > limits.yaw_budget + 1e-12:
+            if abs(wrap_angle(yaw - previous[3])) > limits.yaw_budget + 1e-12:
                 violations += 1
-        previous = pose
+        previous = x, y, z, yaw
     ok = violations == 0 and served > 1000
     _report(
         5,

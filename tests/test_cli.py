@@ -23,7 +23,7 @@ from drs_sim.cli import (
     CONFIG_FLAGS,
     MAX_SEED_COUNT,
     STEPS_CSV_COLUMNS,
-    _step_row,
+    _STEP_ROW,
     _sweep_row,
     build_parser,
     main,
@@ -40,7 +40,7 @@ from drs_sim.engine import (
     simulate,
     summarize,
 )
-from drs_sim.geometry import Pose, Vec3
+from drs_sim.geometry import Vec3
 from drs_sim.nullsteer import MODE_ANALYTIC, MODE_FALLBACK, MODE_NONE
 from drs_sim.planner import MotionLimits, WorldBounds
 from drs_sim.traffic import ScenarioConfig
@@ -109,16 +109,17 @@ def assert_no_child_left():
 def counting_sent_steps(monkeypatch, path):
     """Yield a function that counts the steps a forked producer has put in its pipe so far.
 
-    The producer writes one byte to ``path`` for each step it flattens for the pipe.
+    The producer writes one byte to ``path`` for each step of a batch it hands to the pipe.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-    flat = engine._flat
+    batches = engine._batches
 
-    def counted(step):
-        os.write(fd, b".")
-        return flat(step)
+    def counted(steps):
+        for batch in batches(steps):
+            os.write(fd, b"." * len(batch))
+            yield batch
 
-    monkeypatch.setattr("drs_sim.engine._flat", counted)
+    monkeypatch.setattr("drs_sim.engine._batches", counted)
     try:
         yield lambda: path.stat().st_size
     finally:
@@ -383,12 +384,12 @@ class TestRun:
     def test_producer_that_dies_fails_the_run(
         self, signal_number, config_file, tmp_path, monkeypatch, capsys, forks
     ):
-        def dies(step):
+        def dies(steps):
             if signal_number is not None:
                 os.kill(os.getpid(), signal_number)
             raise ValueError("not an OSError")
 
-        monkeypatch.setattr("drs_sim.engine._flat", dies)  # only the forked producer flattens
+        monkeypatch.setattr("drs_sim.engine._batches", dies)  # only the forked producer batches
         out = tmp_path / "out"
         code = main(["run", "--config", str(config_file), "--out", str(out)])
         assert code == 2
@@ -612,12 +613,13 @@ NULL_MODES = [MODE_OFF, MODE_ANALYTIC, MODE_FALLBACK, MODE_NONE]
 @st.composite
 def step_records(draw):
     floats, counts = (lambda: draw(FLOATS)), (lambda: draw(st.integers(0, 2**63)))
-    drs = Pose(Vec3(floats(), floats(), floats()))
-    drs.yaw = floats()  # any double, not only a wrapped yaw
     return StepRecord(
-        counts(), floats(), counts(), counts(), Vec3(floats(), floats(), floats()),
-        Vec3(floats(), floats(), floats()), drs, floats(), draw(st.sampled_from(NULL_MODES)),
-        floats(), floats(), floats(), floats(), draw(st.booleans()),
+        counts(), floats(), counts(), counts(),  # step, time_s, pair_id, cycle_index
+        # tx_x .. drs_z, then drs_yaw_rad and alpha_rad: any double, not only a wrapped yaw
+        *(floats() for _ in range(9)),
+        draw(st.sampled_from(NULL_MODES)),
+        *(floats() for _ in range(4)),  # pl_desired_db, pl_interf_db, sinr_db, rate_bps
+        draw(st.sampled_from(["on", "off"])),
     )
 
 
@@ -732,15 +734,14 @@ class TestRowFormat:
     @given(step_records())
     def test_step_row_equals_csv_writer(self, r):
         fields = [
-            str(r.step_index), _num(r.time_s), str(r.pair_id), str(r.cycle_index),
-            _num(r.tx_pos.x), _num(r.tx_pos.y), _num(r.rx_pos.x), _num(r.rx_pos.y),
-            _num(r.drs.position.x), _num(r.drs.position.y), _num(r.drs.position.z),
-            _num(r.drs.yaw), _num(r.alpha_applied), r.null_mode, _num(r.pl_desired_db),
-            _num(r.pl_interference_db), _num(r.sinr_db), _num(r.rate_bps),
-            "on" if r.control_on else "off",
+            str(r.step), _num(r.time_s), str(r.pair_id), str(r.cycle_index),
+            _num(r.tx_x), _num(r.tx_y), _num(r.rx_x), _num(r.rx_y),
+            _num(r.drs_x), _num(r.drs_y), _num(r.drs_z),
+            _num(r.drs_yaw_rad), _num(r.alpha_rad), r.null_mode, _num(r.pl_desired_db),
+            _num(r.pl_interf_db), _num(r.sinr_db), _num(r.rate_bps), r.control,
         ]
         assert len(fields) == len(STEPS_CSV_COLUMNS)
-        assert _step_row(r) == csv_writer_line(fields)
+        assert _STEP_ROW % r == csv_writer_line(fields)
 
     @settings(max_examples=300)
     @given(st.integers(0, 2**64 - 1), st.lists(st.one_of(st.none(), FLOATS), min_size=3, max_size=3))
@@ -771,12 +772,12 @@ class TestRowFormat:
         assert records
         for r in records:
             values = [
-                r.time_s, r.tx_pos.x, r.tx_pos.y, r.rx_pos.x, r.rx_pos.y, r.drs.position.x,
-                r.drs.position.y, r.drs.position.z, r.drs.yaw, r.alpha_applied,
-                r.pl_desired_db, r.pl_interference_db, r.sinr_db, r.rate_bps,
+                r.time_s, r.tx_x, r.tx_y, r.rx_x, r.rx_y, r.drs_x, r.drs_y, r.drs_z,
+                r.drs_yaw_rad, r.alpha_rad, r.pl_desired_db, r.pl_interf_db, r.sinr_db,
+                r.rate_bps,
             ]
             assert all(type(v) is float for v in values), r
-            assert all(type(v) is int for v in (r.step_index, r.pair_id, r.cycle_index)), r
+            assert all(type(v) is int for v in (r.step, r.pair_id, r.cycle_index)), r
 
     def test_integer_spelled_config_writes_the_same_bytes(self, tmp_path):
         outputs = []

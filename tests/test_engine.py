@@ -32,9 +32,9 @@ from drs_sim.engine import (
     summarize,
     trajectory,
 )
-from drs_sim.geometry import Pose, Vec3, local_azimuth, sight, wrap_angle
+from drs_sim.geometry import Vec3, local_azimuth, sight, wrap_angle
 from drs_sim.nullsteer import MODE_ANALYTIC, MODE_FALLBACK, NullSteerInput, psi_interference
-from drs_sim.planner import WorldBounds, optimal_location, step_towards
+from drs_sim.planner import MotionLimits, WorldBounds, optimal_location, step_towards
 from drs_sim.traffic import ScenarioConfig, TrafficModel
 
 QUIET = ScenarioConfig(arrival_rate=0.0, v2v_rate=0.0)
@@ -51,9 +51,25 @@ def records_of(config, seed):
 
 
 def start_pose(config):
-    """The pose ``simulate`` starts from: the centre of the flight box's floor, yaw 0."""
+    """The pose ``simulate`` starts from, as (x, y, z, yaw): the centre of the box's floor, yaw 0."""
     b = config.scenario.bounds
-    return Pose(Vec3(0.5 * (b.x_min + b.x_max), 0.5 * (b.y_min + b.y_max), b.z_min), 0.0)
+    return 0.5 * (b.x_min + b.x_max), 0.5 * (b.y_min + b.y_max), b.z_min, 0.0
+
+
+def pose_of(record):
+    """A record's drone pose, as ``run_step`` takes it: (x, y, z, yaw)."""
+    return record.drs_x, record.drs_y, record.drs_z, record.drs_yaw_rad
+
+
+def measured_turn(yaw_a, yaw_b):
+    """The yaw change ``_check_constraints`` measures from yaw_a to yaw_b at one point.
+
+    The budget is 1 nrad, so any larger turn raises and the message reports it.
+    """
+    config = small_config(scenario=ScenarioConfig(limits=MotionLimits(rot_rate=2e-9)))
+    with pytest.raises(ConstraintViolation, match="^yaw change") as info:
+        _check_constraints((250.0, 2500.0, 100.0, yaw_a), (250.0, 2500.0, 100.0, yaw_b), config)
+    return float(re.search(r"yaw change (\S+) rad", str(info.value)).group(1))
 
 
 class TestRunStep:
@@ -79,11 +95,27 @@ class TestRunStep:
         start = start_pose(config)
         step = next(trajectory(config))
         (record,) = run_step(step, start, config)
-        assert record.step_index > 1  # the road starts empty: unserved steps came first
-        target = optimal_location(record.tx_pos, record.rx_pos, scenario.bounds)
-        moved = step_towards(start.position, target, scenario.limits, scenario.bounds)
-        assert record.drs.position == moved
+        assert record.step > 1  # the road starts empty: unserved steps came first
+        assert record[:8] == step[:8]
+        # optimal_location reads only the vehicles' x and y
+        tx, rx = Vec3(record.tx_x, record.tx_y, 0.0), Vec3(record.rx_x, record.rx_y, 0.0)
+        target = optimal_location(tx, rx, scenario.bounds)
+        moved = step_towards(Vec3(*start[:3]), target, scenario.limits, scenario.bounds)
+        assert pose_of(record)[:3] == (moved.x, moved.y, moved.z)
         assert next(simulate(config)) == [record]
+
+    @pytest.mark.parametrize("interferer", ["rsu", "vehicle", "none"])
+    def test_trajectory_steps_go_through_marshal_as_they_are(self, interferer):
+        # trajectory_ahead's producer pipes the steps with marshal, with no adapter.
+        def types(value):
+            return tuple(map(types, value)) if type(value) is tuple else type(value)
+
+        config = small_config(steps=2000, scenario=ScenarioConfig(interferer_kind=interferer))
+        steps = list(trajectory(config))
+        assert steps
+        back = marshal.loads(marshal.dumps(steps))
+        assert back == steps
+        assert [types(step) for step in back] == [types(step) for step in steps]
 
     def test_cycle_index_starts_at_zero_per_pair(self):
         first_seen = {}
@@ -99,7 +131,7 @@ class TestRunStep:
         for a, b in zip(on, off):
             assert a.rate_bps == b.rate_bps
             assert a.null_mode == MODE_OFF
-        assert all(math.isinf(r.pl_interference_db) for r in on)
+        assert all(math.isinf(r.pl_interf_db) for r in on)
 
 
 class TestControlEffect:
@@ -116,12 +148,15 @@ class TestControlEffect:
         rsu = config.scenario.rsu_position
         budget = config.scenario.limits.yaw_budget
         checked = 0
-        for record in records_of(config, 4):
+        seeded = replace(config, scenario=replace(config.scenario, seed=4))
+        for step, record in zip(trajectory(seeded), records_of(config, 4), strict=True):
             if record.null_mode not in (MODE_ANALYTIC, MODE_FALLBACK):
                 continue
-            theta_i, bearing_i, _ = sight(record.drs.position, rsu)
-            theta_r, bearing_r, _ = sight(record.drs.position, record.rx_pos)
-            before = wrap_angle(record.drs.yaw + record.alpha_applied)
+            theta_i, bearing_i, _ = sight(Vec3(record.drs_x, record.drs_y, record.drs_z), rsu)
+            hop = step[13]  # the record holds no antenna height: the receiver's sight is the step's
+            assert (theta_i, bearing_i) == hop[:2]
+            theta_r, bearing_r = hop[5:7]
+            before = wrap_angle(record.drs_yaw_rad + record.alpha_rad)
             inp = NullSteerInput(
                 theta_i, local_azimuth(bearing_i, before),
                 theta_r, local_azimuth(bearing_r, before),
@@ -130,11 +165,11 @@ class TestControlEffect:
                 sin_i=math.sin(theta_i),
                 sin_r=math.sin(theta_r),
             )
-            applied = abs(psi_interference(inp, record.alpha_applied))
+            applied = abs(psi_interference(inp, record.alpha_rad))
             baseline = abs(psi_interference(inp, 0.0))
             assert applied <= baseline + 1e-12
             # the rotated pose realizes exactly the factor the controller chose
-            yaw = record.drs.yaw
+            yaw = record.drs_yaw_rad
             realized = abs(array_factor(config.ris, *direction_cosine_sums(
                 math.sin(theta_i), local_azimuth(bearing_i, yaw),
                 math.sin(theta_r), local_azimuth(bearing_r, yaw),
@@ -148,7 +183,7 @@ class TestControlEffect:
         analytic = [r for r in records if r.null_mode == MODE_ANALYTIC]
         assert analytic
         for record in analytic:
-            assert record.pl_interference_db > 200.0  # > 20 orders of magnitude
+            assert record.pl_interf_db > 200.0  # > 20 orders of magnitude
 
 
 class TestConstraints:
@@ -160,40 +195,77 @@ class TestConstraints:
         assert records
         previous = None
         for record in records:
-            pose = record.drs
-            p = pose.position
-            assert bounds.x_min - 1e-9 <= p.x <= bounds.x_max + 1e-9
-            assert bounds.y_min - 1e-9 <= p.y <= bounds.y_max + 1e-9
-            assert bounds.z_min - 1e-9 <= p.z <= bounds.z_max + 1e-9
-            assert abs(record.alpha_applied) <= limits.yaw_budget + 1e-12
+            x, y, z, yaw = pose_of(record)
+            assert bounds.x_min - 1e-9 <= x <= bounds.x_max + 1e-9
+            assert bounds.y_min - 1e-9 <= y <= bounds.y_max + 1e-9
+            assert bounds.z_min - 1e-9 <= z <= bounds.z_max + 1e-9
+            assert abs(record.alpha_rad) <= limits.yaw_budget + 1e-12
             if previous is not None:
-                q = previous.position
-                moved = math.dist((p.x, p.y, p.z), (q.x, q.y, q.z))
+                moved = math.dist((x, y, z), previous[:3])
                 assert moved <= limits.step_length + 1e-9
-                turned = abs(wrap_angle(pose.yaw - previous.yaw))
+                turned = abs(wrap_angle(yaw - previous[3]))
                 assert turned <= limits.yaw_budget + 1e-12
-            previous = pose
+            previous = x, y, z, yaw
 
     def test_check_constraints_raises_on_teleport(self):
         config = small_config()
-        a = Pose(Vec3(250.0, 2500.0, 100.0), 0.0)
-        b = Pose(Vec3(250.0, 2600.0, 100.0), 0.0)
+        a = (250.0, 2500.0, 100.0, 0.0)
+        b = (250.0, 2600.0, 100.0, 0.0)
         with pytest.raises(ConstraintViolation):
             _check_constraints(a, b, config)
 
     def test_check_constraints_raises_on_overspin(self):
         config = small_config()
-        a = Pose(Vec3(250.0, 2500.0, 100.0), 0.0)
-        b = Pose(Vec3(250.0, 2500.0, 100.0), 0.2)
+        a = (250.0, 2500.0, 100.0, 0.0)
+        b = (250.0, 2500.0, 100.0, 0.2)
         with pytest.raises(ConstraintViolation):
             _check_constraints(a, b, config)
 
     def test_check_constraints_raises_outside_box(self):
         config = small_config()
-        a = Pose(Vec3(250.0, 2500.0, 100.0), 0.0)
-        b = Pose(Vec3(250.0, 2500.0, 99.0), 0.0)
-        with pytest.raises(ConstraintViolation):
+        a = (250.0, 2500.0, 100.0, 0.0)
+        b = (250.0, 2500.0, 99.0, 0.0)
+        with pytest.raises(
+            ConstraintViolation,
+            match=re.escape("position Vec3(x=250.0, y=2500.0, z=99.0) outside flight box"),
+        ):
             _check_constraints(a, b, config)
+
+    def test_turn_across_the_seam_within_budget_passes(self):
+        # pi - 0.04 to -pi + 0.04 is a 0.08 rad turn, within the default
+        # 0.08725 rad budget; the raw difference is about 2 pi.
+        config = small_config()
+        assert config.scenario.limits.yaw_budget == pytest.approx(0.08725)
+        a = (250.0, 2500.0, 100.0, math.pi - 0.04)
+        b = (250.0, 2500.0, 100.0, -math.pi + 0.04)
+        _check_constraints(a, b, config)
+        _check_constraints(b, a, config)
+        # a 0.1 rad turn across the seam passes at a 0.125 rad budget
+        wider = small_config(scenario=ScenarioConfig(limits=MotionLimits(rot_rate=0.25)))
+        a = (250.0, 2500.0, 100.0, math.pi - 0.05)
+        b = (250.0, 2500.0, 100.0, -math.pi + 0.05)
+        _check_constraints(a, b, wider)
+        _check_constraints(b, a, wider)
+
+    def test_turn_across_the_seam_beyond_budget_raises(self):
+        config = small_config()
+        a = (250.0, 2500.0, 100.0, math.pi - 0.1)
+        b = (250.0, 2500.0, 100.0, -math.pi + 0.1)
+        for previous, current in ((a, b), (b, a)):
+            with pytest.raises(ConstraintViolation, match=r"^yaw change 0\.2000000000000\d\d rad"):
+                _check_constraints(previous, current, config)
+
+    # The yaw change between two poses, as the budget check measures it.
+    def test_identical_yaws_do_not_turn(self):
+        config = small_config(scenario=ScenarioConfig(limits=MotionLimits(rot_rate=2e-9)))
+        pose = (1.0, 2.0, 100.0, 0.4)
+        _check_constraints(pose, pose, config)  # passes a 1 nrad budget
+
+    def test_small_turn_measures_its_size(self):
+        assert measured_turn(0.1, 0.0) == pytest.approx(0.1, abs=1e-15)
+
+    def test_turn_wraps_across_half_turn(self):
+        assert measured_turn(math.pi - 0.05, -math.pi + 0.05) == pytest.approx(0.1, abs=1e-12)
 
 
 class TestRunSimulation:
@@ -233,7 +305,7 @@ class TestRunSimulation:
         scenario = ScenarioConfig(interferer_kind="vehicle", v2v_rate=0.1)
         records = records_of(SimConfig(scenario=scenario, steps=1500), 10)
         assert records
-        finite = [r for r in records if not math.isinf(r.pl_interference_db)]
+        finite = [r for r in records if not math.isinf(r.pl_interf_db)]
         assert finite  # some bystander actually interfered
 
     def test_rejects_bad_steps(self):
@@ -333,7 +405,7 @@ class TestPairedSweep:
         paired = list(simulate(config, paired=True))
         assert paired
         assert paired == [[a, b] for (a,), (b,) in zip(on, off, strict=True)]
-        assert any(a.alpha_applied for a, _ in paired) == (interferer != "none")
+        assert any(a.alpha_rad for a, _ in paired) == (interferer != "none")
 
     @pytest.mark.parametrize("run_paired, paired", [(False, True), (True, False)])
     def test_summarize_rejects_steps_of_the_other_paired(self, run_paired, paired):

@@ -5,15 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from drs_sim.geometry import (
-    Pose,
-    Vec3,
-    local_azimuth,
-    rotation_between,
-    sight,
-    step_displacement,
-    wrap_angle,
-)
+from drs_sim.geometry import Vec3, local_azimuth, sight, step_displacement, wrap_angle
 
 coords = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
 yaws = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -57,6 +49,24 @@ class TestWrapAngle:
         with pytest.raises(ValueError):
             wrap_angle(angle)
 
+    def test_yaw_beyond_a_half_turn_wraps(self):
+        assert wrap_angle(3 * math.pi) == pytest.approx(math.pi)
+        assert wrap_angle(-math.pi) == math.pi
+
+    @given(yaws, yaws)
+    def test_turned_yaw_accumulates_and_wraps(self, yaw, delta):
+        # the engine turns the drone by wrapping the new yaw
+        turned = wrap_angle(wrap_angle(yaw) + delta)
+        assert -math.pi < turned <= math.pi
+        assert abs(wrap_angle(turned - (yaw + delta))) < 1e-9
+
+    @given(yaws, yaws)
+    def test_yaw_change_is_symmetric_and_bounded(self, ya, yb):
+        # the yaw change the constraint check measures between two yaws
+        turned = abs(wrap_angle(ya - yb))
+        assert turned == abs(wrap_angle(yb - ya))
+        assert 0.0 <= turned <= math.pi
+
 
 # Elevation and yawed azimuth of a node, as the step kernel computes them:
 # sight() from the surface, then local_azimuth() of its bearing.
@@ -85,18 +95,17 @@ class TestAnglesTo:
 
     @given(coords, coords, coords, coords, heights, yaws)
     def test_elevation_in_front_quarter(self, px, py, tx, ty, dh, yaw):
-        pose = Pose(Vec3(px, py, 50.0), yaw)
-        theta, bearing, _ = sight(pose.position, Vec3(tx, ty, 50.0 - dh))
+        theta, bearing, _ = sight(Vec3(px, py, 50.0), Vec3(tx, ty, 50.0 - dh))
         assert 0.0 <= theta < math.pi / 2
-        assert -math.pi < local_azimuth(bearing, pose.yaw) <= math.pi
+        assert -math.pi < local_azimuth(bearing, wrap_angle(yaw)) <= math.pi
 
     @given(coords, coords, coords, coords, heights, yaws, yaws)
     def test_yaw_changes_only_azimuth(self, px, py, tx, ty, dh, yaw_a, yaw_b):
         # sight() takes no yaw, so the elevation cannot depend on it; the
         # azimuths in the two frames differ by exactly the yaw difference.
         _, bearing, _ = sight(Vec3(px, py, 50.0), Vec3(tx, ty, 50.0 - dh))
-        a = local_azimuth(bearing, Pose(Vec3(px, py, 50.0), yaw_a).yaw)
-        b = local_azimuth(bearing, Pose(Vec3(px, py, 50.0), yaw_b).yaw)
+        a = local_azimuth(bearing, wrap_angle(yaw_a))
+        b = local_azimuth(bearing, wrap_angle(yaw_b))
         if bearing is not None:
             assert abs(wrap_angle(a - b - (yaw_b - yaw_a))) < 1e-9
 
@@ -106,48 +115,25 @@ class TestAnglesTo:
         st.floats(1.0, 1e3, allow_nan=False),
     )
     def test_azimuth_round_trip(self, phi0, yaw, radius):
-        pose = Pose(Vec3(10.0, -20.0, 300.0), yaw)
+        surface = Vec3(10.0, -20.0, 300.0)
         target = Vec3(
-            pose.position.x + radius * math.cos(phi0),
-            pose.position.y + radius * math.sin(phi0),
+            surface.x + radius * math.cos(phi0),
+            surface.y + radius * math.sin(phi0),
             1.5,
         )
-        _, bearing, _ = sight(pose.position, target)
+        _, bearing, _ = sight(surface, target)
         expected = wrap_angle(phi0 - yaw)
         # compare as directions to avoid the branch point at +/- pi
-        assert abs(wrap_angle(local_azimuth(bearing, pose.yaw) - expected)) < 1e-9
-
-
-class TestRotationBetween:
-    def test_identical_poses(self):
-        pose = Pose(Vec3(1, 2, 100), 0.4)
-        assert rotation_between(pose, pose) == 0.0
-
-    def test_small_difference(self):
-        a = Pose(Vec3(0, 0, 100), 0.1)
-        b = Pose(Vec3(0, 0, 100), 0.0)
-        assert rotation_between(a, b) == pytest.approx(0.1, abs=1e-15)
-
-    def test_wraps_across_half_turn(self):
-        a = Pose(Vec3(0, 0, 100), math.pi - 0.05)
-        b = Pose(Vec3(0, 0, 100), -math.pi + 0.05)
-        assert rotation_between(a, b) == pytest.approx(0.1, abs=1e-12)
-
-    @given(yaws, yaws)
-    def test_symmetric_and_bounded(self, ya, yb):
-        a = Pose(Vec3(0, 0, 100), ya)
-        b = Pose(Vec3(0, 0, 100), yb)
-        assert rotation_between(a, b) == rotation_between(b, a)
-        assert 0.0 <= rotation_between(a, b) <= math.pi
+        assert abs(wrap_angle(local_azimuth(bearing, wrap_angle(yaw)) - expected)) < 1e-9
 
 
 class TestStepDisplacement:
     @pytest.mark.parametrize(
         "a,b,expected",
         [
-            (Vec3(0, 0, 0), Vec3(0, 0, 0), 0.0),
-            (Vec3(0, 0, 0), Vec3(3, 4, 0), 5.0),
-            (Vec3(1, 1, 1), Vec3(1, 1, 10), 9.0),
+            ((0, 0, 0), (0, 0, 0), 0.0),
+            ((0, 0, 0), (3, 4, 0), 5.0),
+            ((1, 1, 1), (1, 1, 10), 9.0),
         ],
     )
     def test_examples(self, a, b, expected):
@@ -155,19 +141,5 @@ class TestStepDisplacement:
 
     @given(coords, coords, coords, coords)
     def test_matches_hypot(self, ax, ay, bx, by):
-        got = step_displacement(Vec3(ax, ay, 5.0), Vec3(bx, by, 5.0))
+        got = step_displacement((ax, ay, 5.0), (bx, by, 5.0))
         assert got == pytest.approx(math.hypot(bx - ax, by - ay), rel=1e-12, abs=1e-12)
-
-
-class TestPose:
-    def test_yaw_normalized_on_construction(self):
-        assert Pose(Vec3(0, 0, 1), 3 * math.pi).yaw == pytest.approx(math.pi)
-        assert Pose(Vec3(0, 0, 1), -math.pi).yaw == math.pi
-
-    @given(yaws, yaws)
-    def test_rotated_accumulates_and_wraps(self, yaw, delta):
-        # the engine turns a pose by building a new one from the wrapped yaw
-        start = Pose(Vec3(0, 0, 1), yaw)
-        pose = Pose(start.position, start.yaw + delta)
-        assert -math.pi < pose.yaw <= math.pi
-        assert abs(wrap_angle(pose.yaw - (yaw + delta))) < 1e-9

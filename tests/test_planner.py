@@ -119,7 +119,7 @@ class TestStepTowards:
         target = Vec3(tx, ty, tz)
         got = step_towards(current, target, LIMITS, BOUNDS)
         assert math.dist((got.x, got.y, got.z), (cx, cy, cz)) <= LIMITS.step_length + 1e-9
-        assert BOUNDS.contains(got)
+        assert BOUNDS.contains(got.x, got.y, got.z)
 
     @settings(max_examples=100, deadline=None)
     @given(
