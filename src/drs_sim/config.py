@@ -16,8 +16,7 @@ from itertools import chain
 from pathlib import Path
 
 from .channel import RadioConfig, RisConfig, SINR_FORMS
-from .engine import SimConfig, replace
-from .geometry import Vec3
+from .engine import SimConfig
 from .planner import MotionLimits, WorldBounds
 from .traffic import INTERFERER_KINDS, ScenarioConfig
 
@@ -65,9 +64,9 @@ _KEYS: dict[str, tuple[Callable[[str], object], tuple[str, ...]]] = {
     "scenario.v2v_rate": (float, ("scenario", "v2v_rate")),
     "scenario.seed": (int, ("scenario", "seed")),
     "scenario.interferer": (_parse_choice(INTERFERER_KINDS), ("scenario", "interferer_kind")),
-    "scenario.rsu_x": (float, ("rsu", "x")),
-    "scenario.rsu_y": (float, ("rsu", "y")),
-    "scenario.rsu_z": (float, ("rsu", "z")),
+    "scenario.rsu_x": (float, ("scenario", "rsu_x")),
+    "scenario.rsu_y": (float, ("scenario", "rsu_y")),
+    "scenario.rsu_z": (float, ("scenario", "rsu_z")),
     "bounds.x_min": (float, ("bounds", "x_min")),
     "bounds.x_max": (float, ("bounds", "x_max")),
     "bounds.y_min": (float, ("bounds", "y_min")),
@@ -143,12 +142,6 @@ def build_config(values: dict[str, dict[str, object]]) -> RunConfig:
             limits=MotionLimits(**values.get("limits", {})),
             **values.get("scenario", {}),
         )
-        rsu = values.get("rsu")
-        if rsu:  # the file's axes replace those of the scenario's default position
-            p = scenario.rsu_position
-            scenario = replace(scenario, rsu_position=Vec3(
-                rsu.get("x", p.x), rsu.get("y", p.y), rsu.get("z", p.z)
-            ))
         radio = RadioConfig(**values.get("radio", {}))
         ris = RisConfig(**values.get("ris", {}))
         sim = SimConfig(scenario=scenario, radio=radio, ris=ris, **values.get("run", {}))
@@ -179,7 +172,6 @@ def config_as_dict(config: RunConfig) -> dict[str, object]:
     scenario = sim.scenario
     groups = {
         "scenario": scenario,
-        "rsu": scenario.rsu_position,
         "bounds": scenario.bounds,
         "limits": scenario.limits,
         "ris": sim.ris,

@@ -59,7 +59,7 @@ from .channel import (
     rate,
     sinr,
 )
-from .geometry import Vec3, local_azimuth, sight, step_displacement, wrap_angle
+from .geometry import local_azimuth, sight, step_displacement, wrap_angle
 from .nullsteer import NullSteerInput, select_rotation
 from .planner import optimal_location, step_towards
 from .rng import SplitMix64
@@ -147,8 +147,8 @@ class SimConfig:
         # The link budget is the far-field model: every node the surface sees must be
         # at least the Fraunhofer distance (> 0) below it, so the surface is above them all.
         top, node = ANTENNA_HEIGHT_MAX, "the highest vehicle antenna"
-        if scenario.interferer_kind == INTERFERER_RSU and scenario.rsu_position.z > top:
-            top, node = scenario.rsu_position.z, "scenario.rsu_z"
+        if scenario.interferer_kind == INTERFERER_RSU and scenario.rsu_z > top:
+            top, node = scenario.rsu_z, "scenario.rsu_z"
         clearance = scenario.bounds.z_min - top
         far_field = fraunhofer_distance(self.ris)
         if clearance < far_field:
@@ -201,7 +201,7 @@ def _check_constraints(previous: tuple, current: tuple, config: SimConfig) -> No
             f"yaw change {turned:.15f} rad exceeds budget {limits.yaw_budget} rad"
         )
     if not bounds.contains(x, y, z):
-        raise ConstraintViolation(f"position {Vec3(x, y, z)} outside flight box")
+        raise ConstraintViolation(f"position (x={x!r}, y={y!r}, z={z!r}) outside flight box")
 
 
 def _arms(config: SimConfig, paired: bool) -> tuple[bool, ...]:
@@ -229,7 +229,9 @@ def trajectory(config: SimConfig) -> Iterator[tuple]:
     step (3) the drone moves one bounded step toward the optimal hover point
     and the geometry every yaw arm shares is computed once.  Neither traffic
     nor the drone's path reads the yaw, so this owns both: the road starts
-    empty and the drone at ``_start_pose(config)``'s position.  Each tuple is
+    empty and the drone at ``_start_pose(config)``'s position.  Every point
+    (the vehicles', the interferer's, the hover target and the drone's
+    position) is a plain (x, y, z) tuple.  Each tuple yielded is
     (step, time_s, pair_id, cycle_index, tx_x, tx_y, rx_x, rx_y, drs_x,
     drs_y, drs_z, pl_desired, pl_desired_db, hop): its first eleven items are
     the first eleven fields of the step's records, the desired hop is
@@ -243,7 +245,7 @@ def trajectory(config: SimConfig) -> Iterator[tuple]:
     scenario = config.scenario
     bounds, limits, ris = scenario.bounds, scenario.limits, config.ris
     traffic = TrafficModel(scenario, SplitMix64(scenario.seed))
-    position = Vec3(*_start_pose(config)[:3])
+    position = _start_pose(config)[:3]
     for _ in range(config.steps):
         traffic.advance()
         traffic.spawn_arrivals()
@@ -270,7 +272,7 @@ def trajectory(config: SimConfig) -> Iterator[tuple]:
             )
         yield (
             traffic.step, traffic.clock, pair.id, traffic.step - pair.start_step,
-            tx.x, tx.y, rx.x, rx.y, position.x, position.y, position.z,
+            tx[0], tx[1], rx[0], rx[1], position[0], position[1], position[2],
             pl_desired, db(pl_desired), hop,
         )
 

@@ -1,9 +1,10 @@
 """Coordinate frames and angle bookkeeping for a downward-facing aerial reflector.
 
 World axes: x lateral (across the lanes), y longitudinal (along the lanes),
-z up.  The reflecting surface hangs under the drone with its boresight
-pointing straight down.  Elevation is measured from boresight, azimuth in
-the surface's local horizontal frame, which rotates with the drone's yaw.
+z up; a point is a plain (x, y, z) tuple in meters.  The reflecting surface
+hangs under the drone with its boresight pointing straight down.  Elevation
+is measured from boresight, azimuth in the surface's local horizontal frame,
+which rotates with the drone's yaw.
 """
 
 from __future__ import annotations
@@ -28,27 +29,8 @@ def wrap_angle(angle: float) -> float:
     return r
 
 
-class Vec3:
-    """Point or displacement in meters: x lateral, y longitudinal, z vertical."""
-
-    __slots__ = ("x", "y", "z")
-
-    def __init__(self, x: float, y: float, z: float) -> None:
-        self.x = x
-        self.y = y
-        self.z = z
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.x, self.y, self.z) == (other.x, other.y, other.z)
-
-    def __repr__(self) -> str:
-        return f"Vec3(x={self.x!r}, y={self.y!r}, z={self.z!r})"
-
-
-def sight(surface: Vec3, target: Vec3) -> tuple[float, float | None, float]:
-    """Elevation theta, world bearing and distance of ``target`` from the surface.
+def sight(surface: tuple, target: tuple) -> tuple[float, float | None, float]:
+    """Elevation theta, world bearing and distance of the point ``target`` from ``surface``.
 
     theta = atan(d_2d / dh), where d_2d is the horizontal separation and dh
     the height of the surface above the target.  The bearing is None for a
@@ -56,13 +38,13 @@ def sight(surface: Vec3, target: Vec3) -> tuple[float, float | None, float]:
     information).  Raises ValueError unless the surface is strictly above
     the target.
     """
-    dh = surface.z - target.z
+    sx, sy, sz = surface
+    tx, ty, tz = target
+    dh = sz - tz
     if dh <= 0.0:
-        raise ValueError(
-            f"surface must be above the target: surface z={surface.z}, target z={target.z}"
-        )
-    dx = target.x - surface.x
-    dy = target.y - surface.y
+        raise ValueError(f"surface must be above the target: surface z={sz}, target z={tz}")
+    dx = tx - sx
+    dy = ty - sy
     d2d = math.hypot(dx, dy)
     bearing = None if d2d == 0.0 else math.atan2(dy, dx)
     return math.atan2(d2d, dh), bearing, math.sqrt(dx * dx + dy * dy + dh * dh)

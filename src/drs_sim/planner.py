@@ -5,14 +5,13 @@ minimizing a height cost that trades slant range against element-pattern
 obliquity loss: sqrt(3) times the half-separation d, clamped into the flight
 box.  That is not the link budget's own optimum: above the midpoint
 channel.path_loss grows as (d^2 + h^2)^5 / h^6, least at h = sqrt(3/2) d
-above the antennas, and below h = d the midpoint is a saddle of it.
+above the antennas, and below h = d the midpoint is a saddle of it.  Points
+are plain (x, y, z) tuples, taken and returned as such.
 """
 
 from __future__ import annotations
 
 import math
-
-from .geometry import Vec3
 
 _SQRT3 = math.sqrt(3.0)  # ratio of the best altitude to the half-separation
 
@@ -42,9 +41,9 @@ class WorldBounds:
             if not lo < hi:
                 raise ValueError(f"bounds.{axis}_min must be < bounds.{axis}_max")
 
-    def clamp(self, x: float, y: float, z: float) -> Vec3:
+    def clamp(self, x: float, y: float, z: float) -> tuple[float, float, float]:
         """Point of the box nearest to (x, y, z)."""
-        return Vec3(
+        return (
             min(max(x, self.x_min), self.x_max),
             min(max(y, self.y_min), self.y_max),
             min(max(z, self.z_min), self.z_max),
@@ -107,33 +106,35 @@ def optimal_height(d_2d: float, bounds: WorldBounds) -> float:
     return min(max(_SQRT3 * d_2d, bounds.z_min), bounds.z_max)
 
 
-def optimal_location(tx: Vec3, rx: Vec3, bounds: WorldBounds) -> Vec3:
-    """Best hover point for relaying between ``tx`` and ``rx``.
+def optimal_location(tx: tuple, rx: tuple, bounds: WorldBounds) -> tuple[float, float, float]:
+    """Best hover point for relaying between the points ``tx`` and ``rx``.
 
     Horizontal position is the midpoint between the vehicles, clamped into
     the flight box; altitude minimizes the height cost for half their
-    horizontal separation.
+    horizontal separation.  The vehicles' z is not read.
     """
-    mid_x = 0.5 * (tx.x + rx.x)
-    mid_y = 0.5 * (tx.y + rx.y)
-    d_2d = 0.5 * math.hypot(rx.x - tx.x, rx.y - tx.y)
-    return bounds.clamp(mid_x, mid_y, optimal_height(d_2d, bounds))
+    tx_x, tx_y, _ = tx
+    rx_x, rx_y, _ = rx
+    d_2d = 0.5 * math.hypot(rx_x - tx_x, rx_y - tx_y)
+    return bounds.clamp(0.5 * (tx_x + rx_x), 0.5 * (tx_y + rx_y), optimal_height(d_2d, bounds))
 
 
 def step_towards(
-    current: Vec3, target: Vec3, limits: MotionLimits, bounds: WorldBounds
-) -> Vec3:
-    """One bounded step from ``current`` toward ``target``.
+    current: tuple, target: tuple, limits: MotionLimits, bounds: WorldBounds
+) -> tuple[float, float, float]:
+    """One bounded step from the point ``current`` toward the point ``target``.
 
     Moves at most v_drone * time_step along the straight line, snapping to
     the target once it is within reach, then clamps into the flight box.
     Clamping onto the box never lengthens the step (projection onto a
     convex set is non-expansive), so the displacement budget holds.
     """
-    dx, dy, dz = target.x - current.x, target.y - current.y, target.z - current.z
+    cx, cy, cz = current
+    tx, ty, tz = target
+    dx, dy, dz = tx - cx, ty - cy, tz - cz
     distance = math.sqrt(dx * dx + dy * dy + dz * dz)
     step = limits.step_length
     if distance <= step:
-        return bounds.clamp(target.x, target.y, target.z)
+        return bounds.clamp(tx, ty, tz)
     scale = step / distance
-    return bounds.clamp(current.x + dx * scale, current.y + dy * scale, current.z + dz * scale)
+    return bounds.clamp(cx + dx * scale, cy + dy * scale, cz + dz * scale)

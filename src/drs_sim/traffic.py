@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from .geometry import Vec3
 from .planner import MotionLimits, WorldBounds
 from .rng import SEED_LIMIT, SplitMix64
 
@@ -52,7 +51,12 @@ class V2VPair:
 
 
 class ScenarioConfig:
-    """Scenario shape: rates, geometry, kinematics, interferer, seed."""
+    """Scenario shape: rates, geometry, kinematics, interferer, seed.
+
+    ``rsu_x``, ``rsu_y`` and ``rsu_z`` place the roadside unit, the
+    interferer of kind "rsu": an unset ``rsu_x`` or ``rsu_y`` is the middle
+    of the bounds on that axis, and ``rsu_z`` a 5 m mast.
+    """
 
     def __init__(
         self,
@@ -60,16 +64,19 @@ class ScenarioConfig:
         v2v_rate: float = 0.02,  # pairing events per step
         bounds: WorldBounds = WorldBounds(),
         limits: MotionLimits = MotionLimits(),
-        rsu_position: Vec3 | None = None,  # None: the middle of the bounds, on a 5 m mast
+        rsu_x: float | None = None,  # [m]
+        rsu_y: float | None = None,  # [m]
+        rsu_z: float = 5.0,  # [m]
         seed: int = 1,
         interferer_kind: str = INTERFERER_RSU,
     ) -> None:
-        if rsu_position is None:
-            rsu_position = Vec3(
-                0.5 * (bounds.x_min + bounds.x_max), 0.5 * (bounds.y_min + bounds.y_max), 5.0
-            )
+        if rsu_x is None:
+            rsu_x = 0.5 * (bounds.x_min + bounds.x_max)
+        if rsu_y is None:
+            rsu_y = 0.5 * (bounds.y_min + bounds.y_max)
         self.arrival_rate, self.v2v_rate = arrival_rate, v2v_rate
-        self.bounds, self.limits, self.rsu_position = bounds, limits, rsu_position
+        self.bounds, self.limits = bounds, limits
+        self.rsu_x, self.rsu_y, self.rsu_z = rsu_x, rsu_y, rsu_z
         self.seed, self.interferer_kind = seed, interferer_kind
         for name in ("arrival_rate", "v2v_rate"):
             value = getattr(self, name)
@@ -83,10 +90,10 @@ class ScenarioConfig:
                 f"vehicles on a lane at once ({dwell:.6g} s on the lane each), more than "
                 f"{MAX_LANE_VEHICLES}"
             )
-        for axis in ("x", "y", "z"):
-            value = getattr(rsu_position, axis)
+        for name in ("rsu_x", "rsu_y", "rsu_z"):
+            value = getattr(self, name)
             if not -math.inf < value < math.inf:  # NaN fails too
-                raise ValueError(f"scenario.rsu_{axis} must be finite, got {value!r}")
+                raise ValueError(f"scenario.{name} must be finite, got {value!r}")
         if not 0 <= self.seed < SEED_LIMIT:
             raise ValueError(f"scenario.seed must be in [0, 2**64), got {self.seed}")
         if self.interferer_kind not in INTERFERER_KINDS:
@@ -126,13 +133,14 @@ class TrafficModel:
         # Seconds until the next arrival per lane; infinite for rate zero.
         self._next_arrival = [rng.expovariate(config.arrival_rate) for _ in range(2)]
         self._next_vehicle_id = 0
+        self._rsu = (config.rsu_x, config.rsu_y, config.rsu_z)
 
-    def position(self, vehicle_id: int) -> Vec3:
-        """Current position of a vehicle on the road; z is its antenna height."""
+    def position(self, vehicle_id: int) -> tuple[float, float, float]:
+        """Current (x, y, z) of a vehicle on the road; z is its antenna height."""
         vehicle = self.vehicles[vehicle_id]
         x, y0, stride = self._motion[vehicle.lane]
         age = self.step - vehicle.spawn_step
-        return Vec3(x, y0 + age * stride, vehicle.antenna_height)
+        return (x, y0 + age * stride, vehicle.antenna_height)
 
     def advance(self) -> None:
         """Start the next step: tick the clock, drop lane heads that left, and their pair.
@@ -184,7 +192,7 @@ class TrafficModel:
         partners = self.lanes[1 - tx.lane]
         if not partners:
             return None
-        tx_y = self.position(tx.id).y
+        tx_y = self.position(tx.id)[1]
         # Each partner's y as ``advance`` computes it, without building its position.
         step, vehicles = self.step, self.vehicles
         _, y0, stride = self._motion[1 - tx.lane]
@@ -200,11 +208,11 @@ class TrafficModel:
                 self.interferer_id = bystanders[self.rng.randrange(len(bystanders))]
         return self.active_pair
 
-    def interferer_position(self) -> Vec3 | None:
-        """Current interferer location, or None when no interferer exists."""
+    def interferer_position(self) -> tuple[float, float, float] | None:
+        """Current interferer (x, y, z), or None when no interferer exists."""
         kind = self.config.interferer_kind
         if kind == INTERFERER_RSU:
-            return self.config.rsu_position
+            return self._rsu
         if kind == INTERFERER_VEHICLE and self.interferer_id in self.vehicles:
             return self.position(self.interferer_id)
         return None

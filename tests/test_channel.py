@@ -19,7 +19,7 @@ from drs_sim.channel import (
     rate,
     sinr,
 )
-from drs_sim.geometry import Vec3, sight
+from drs_sim.geometry import sight
 
 from _oracles import phasor_sum_psi_scalar
 
@@ -196,19 +196,19 @@ class TestLinkBudgetOptimum:
 
     @pytest.mark.parametrize("d", [10.0, 100.0, 250.0, 1000.0])
     def test_best_height_is_sqrt_three_halves_d(self, d):
-        tx, rx = Vec3(0.0, -d, 0.0), Vec3(0.0, d, 0.0)
+        tx, rx = (0.0, -d, 0.0), (0.0, d, 0.0)
         heights = np.linspace(0.2 * d, 5.0 * d, 20_001)
-        losses = np.array([beamformed_loss(Vec3(0.0, 0.0, h), tx, rx) for h in heights])
+        losses = np.array([beamformed_loss((0.0, 0.0, h), tx, rx) for h in heights])
         best = heights[int(np.argmin(losses))]
         assert abs(best - math.sqrt(1.5) * d) <= heights[1] - heights[0]
 
     @pytest.mark.parametrize("d", [100.0, 600.0])
     @pytest.mark.parametrize("ratio", [0.3, 0.9, 1.1, 3.0])
     def test_midpoint_is_a_minimum_only_above_h_equals_d(self, d, ratio):
-        tx, rx = Vec3(0.0, -d, 0.0), Vec3(0.0, d, 0.0)
+        tx, rx = (0.0, -d, 0.0), (0.0, d, 0.0)
         h, offsets = ratio * d, np.linspace(-0.01 * d, 0.01 * d, 3)
-        along = [beamformed_loss(Vec3(0.0, s, h), tx, rx) for s in offsets]
-        across = [beamformed_loss(Vec3(s, 0.0, h), tx, rx) for s in offsets]
+        along = [beamformed_loss((0.0, s, h), tx, rx) for s in offsets]
+        across = [beamformed_loss((s, 0.0, h), tx, rx) for s in offsets]
         assert np.diff(across, 2)[0] > 0.0
         if ratio > 1.0:
             assert np.diff(along, 2)[0] > 0.0  # a minimum in every direction
@@ -302,7 +302,7 @@ class TestConfigValidation:
         # Hop distances come from sight(), which refuses a node level with the
         # surface; a zero-distance hop's path loss is refused by sinr().
         with pytest.raises(ValueError):
-            sight(Vec3(0.0, 0.0, 100.0), Vec3(0.0, 0.0, 100.0))
+            sight((0.0, 0.0, 100.0), (0.0, 0.0, 100.0))
         f = radiation_pattern(0.3)
         with pytest.raises(ValueError):
             sinr(RadioConfig(), path_loss(RIS, f, f, 0.0, 200.0, 1.0), NO_PATH)

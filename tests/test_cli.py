@@ -40,7 +40,6 @@ from drs_sim.engine import (
     simulate,
     summarize,
 )
-from drs_sim.geometry import Vec3
 from drs_sim.nullsteer import MODE_ANALYTIC, MODE_FALLBACK, MODE_NONE
 from drs_sim.planner import MotionLimits, WorldBounds
 from drs_sim.traffic import ScenarioConfig
@@ -337,7 +336,8 @@ class TestRun:
 
     def test_constraint_violation_exits_3(self, config_file, tmp_path, monkeypatch, capsys):
         def teleport(position, target, limits, bounds):
-            return Vec3(position.x, position.y + 100.0, position.z)
+            x, y, z = position
+            return (x, y + 100.0, z)
 
         monkeypatch.setattr("drs_sim.engine.step_towards", teleport)
         code = main(["run", "--config", str(config_file), "--out", str(tmp_path / "out")])
@@ -420,7 +420,8 @@ class TestRun:
             nonlocal served
             served += 1
             if served == nth:
-                return Vec3(position.x, position.y + 100.0, position.z)
+                x, y, z = position
+                return (x, y + 100.0, z)
             return step_towards(position, target, limits, bounds)
 
         def interrupted_on_nth(inp):
@@ -683,13 +684,17 @@ class TestConfigDefaults:
         assert config_as_dict(load_config(path)) == config_as_dict(load_config(None))
 
     def test_default_rsu_is_the_middle_of_the_bounds_on_both_paths(self):
+        def rsu(scenario):
+            return scenario.rsu_x, scenario.rsu_y, scenario.rsu_z
+
         text = "bounds.x_max = 1000\nbounds.y_max = 8000\n"
-        from_file = parse_config_text(text).sim.scenario.rsu_position
-        built = ScenarioConfig(bounds=WorldBounds(x_max=1000.0, y_max=8000.0)).rsu_position
-        assert from_file == built == Vec3(500.0, 4000.0, 5.0)
-        # An axis the file sets replaces only that axis.
-        moved = parse_config_text(text + "scenario.rsu_x = 10\n").sim.scenario.rsu_position
-        assert moved == Vec3(10.0, 4000.0, 5.0)
+        bounds = WorldBounds(x_max=1000.0, y_max=8000.0)
+        from_file = rsu(parse_config_text(text).sim.scenario)
+        built = rsu(ScenarioConfig(bounds=bounds))
+        assert from_file == built == (500.0, 4000.0, 5.0)
+        # An axis the file or the caller sets replaces only that axis.
+        moved = rsu(parse_config_text(text + "scenario.rsu_x = 10\n").sim.scenario)
+        assert moved == rsu(ScenarioConfig(bounds=bounds, rsu_x=10.0)) == (10.0, 4000.0, 5.0)
 
 
 CONFIG_CLASSES = {
@@ -705,9 +710,6 @@ FLOAT_KEYS = [key for key, (convert, _) in _KEYS.items() if convert is float]
 def build_with(key, value):
     """The library config object that holds ``key``, built with ``value`` for it."""
     _, (group, name) = _KEYS[key]
-    if group == "rsu":  # scenario.rsu_x/y/z: a coordinate of ScenarioConfig.rsu_position
-        p = ScenarioConfig().rsu_position
-        return ScenarioConfig(rsu_position=Vec3(**{"x": p.x, "y": p.y, "z": p.z, name: value}))
     return CONFIG_CLASSES[group](**{name: value})
 
 

@@ -32,7 +32,7 @@ from drs_sim.engine import (
     summarize,
     trajectory,
 )
-from drs_sim.geometry import Vec3, local_azimuth, sight, wrap_angle
+from drs_sim.geometry import local_azimuth, sight, wrap_angle
 from drs_sim.nullsteer import MODE_ANALYTIC, MODE_FALLBACK, NullSteerInput, psi_interference
 from drs_sim.planner import MotionLimits, WorldBounds, optimal_location, step_towards
 from drs_sim.traffic import ScenarioConfig, TrafficModel
@@ -98,10 +98,10 @@ class TestRunStep:
         assert record.step > 1  # the road starts empty: unserved steps came first
         assert record[:8] == step[:8]
         # optimal_location reads only the vehicles' x and y
-        tx, rx = Vec3(record.tx_x, record.tx_y, 0.0), Vec3(record.rx_x, record.rx_y, 0.0)
+        tx, rx = (record.tx_x, record.tx_y, 0.0), (record.rx_x, record.rx_y, 0.0)
         target = optimal_location(tx, rx, scenario.bounds)
-        moved = step_towards(Vec3(*start[:3]), target, scenario.limits, scenario.bounds)
-        assert pose_of(record)[:3] == (moved.x, moved.y, moved.z)
+        moved = step_towards(start[:3], target, scenario.limits, scenario.bounds)
+        assert pose_of(record)[:3] == moved
         assert next(simulate(config)) == [record]
 
     @pytest.mark.parametrize("interferer", ["rsu", "vehicle", "none"])
@@ -145,14 +145,14 @@ class TestControlEffect:
 
     def test_rotation_only_reduces_interference_factor(self):
         config = small_config(steps=1500)
-        rsu = config.scenario.rsu_position
+        rsu = (config.scenario.rsu_x, config.scenario.rsu_y, config.scenario.rsu_z)
         budget = config.scenario.limits.yaw_budget
         checked = 0
         seeded = replace(config, scenario=replace(config.scenario, seed=4))
         for step, record in zip(trajectory(seeded), records_of(config, 4), strict=True):
             if record.null_mode not in (MODE_ANALYTIC, MODE_FALLBACK):
                 continue
-            theta_i, bearing_i, _ = sight(Vec3(record.drs_x, record.drs_y, record.drs_z), rsu)
+            theta_i, bearing_i, _ = sight(pose_of(record)[:3], rsu)
             hop = step[13]  # the record holds no antenna height: the receiver's sight is the step's
             assert (theta_i, bearing_i) == hop[:2]
             theta_r, bearing_r = hop[5:7]
@@ -227,7 +227,7 @@ class TestConstraints:
         b = (250.0, 2500.0, 99.0, 0.0)
         with pytest.raises(
             ConstraintViolation,
-            match=re.escape("position Vec3(x=250.0, y=2500.0, z=99.0) outside flight box"),
+            match=re.escape("position (x=250.0, y=2500.0, z=99.0) outside flight box"),
         ):
             _check_constraints(a, b, config)
 
@@ -326,7 +326,7 @@ class TestRunSimulation:
     def test_height_rule_names_the_binding_node(self, interferer, rsu_z, z_min, node):
         # A scenario alone has no height rule: the run's far-field rule holds it.
         scenario = ScenarioConfig(
-            bounds=WorldBounds(z_min=z_min), rsu_position=Vec3(250.0, 2500.0, rsu_z),
+            bounds=WorldBounds(z_min=z_min), rsu_x=250.0, rsu_y=2500.0, rsu_z=rsu_z,
             interferer_kind=interferer,
         )
         with pytest.raises(ValueError) as info:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from drs_sim.geometry import Vec3, local_azimuth, sight, step_displacement, wrap_angle
+from drs_sim.geometry import local_azimuth, sight, step_displacement, wrap_angle
 
 coords = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
 yaws = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -72,30 +72,30 @@ class TestWrapAngle:
 # sight() from the surface, then local_azimuth() of its bearing.
 class TestAnglesTo:
     def test_directly_below(self):
-        theta, bearing, _ = sight(Vec3(0, 0, 100), Vec3(0, 0, 1.5))
+        theta, bearing, _ = sight((0, 0, 100), (0, 0, 1.5))
         assert theta == 0.0
         assert local_azimuth(bearing, 0.0) == 0.0
 
     def test_forty_five_degrees(self):
-        theta, bearing, _ = sight(Vec3(0, 0, 100), Vec3(98.5, 0, 1.5))
+        theta, bearing, _ = sight((0, 0, 100), (98.5, 0, 1.5))
         assert theta == pytest.approx(math.pi / 4, abs=1e-12)
         assert local_azimuth(bearing, 0.0) == 0.0
 
     def test_yaw_subtracts_from_azimuth(self):
-        theta, bearing, _ = sight(Vec3(0, 0, 100), Vec3(98.5, 0, 1.5))
+        theta, bearing, _ = sight((0, 0, 100), (98.5, 0, 1.5))
         assert theta == pytest.approx(math.pi / 4, abs=1e-12)
         assert local_azimuth(bearing, math.pi / 2) == pytest.approx(-math.pi / 2, abs=1e-12)
 
     def test_rejects_target_at_or_above(self):
-        surface = Vec3(0, 0, 100)
+        surface = (0, 0, 100)
         with pytest.raises(ValueError):
-            sight(surface, Vec3(5, 5, 100))
+            sight(surface, (5, 5, 100))
         with pytest.raises(ValueError):
-            sight(surface, Vec3(5, 5, 101))
+            sight(surface, (5, 5, 101))
 
     @given(coords, coords, coords, coords, heights, yaws)
     def test_elevation_in_front_quarter(self, px, py, tx, ty, dh, yaw):
-        theta, bearing, _ = sight(Vec3(px, py, 50.0), Vec3(tx, ty, 50.0 - dh))
+        theta, bearing, _ = sight((px, py, 50.0), (tx, ty, 50.0 - dh))
         assert 0.0 <= theta < math.pi / 2
         assert -math.pi < local_azimuth(bearing, wrap_angle(yaw)) <= math.pi
 
@@ -103,7 +103,7 @@ class TestAnglesTo:
     def test_yaw_changes_only_azimuth(self, px, py, tx, ty, dh, yaw_a, yaw_b):
         # sight() takes no yaw, so the elevation cannot depend on it; the
         # azimuths in the two frames differ by exactly the yaw difference.
-        _, bearing, _ = sight(Vec3(px, py, 50.0), Vec3(tx, ty, 50.0 - dh))
+        _, bearing, _ = sight((px, py, 50.0), (tx, ty, 50.0 - dh))
         a = local_azimuth(bearing, wrap_angle(yaw_a))
         b = local_azimuth(bearing, wrap_angle(yaw_b))
         if bearing is not None:
@@ -115,10 +115,10 @@ class TestAnglesTo:
         st.floats(1.0, 1e3, allow_nan=False),
     )
     def test_azimuth_round_trip(self, phi0, yaw, radius):
-        surface = Vec3(10.0, -20.0, 300.0)
-        target = Vec3(
-            surface.x + radius * math.cos(phi0),
-            surface.y + radius * math.sin(phi0),
+        surface = (10.0, -20.0, 300.0)
+        target = (
+            surface[0] + radius * math.cos(phi0),
+            surface[1] + radius * math.sin(phi0),
             1.5,
         )
         _, bearing, _ = sight(surface, target)

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from drs_sim.geometry import Vec3
 from drs_sim.planner import (
     MotionLimits,
     WorldBounds,
@@ -65,45 +64,45 @@ class TestOptimalHeight:
 
 class TestOptimalLocation:
     def test_example_geometry(self):
-        got = optimal_location(Vec3(0, 1000, 1.5), Vec3(500, 1200, 1.5), BOUNDS)
-        assert got.x == pytest.approx(250.0, abs=1e-12)
-        assert got.y == pytest.approx(1100.0, abs=1e-12)
-        assert got.z == pytest.approx(466.37, abs=1e-2)
+        x, y, z = optimal_location((0, 1000, 1.5), (500, 1200, 1.5), BOUNDS)
+        assert x == pytest.approx(250.0, abs=1e-12)
+        assert y == pytest.approx(1100.0, abs=1e-12)
+        assert z == pytest.approx(466.37, abs=1e-2)
 
     def test_co_located_pair(self):
-        got = optimal_location(Vec3(100, 100, 1.5), Vec3(100, 100, 1.5), BOUNDS)
-        assert (got.x, got.y, got.z) == (100.0, 100.0, BOUNDS.z_min)
+        got = optimal_location((100, 100, 1.5), (100, 100, 1.5), BOUNDS)
+        assert got == (100.0, 100.0, BOUNDS.z_min)
 
     def test_symmetric_in_arguments(self):
-        tx, rx = Vec3(0, 1000, 1.5), Vec3(500, 1200, 1.8)
+        tx, rx = (0, 1000, 1.5), (500, 1200, 1.8)
         assert optimal_location(tx, rx, BOUNDS) == optimal_location(rx, tx, BOUNDS)
 
     @given(box_coords, st.floats(0.0, 5000.0), box_coords, st.floats(0.0, 5000.0))
     def test_midpoint_exact_when_inside(self, x1, y1, x2, y2):
-        got = optimal_location(Vec3(x1, y1, 1.5), Vec3(x2, y2, 2.0), BOUNDS)
-        assert got.x == 0.5 * (x1 + x2)
-        assert got.y == 0.5 * (y1 + y2)
-        assert BOUNDS.z_min <= got.z <= BOUNDS.z_max
+        x, y, z = optimal_location((x1, y1, 1.5), (x2, y2, 2.0), BOUNDS)
+        assert x == 0.5 * (x1 + x2)
+        assert y == 0.5 * (y1 + y2)
+        assert BOUNDS.z_min <= z <= BOUNDS.z_max
 
     def test_midpoint_clamped_into_box(self):
-        got = optimal_location(Vec3(-4000, -100, 1.5), Vec3(-3000, -50, 1.5), BOUNDS)
-        assert got.x == BOUNDS.x_min
-        assert got.y == BOUNDS.y_min
+        x, y, _ = optimal_location((-4000, -100, 1.5), (-3000, -50, 1.5), BOUNDS)
+        assert x == BOUNDS.x_min
+        assert y == BOUNDS.y_min
 
 
 class TestStepTowards:
     def test_exact_reach(self):
-        got = step_towards(Vec3(0, 0, 100), Vec3(9, 0, 100), LIMITS, BOUNDS)
-        assert got == Vec3(9, 0, 100)
+        got = step_towards((0, 0, 100), (9, 0, 100), LIMITS, BOUNDS)
+        assert got == (9, 0, 100)
 
     def test_partial_step_along_unit_direction(self):
-        got = step_towards(Vec3(0, 0, 100), Vec3(100, 0, 100), LIMITS, BOUNDS)
-        assert got.x == pytest.approx(9.0, abs=1e-9)
-        assert got.y == 0.0
-        assert got.z == 100.0
+        x, y, z = step_towards((0, 0, 100), (100, 0, 100), LIMITS, BOUNDS)
+        assert x == pytest.approx(9.0, abs=1e-9)
+        assert y == 0.0
+        assert z == 100.0
 
     def test_already_there(self):
-        here = Vec3(250, 2500, 300)
+        here = (250, 2500, 300)
         assert step_towards(here, here, LIMITS, BOUNDS) == here
 
     @given(
@@ -115,11 +114,11 @@ class TestStepTowards:
         st.floats(100.0, 600.0),
     )
     def test_displacement_within_budget_and_in_box(self, cx, cy, cz, tx, ty, tz):
-        current = Vec3(cx, cy, cz)
-        target = Vec3(tx, ty, tz)
+        current = (cx, cy, cz)
+        target = (tx, ty, tz)
         got = step_towards(current, target, LIMITS, BOUNDS)
-        assert math.dist((got.x, got.y, got.z), (cx, cy, cz)) <= LIMITS.step_length + 1e-9
-        assert BOUNDS.contains(got.x, got.y, got.z)
+        assert math.dist(got, current) <= LIMITS.step_length + 1e-9
+        assert BOUNDS.contains(*got)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -131,8 +130,8 @@ class TestStepTowards:
         st.floats(100.0, 600.0),
     )
     def test_reaches_target_in_ceil_steps(self, cx, cy, cz, tx, ty, tz):
-        current = Vec3(cx, cy, cz)
-        target = Vec3(tx, ty, tz)
+        current = (cx, cy, cz)
+        target = (tx, ty, tz)
         distance = math.dist((tx, ty, tz), (cx, cy, cz))
         ratio = distance / LIMITS.step_length
         # stay away from exact multiples where float rounding flips the ceil

@@ -2,7 +2,6 @@ import math
 
 import pytest
 
-from drs_sim.geometry import Vec3
 from drs_sim.planner import MotionLimits, WorldBounds
 from drs_sim.rng import SplitMix64
 from drs_sim.traffic import (
@@ -116,7 +115,7 @@ def model_with(*placed, **limits):
 class TestAdvanceVehicles:
     def test_despawn_past_segment_end(self):
         model = model_with((0, 666))
-        assert model.position(0).y == 4995.0
+        assert model.position(0)[1] == 4995.0
         model.advance()
         assert model.vehicles == {}
         assert not model.lanes[0]
@@ -136,9 +135,9 @@ class TestAdvanceVehicles:
 
     def test_backward_lane_moves_down(self):
         model = model_with((1, 133))
-        assert model.position(0).y == 4002.5
+        assert model.position(0)[1] == 4002.5
         model.advance()
-        assert model.position(0) == Vec3(BOUNDS.x_max, 3995.0, 1.6)
+        assert model.position(0) == (BOUNDS.x_max, 3995.0, 1.6)
 
     def test_pair_deactivated_when_member_leaves(self):
         model = model_with((0, 666), (1, 400))
@@ -167,7 +166,7 @@ class TestAdvanceVehicles:
             before = set(model.vehicles)
             model.spawn_arrivals()
             spawns[step] = [(v, model.vehicles[v].lane) for v in model.vehicles if v not in before]
-            got.append({v: model.position(v).y for v in model.vehicles})
+            got.append({v: model.position(v)[1] for v in model.vehicles})
         stride = config.limits.v_vehicle * config.limits.time_step
         want = summed_lane_trace(spawns, BOUNDS.y_min, BOUNDS.y_max, stride, steps)
         assert sum(map(len, spawns.values())) > 200
@@ -187,17 +186,17 @@ class TestTrafficModel:
             model.advance()
             model.spawn_arrivals()
             model.maybe_start_pair()
-            snapshot = [(v, model.position(v).x, model.position(v).y) for v in model.vehicles]
+            snapshot = [(v, *model.position(v)[:2]) for v in model.vehicles]
             yield model, snapshot
 
     def test_positions_stay_on_lanes(self):
         for model, _ in self.run_model(seed=11):
             for vid, v in model.vehicles.items():
-                position = model.position(vid)
-                assert position.x == (BOUNDS.x_min if v.lane == 0 else BOUNDS.x_max)
-                assert BOUNDS.y_min <= position.y <= BOUNDS.y_max
+                x, y, z = model.position(vid)
+                assert x == (BOUNDS.x_min if v.lane == 0 else BOUNDS.x_max)
+                assert BOUNDS.y_min <= y <= BOUNDS.y_max
                 assert ANTENNA_HEIGHT_MIN <= v.antenna_height <= ANTENNA_HEIGHT_MAX
-                assert position.z == v.antenna_height
+                assert z == v.antenna_height
                 assert vid in model.lanes[v.lane]
 
     def test_at_most_one_active_pair_with_valid_members(self):
@@ -227,9 +226,9 @@ class TestTrafficModel:
             if pair is None:
                 continue
             tx = model.vehicles[pair.tx_id]
-            tx_y = model.position(tx.id).y
+            tx_y = model.position(tx.id)[1]
             partners = model.lanes[1 - tx.lane]
-            assert pair.rx_id == min(partners, key=lambda v: (abs(model.position(v).y - tx_y), v))
+            assert pair.rx_id == min(partners, key=lambda v: (abs(model.position(v)[1] - tx_y), v))
             started += 1
         assert started > 50
 
