@@ -10,6 +10,7 @@ per-element gain.
 from __future__ import annotations
 
 import math
+import sys
 
 # Path-loss value for a hop with no usable path (element pattern zero or a
 # perfectly nulled array factor).  Propagates through sinr() as zero power.
@@ -48,12 +49,19 @@ class RisConfig:
         self.dx, self.dy, self.wavelength = dx, dy, wavelength
         self.gain_tx, self.gain_rx, self.gain_ris = gain_tx, gain_rx, gain_ris
         self.amplitude = amplitude
-        if m_rows < 1 or n_cols < 1:
-            raise ValueError("ris.m_rows and ris.n_cols must be >= 1")
+        # path_loss squares the two counts and the wavelength into a float product
+        for name in ("m_rows", "n_cols"):
+            count = getattr(self, name)
+            if not (count >= 1 and count * count <= sys.float_info.max):
+                raise ValueError(
+                    f"ris.{name} must be >= 1 with a square at most {sys.float_info.max:.6g}"
+                )
         for name in ("dx", "dy", "wavelength", "gain_tx", "gain_rx", "gain_ris"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:  # NaN fails too
                 raise ValueError(f"ris.{name} must be finite and > 0, got {value!r}")
+        if not wavelength * wavelength < math.inf:
+            raise ValueError(f"ris.wavelength squared must be finite, got {wavelength!r}")
         if not 0.0 < amplitude <= 1.0:
             raise ValueError(f"ris.amplitude must be in (0, 1], got {amplitude!r}")
 

@@ -166,10 +166,13 @@ class SimConfig:
                 "surface) is not finite: raise ris.gain_tx, ris.gain_rx, ris.gain_ris "
                 "or ris.amplitude"
             )
-        if not (
-            pl_best > 0.0
-            and math.isfinite(rate(self.radio, sinr(self.radio, pl_best, NO_PATH)))
-        ):
+        if not pl_best > 0.0:
+            raise ValueError(
+                f"the best-case path loss (both nodes {clearance} m straight below the "
+                "surface) is 0, as the surface's gain overflows: lower ris.gain_tx, "
+                "ris.gain_rx or ris.gain_ris"
+            )
+        if not math.isfinite(rate(self.radio, sinr(self.radio, pl_best, NO_PATH))):
             raise ValueError(
                 f"the best-case rate (both nodes {clearance} m straight below the surface, "
                 "no interference) overflows to inf: lower radio.tx_power or "

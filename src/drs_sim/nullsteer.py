@@ -16,16 +16,14 @@ When none of them is a null inside the budget, the rotation that minimizes
 golden-section search.
 
 The elevations are fixed for the whole step, so ``NullSteerInput`` holds
-their sines, which its caller computes once per step.  The analytic residuals go
-through ``psi_interference``; the fallback, which evaluates |psi| about 60
-times, goes through one evaluator built from ``psi_evaluator`` on the steps
-that reach it, bound to the step's sines, azimuths and surface.
+their sines, which its caller computes once per step.  ``psi_interference``
+is the one evaluation of psi: the analytic roots' residuals and the
+fallback's scan and refinement (about 60 evaluations) all go through it.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from operator import itemgetter
 
 from .channel import RisConfig, array_factor, direction_cosine_sums
@@ -114,27 +112,6 @@ def psi_interference(inp: NullSteerInput, alpha: float) -> float:
     return array_factor(inp.ris, ux, uy)
 
 
-def psi_evaluator(inp: NullSteerInput) -> Callable[[float], float]:
-    """|psi_interference(inp, alpha)| as a function of alpha alone, bit for bit.
-
-    The step's sines, azimuths and surface are bound once, so each of the
-    fallback's evaluations reads locals instead of the input's fields.
-    """
-    sin_i, phi_i, sin_r, phi_r, ris = inp.sin_i, inp.phi_i, inp.sin_r, inp.phi_r, inp.ris
-    pi = math.pi
-
-    def magnitude(alpha: float) -> float:
-        rot_i, rot_r = phi_i + alpha, phi_r + alpha
-        if not -pi < rot_i <= pi:
-            rot_i = wrap_angle(rot_i)
-        if not -pi < rot_r <= pi:
-            rot_r = wrap_angle(rot_r)
-        ux, uy = direction_cosine_sums(sin_i, rot_i, sin_r, rot_r)
-        return abs(array_factor(ris, ux, uy))
-
-    return magnitude
-
-
 def null_rotations(inp: NullSteerInput) -> list[float]:
     """Rotations within the budget that solve the nearest null levels of each axis.
 
@@ -214,27 +191,24 @@ def nearest_null(inp: NullSteerInput) -> tuple[float, float] | None:
     return best
 
 
-def _golden_section_min(
-    magnitude: Callable[[float], float], lo: float, hi: float
-) -> tuple[float, float]:
+def _golden_section_min(inp: NullSteerInput, lo: float, hi: float) -> tuple[float, float]:
     """Rotation in [lo, hi] with the lowest |psi| reached by golden-section search.
 
-    ``magnitude`` is the step's ``psi_evaluator``.  Converges to a local
-    minimum of |psi| on the bracket (Kiefer 1953) in 2 + _REFINE_STEPS
-    evaluations; returns (alpha, |psi|) of the best of the two final
-    interior points, which is the best point evaluated.
+    Converges to a local minimum of |psi| on the bracket (Kiefer 1953) in
+    2 + _REFINE_STEPS evaluations; returns (alpha, |psi|) of the best of the
+    two final interior points, which is the best point evaluated.
     """
     c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
-    fc, fd = magnitude(c), magnitude(d)
+    fc, fd = abs(psi_interference(inp, c)), abs(psi_interference(inp, d))
     for _ in range(_REFINE_STEPS):
         if fc <= fd:
             hi, d, fd = d, c, fc
             c = hi - _INV_PHI * (hi - lo)
-            fc = magnitude(c)
+            fc = abs(psi_interference(inp, c))
         else:
             lo, c, fc = c, d, fd
             d = lo + _INV_PHI * (hi - lo)
-            fd = magnitude(d)
+            fd = abs(psi_interference(inp, d))
     return (c, fc) if fc <= fd else (d, fd)
 
 
@@ -251,8 +225,7 @@ def select_rotation(inp: NullSteerInput) -> NullSolution:
     neighbours span (one-sided at the two ends).  The lowest point found
     wins (a tie keeps alpha = 0, else the first found); if it does not
     improve on alpha = 0 by at least 1e-12 the pose is left alone.  The scan
-    and the refinement evaluate |psi| through one ``psi_evaluator``, built
-    only once no null is found.
+    and the refinement evaluate |psi| as ``abs(psi_interference(inp, alpha))``.
     """
     null = nearest_null(inp)
     if null is not None:
@@ -261,8 +234,7 @@ def select_rotation(inp: NullSteerInput) -> NullSolution:
     alphas = [
         inp.alpha_bound * (i - _COARSE_HALF) / _COARSE_HALF for i in range(2 * _COARSE_HALF + 1)
     ]
-    magnitude = psi_evaluator(inp)
-    residuals = [magnitude(alpha) for alpha in alphas]
+    residuals = [abs(psi_interference(inp, alpha)) for alpha in alphas]
     baseline = residuals[_COARSE_HALF]
     best_alpha, best_residual = 0.0, baseline
     points = list(zip(alphas, residuals))
@@ -270,7 +242,7 @@ def select_rotation(inp: NullSteerInput) -> NullSolution:
     for i, residual in enumerate(residuals):
         left, right = max(i - 1, 0), min(i + 1, last)
         if residual <= residuals[left] and residual <= residuals[right]:
-            points.append(_golden_section_min(magnitude, alphas[left], alphas[right]))
+            points.append(_golden_section_min(inp, alphas[left], alphas[right]))
     for alpha, residual in points:
         if residual < best_residual:
             best_alpha, best_residual = alpha, residual

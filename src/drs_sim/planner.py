@@ -76,10 +76,10 @@ class MotionLimits:
                 raise ValueError(f"limits.{name} must be finite and > 0, got {value!r}")
         if v_drone < v_vehicle:
             raise ValueError("limits.v_drone must be >= limits.v_vehicle")
-        if not self.yaw_budget > 0.0:
+        if not 0.0 < self.yaw_budget < math.inf:
             raise ValueError(
                 f"the per-step yaw budget limits.rot_rate * limits.time_step "
-                f"({rot_rate!r} * {time_step!r}) must be > 0, got {self.yaw_budget!r}"
+                f"({rot_rate!r} * {time_step!r}) must be finite and > 0, got {self.yaw_budget!r}"
             )
 
     @property

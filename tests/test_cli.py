@@ -214,6 +214,22 @@ class TestRun:
                 ("run", "--steps", "2000", "--out", "{out}"),
                 id="underflow-yaw-budget",
             ),
+            # the per-step yaw budget 1e308 * 10 overflows to inf
+            _bad_input(
+                "limits.rot_rate = 1e308\nlimits.time_step = 10",
+                "limits.rot_rate * limits.time_step",
+                ("run", "--steps", "2000", "--out", "{out}"),
+                id="overflow-yaw-budget",
+            ),
+            # counts and a wavelength whose squares path_loss could not hold in a float
+            _bad_input(f"ris.m_rows = {10**400}", "ris.m_rows", id="overflow-ris.m_rows"),
+            _bad_input("ris.wavelength = 1e200", "ris.wavelength"),
+            # finite gains whose best-case path-loss denominator overflows to inf
+            _bad_input(
+                "ris.gain_tx = 1e300\nris.gain_rx = 1e300",
+                "ris.gain_tx",
+                id="overflow-ris.gain_tx",
+            ),
             _bad_input("scenario.seed = -1", "scenario.seed"),
             _bad_input(f"scenario.seed = {2**64}", "scenario.seed"),
             # an empty output directory would put the files in the working directory

@@ -218,12 +218,10 @@ def near_a_multiple_of_pi(inp, alpha):
 
 
 class TestEvaluationBitForBit:
-    """psi_interference and the fallback's evaluator equal the composed evaluation exactly."""
+    """psi_interference equals the composed evaluation exactly."""
 
     def assert_exact(self, inp, alpha):
-        expected = composed_psi_interference(inp, alpha)
-        assert psi_interference(inp, alpha) == expected
-        assert nullsteer.psi_evaluator(inp)(alpha) == abs(expected)
+        assert psi_interference(inp, alpha) == composed_psi_interference(inp, alpha)
 
     def test_seeded_random_inputs(self):
         rng = random.Random(20261019)
@@ -287,35 +285,29 @@ class TestEvaluationBitForBit:
 
 
 class TestFallbackWork:
-    """The fallback's evaluations are counted through the evaluator select_rotation builds."""
+    """Every evaluation of |psi|, residual check or search point, is one psi_interference call."""
 
     @staticmethod
     def count_evaluations(monkeypatch):
-        built, calls = [], []
-        evaluator = nullsteer.psi_evaluator
+        calls = []
+        evaluate = nullsteer.psi_interference
 
-        def counted_evaluator(inp):
-            built.append(inp)
-            magnitude = evaluator(inp)
+        def counted(inp, alpha):
+            calls.append(alpha)
+            return evaluate(inp, alpha)
 
-            def counted(alpha):
-                calls.append(alpha)
-                return magnitude(alpha)
-
-            return counted
-
-        monkeypatch.setattr(nullsteer, "psi_evaluator", counted_evaluator)
-        return built, calls
+        monkeypatch.setattr(nullsteer, "psi_interference", counted)
+        return calls
 
     def test_a_fallback_step_scans_17_points_and_refines_each_bracket(self, monkeypatch):
-        built, calls = self.count_evaluations(monkeypatch)
+        calls = self.count_evaluations(monkeypatch)
         refine = 2 + nullsteer._REFINE_STEPS
         for inp in no_null_instances(4242, 200):
-            built.clear()
+            roots = sorted(null_rotations(inp), key=abs)
             calls.clear()
             select_rotation(inp)
-            assert built == [inp]
-            coarse = calls[:17]
+            assert calls[: len(roots)] == roots
+            coarse = calls[len(roots) : len(roots) + 17]
             assert coarse == [inp.alpha_bound * (i - 8) / 8 for i in range(17)]
             residuals = [abs(psi_interference(inp, alpha)) for alpha in coarse]
             brackets = sum(
@@ -323,24 +315,29 @@ class TestFallbackWork:
                 for i, residual in enumerate(residuals)
             )
             assert brackets >= 1
-            assert len(calls) == 17 + brackets * refine
+            assert len(calls) == len(roots) + 17 + brackets * refine
 
-    def test_an_analytic_step_builds_no_evaluator(self, monkeypatch):
-        built, calls = self.count_evaluations(monkeypatch)
+    def test_an_analytic_step_evaluates_only_root_residuals(self, monkeypatch):
+        calls = self.count_evaluations(monkeypatch)
         assert select_rotation(make_input(0.6, 0.3, 0.4, -1.0)).mode == MODE_ANALYTIC
-        assert built == [] and calls == []
+        assert len(calls) == 1
         rng = random.Random(8)
         modes = set()
         for _ in range(2000):
-            built.clear()
             inp = make_input(
                 rng.uniform(0.0, math.pi / 2), rng.uniform(-math.pi, math.pi),
                 rng.uniform(0.0, math.pi / 2), rng.uniform(-math.pi, math.pi),
                 bound=rng.choice(FALLBACK_BOUNDS), ris=rng.choice(FALLBACK_GRIDS),
             )
+            roots = sorted(null_rotations(inp), key=abs)
+            calls.clear()
             mode = select_rotation(inp).mode
             modes.add(mode)
-            assert len(built) == (mode != MODE_ANALYTIC)
+            if mode == MODE_ANALYTIC:
+                assert 1 <= len(calls) <= len(roots)
+                assert calls == roots[: len(calls)]
+            else:
+                assert len(calls) > len(roots) + 17
         assert MODE_ANALYTIC in modes and MODE_FALLBACK in modes
 
 
