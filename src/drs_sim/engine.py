@@ -24,7 +24,10 @@ streams its arm through it (the CLI writes each record's steps.csv row on
 the way), the paired sweep both arms.  No record is kept once consumed.
 ``drs-sim run`` takes its steps from ``trajectory_ahead``, which forks one
 producer to run the trajectory ahead of the yaw loop on another CPU; the
-sweep's workers and library callers step it in process.
+sweep's workers and library callers step it in process.  Wherever it is
+stepped in process, the trajectory runs a batch of STEPS_PER_BATCH served
+steps before their yaw arms are evaluated: alternating the two phases at
+every step costs about a quarter of a paired seed's time.
 
 The desired hop is beamformed (the element phases track the served pair),
 so its array factor stays at unit magnitude regardless of yaw; interference
@@ -74,8 +77,8 @@ MODE_OFF = "off"
 DISPLACEMENT_TOL = 1e-9  # [m]
 YAW_TOL = 1e-12  # [rad]
 
-# Served steps that ``trajectory_ahead`` steps before it forks, and that its
-# producer sends at a time.
+# Served steps the trajectory is stepped ahead of the yaw arms at a time: in
+# process, and by ``trajectory_ahead``'s producer, which sends one batch a frame.
 STEPS_PER_BATCH = 64
 
 
@@ -177,6 +180,25 @@ class SimConfig:
                 f"the best-case rate (both nodes {clearance} m straight below the surface, "
                 "no interference) overflows to inf: lower radio.tx_power or "
                 "radio.eff_bandwidth, or raise radio.noise_power"
+            )
+        # The closest pair the lanes allow (one vehicle on each, at the same y),
+        # served from its hover point with no interference, must get a rate
+        # above 0: lanes farther apart than that leave a run of zero rates.
+        bounds = scenario.bounds
+        tx = (bounds.x_min, bounds.y_min, ANTENNA_HEIGHT_MAX)
+        rx = (bounds.x_max, bounds.y_min, ANTENNA_HEIGHT_MAX)
+        hover = optimal_location(tx, rx, bounds)
+        theta_tx, _, dist_tx = sight(hover, tx)
+        theta_rx, _, dist_rx = sight(hover, rx)
+        f_tx, f_rx = radiation_pattern(theta_tx), radiation_pattern(theta_rx)
+        pl_pair = path_loss(self.ris, f_tx, f_rx, dist_tx, dist_rx, 1.0)
+        if not math.isfinite(pl_pair) or not rate(self.radio, sinr(self.radio, pl_pair, NO_PATH)):
+            raise ValueError(
+                f"the lanes at bounds.x_min = {bounds.x_min!r} and bounds.x_max = "
+                f"{bounds.x_max!r} are too far apart: a pair on both at the same y, served from "
+                f"its hover point with no interference, gets rate 0 (path loss {pl_pair:.6g}); "
+                "bring bounds.x_min and bounds.x_max closer, or raise radio.tx_power or lower "
+                "radio.noise_power"
             )
 
 
@@ -357,11 +379,14 @@ def simulate(
     """Follow one seed's shared trajectory, yielding every served step's records, one per arm.
 
     The arms are the configured one, or on then off when ``paired``.  The
-    steps are ``trajectory(config)``'s, stepped here unless the caller
-    passes them (``drs-sim run`` passes ``trajectory_ahead(config)``).
+    steps are ``trajectory(config)``'s, stepped here a batch at a time
+    unless the caller passes them (``drs-sim run`` passes
+    ``trajectory_ahead(config)``).
     """
     drs = _start_pose(config)
-    for step in trajectory(config) if steps is None else steps:
+    if steps is None:
+        steps = itertools.chain.from_iterable(_batches(trajectory(config)))
+    for step in steps:
         records = run_step(step, drs, config, paired)
         drs = records[0][8:12]
         yield records
@@ -506,36 +531,32 @@ def _batches(steps: Iterator[tuple]) -> Iterator[list[tuple]]:
 def trajectory_ahead(config: SimConfig) -> Iterator[tuple]:
     """``trajectory(config)``, run ahead of its consumer by a forked producer after one batch.
 
-    The first STEPS_PER_BATCH served steps are stepped here.  Then, when
-    ``fork_refusal()`` allows, ``fork_child`` forks a producer that
-    continues the same generator and sends its steps a batch at a time,
-    while the consumer evaluates the yaw arms of the ones it has; the pipe
-    holds a few batches, so the producer runs at most that far ahead.
-    Otherwise, or when the fork fails (after one warning), the rest is
-    stepped here too.  Either way the steps are the same.  Closing this
+    The first batch of STEPS_PER_BATCH served steps is stepped here.  Then,
+    when ``fork_refusal()`` allows, ``fork_child`` forks a producer that
+    continues the same batches and sends them one a frame, while the
+    consumer evaluates the yaw arms of the steps it has; the pipe holds a
+    few batches, so the producer runs at most that far ahead.  Otherwise,
+    or when the fork fails (after one warning), the rest is stepped here
+    too, a batch at a time.  Either way the steps are the same.  Closing this
     generator early, as an error or an interrupt in the consumer does,
     closes the pipe unread and reaps the producer; a producer that dies
     raises OSError naming its exit status.
     """
-    steps = trajectory(config)
-    served = 0
-    for step in steps:
-        yield step
-        served += 1
-        if served == STEPS_PER_BATCH:
-            break
-    else:
+    batches = _batches(trajectory(config))
+    first = next(batches, [])
+    yield from first
+    if len(first) < STEPS_PER_BATCH:
         return
     refusal = fork_refusal()
     if refusal is not None:
         log("info", f"{refusal}; the trajectory is stepped in process")
-        yield from steps
+        yield from itertools.chain.from_iterable(batches)
         return
     try:
-        pid, outbox = fork_child(lambda: _batches(steps))
+        pid, outbox = fork_child(lambda: batches)
     except OSError as exc:
         log("warning", f"cannot fork the trajectory producer: {exc}; stepping it in process")
-        yield from steps
+        yield from itertools.chain.from_iterable(batches)
         return
     try:
         for batch in read_frames(outbox):

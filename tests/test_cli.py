@@ -44,6 +44,8 @@ from drs_sim.nullsteer import MODE_ANALYTIC, MODE_FALLBACK, MODE_NONE
 from drs_sim.planner import MotionLimits, WorldBounds
 from drs_sim.traffic import ScenarioConfig
 
+ROOT = Path(__file__).resolve().parent.parent
+
 BASE_CONFIG = """
 # compact scenario for fast end-to-end checks
 scenario.arrival_rate = 0.3
@@ -109,16 +111,22 @@ def counting_sent_steps(monkeypatch, path):
     """Yield a function that counts the steps a forked producer has put in its pipe so far.
 
     The producer writes one byte to ``path`` for each step of a batch it hands to the pipe.
+    The count wraps the frames of ``engine.fork_child``, which only the forked child
+    runs; in a ``run`` that child is the trajectory producer, while the run's own
+    process steps its trajectory in batches too.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-    batches = engine._batches
+    fork_child = engine.fork_child
 
-    def counted(steps):
-        for batch in batches(steps):
-            os.write(fd, b"." * len(batch))
-            yield batch
+    def counted(frames):
+        def counted_frames():
+            for batch in frames():
+                os.write(fd, b"." * len(batch))
+                yield batch
 
-    monkeypatch.setattr("drs_sim.engine._batches", counted)
+        return fork_child(counted_frames)
+
+    monkeypatch.setattr("drs_sim.engine.fork_child", counted)
     try:
         yield lambda: path.stat().st_size
     finally:
@@ -230,6 +238,10 @@ class TestRun:
                 "ris.gain_tx",
                 id="overflow-ris.gain_tx",
             ),
+            # lanes so far apart that the closest pair they allow gets rate 0:
+            # its path loss overflows to inf, or is finite but too large
+            _bad_input("bounds.x_max = 1e200", "bounds.x_max"),
+            _bad_input("bounds.x_max = 1e5", "bounds.x_max"),
             _bad_input("scenario.seed = -1", "scenario.seed"),
             _bad_input(f"scenario.seed = {2**64}", "scenario.seed"),
             # an empty output directory would put the files in the working directory
@@ -256,6 +268,21 @@ class TestRun:
         assert "Traceback" not in err
         assert not out.exists()
         assert not any(cwd.iterdir())
+
+    # The lane check must let through a tiny best-case rate (about 1.3e-8 bit/s
+    # at unit noise power) and every shipped config.
+    @pytest.mark.parametrize(
+        "source",
+        ["radio.noise_power = 1.0"] + sorted(
+            str(path.relative_to(ROOT))
+            for path in [*ROOT.glob("configs/*.cfg"), *ROOT.glob("perfbench/configs/*.cfg")]
+        ),
+    )
+    def test_lanes_close_enough_pass(self, source):
+        if source.endswith(".cfg"):
+            load_config(ROOT / source)
+        else:
+            parse_config_text(source)
 
     # a value argparse cannot read is a usage error: bad input, exit 1, not 2
     @pytest.mark.parametrize(
@@ -400,12 +427,14 @@ class TestRun:
     def test_producer_that_dies_fails_the_run(
         self, signal_number, config_file, tmp_path, monkeypatch, capsys, forks
     ):
-        def dies(steps):
+        def dies():
             if signal_number is not None:
                 os.kill(os.getpid(), signal_number)
             raise ValueError("not an OSError")
 
-        monkeypatch.setattr("drs_sim.engine._batches", dies)  # only the forked producer batches
+        # fork_child's frames run only in the forked child, the producer of a run
+        fork_child = engine.fork_child
+        monkeypatch.setattr("drs_sim.engine.fork_child", lambda frames: fork_child(dies))
         out = tmp_path / "out"
         code = main(["run", "--config", str(config_file), "--out", str(out)])
         assert code == 2
@@ -696,7 +725,7 @@ class TestOutputFiles:
 
 class TestConfigDefaults:
     def test_default_cfg_is_the_built_in_config(self):
-        path = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"
+        path = ROOT / "configs" / "default.cfg"
         assert config_as_dict(load_config(path)) == config_as_dict(load_config(None))
 
     def test_default_rsu_is_the_middle_of_the_bounds_on_both_paths(self):

@@ -15,6 +15,7 @@ from drs_sim.engine import (
     LOG_LEVELS,
     ConstraintViolation,
     MODE_OFF,
+    STEPS_PER_BATCH,
     RunSummary,
     SimConfig,
     _check_constraints,
@@ -31,6 +32,7 @@ from drs_sim.engine import (
     simulate,
     summarize,
     trajectory,
+    trajectory_ahead,
 )
 from drs_sim.geometry import local_azimuth, sight, wrap_angle
 from drs_sim.nullsteer import MODE_ANALYTIC, MODE_FALLBACK, NullSteerInput, psi_interference
@@ -382,6 +384,56 @@ class TestLog:
         monkeypatch.setattr(sys, "stderr", None if closed else Full())
         monkeypatch.setenv("DRS_SIM_LOG", "warning")
         log("warning", "the run served no step")
+
+
+def counted_trajectory(monkeypatch):
+    """Wrap ``engine.trajectory``; returns a one-item list holding the steps it has yielded."""
+    yielded = [0]
+    steps_of = engine.trajectory
+
+    def counted(config):
+        for step in steps_of(config):
+            yielded[0] += 1
+            yield step
+
+    monkeypatch.setattr(engine, "trajectory", counted)
+    return yielded
+
+
+class TestBatching:
+    # 1000 steps serve more than two batches, 50 fewer than one.
+    @pytest.mark.parametrize("steps", [1000, 50])
+    def test_simulate_steps_the_trajectory_a_batch_ahead(self, steps, monkeypatch):
+        config = small_config(steps=steps)
+        served = len(list(trajectory(config)))
+        assert served > 2 * STEPS_PER_BATCH if steps == 1000 else 0 < served < STEPS_PER_BATCH
+        yielded = counted_trajectory(monkeypatch)
+        for i, _ in enumerate(simulate(config, paired=True)):
+            assert yielded[0] == min(served, (i // STEPS_PER_BATCH + 1) * STEPS_PER_BATCH)
+        assert yielded[0] == served
+
+    def test_fork_refused_trajectory_ahead_steps_a_batch_ahead(self, monkeypatch, cpus):
+        cpus(1)
+        config = small_config(steps=1000)
+        expected = list(trajectory(config))
+        assert len(expected) > 2 * STEPS_PER_BATCH
+        yielded = counted_trajectory(monkeypatch)
+        steps = []
+        for i, step in enumerate(trajectory_ahead(config)):
+            assert yielded[0] == min(len(expected), (i // STEPS_PER_BATCH + 1) * STEPS_PER_BATCH)
+            steps.append(step)
+        assert steps == expected
+
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_records_are_run_step_over_the_listed_trajectory(self, paired):
+        config = small_config(steps=1000)
+        drs, expected = start_pose(config), []
+        for step in list(trajectory(config)):
+            records = run_step(step, drs, config, paired)
+            drs = pose_of(records[0])
+            expected.append(records)
+        assert len(expected) > STEPS_PER_BATCH
+        assert list(simulate(config, paired=paired)) == expected
 
 
 class TestPairedSweep:
