@@ -8,11 +8,13 @@ Subcommands:
 ``run`` takes its steps from ``engine.trajectory_ahead``: after the first
 batch of served steps, one producer process (``engine.fork_child``) steps
 traffic and the drone's path ahead of the yaw loop, which evaluates each
-step's arms and writes each arm's record as its steps.csv row here, when
+step's arms and writes each arm's record as its steps.csv row here, when at
+least ``engine.FORK_STEPS_LEFT`` of the run's steps are left and
 ``engine.fork_refusal`` allows: ``os.fork`` exists, the process runs one
 thread and may run on two CPUs.  Otherwise, a threaded caller of ``main``
-among them, and in a run of less than one batch, the trajectory is stepped
-in process.  The bytes are the same either way.
+among them, and in a run that serves less than one batch or has fewer steps
+left after it, the trajectory is stepped in process.  The bytes are the
+same either way.
 
 Set DRS_SIM_LOG=debug|info|warning|error to control log verbosity.  Messages
 are ``LEVEL:drs_sim:message`` lines written straight to stderr by

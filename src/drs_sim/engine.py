@@ -23,11 +23,13 @@ reduction keeps only their rates and pair ids, one summary per arm: a run
 streams its arm through it (the CLI writes each record's steps.csv row on
 the way), the paired sweep both arms.  No record is kept once consumed.
 ``drs-sim run`` takes its steps from ``trajectory_ahead``, which forks one
-producer to run the trajectory ahead of the yaw loop on another CPU; the
-sweep's workers and library callers step it in process.  Wherever it is
-stepped in process, the trajectory runs a batch of STEPS_PER_BATCH served
-steps before their yaw arms are evaluated: alternating the two phases at
-every step costs about a quarter of a paired seed's time.
+producer to run the trajectory ahead of the yaw loop on another CPU once
+the first batch is stepped, if at least FORK_STEPS_LEFT of the run's steps
+are left to repay the fork; the sweep's workers and library callers step it
+in process.  Wherever it is stepped in process, the trajectory runs a batch
+of STEPS_PER_BATCH served steps before their yaw arms are evaluated:
+alternating the two phases at every step costs about a quarter of a paired
+seed's time.
 
 The desired hop is beamformed (the element phases track the served pair),
 so its array factor stays at unit magnitude regardless of yaw; interference
@@ -80,6 +82,17 @@ YAW_TOL = 1e-12  # [rad]
 # Served steps the trajectory is stepped ahead of the yaw arms at a time: in
 # process, and by ``trajectory_ahead``'s producer, which sends one batch a frame.
 STEPS_PER_BATCH = 64
+
+# Steps of a run that must be left after the first batch for ``trajectory_ahead``
+# to fork its producer; with fewer, the fork's fixed cost (2.1-3.4 ms to fork
+# and reap a child of a process holding a run's heap) outweighs the work it
+# moves.  Default config forked vs stepped in process, 10 alternated pairs per
+# run length (2-core Xeon, Python 3.11.7): wall +9 % at 600 steps, +5 % at 800,
+# level at 1200 (about 1100 left), -9 % at 2000 (about 1900 left); CPU +16 to
+# +20 % at every length.  24 batches is above that break-even and below the
+# 1854 or more steps the 2000-step golden runs have left, so they still fork;
+# the fallback_scan benchmark (277-335 left) steps in process.
+FORK_STEPS_LEFT = 24 * STEPS_PER_BATCH  # 1536
 
 
 class ConstraintViolation(RuntimeError):
@@ -532,22 +545,27 @@ def trajectory_ahead(config: SimConfig) -> Iterator[tuple]:
     """``trajectory(config)``, run ahead of its consumer by a forked producer after one batch.
 
     The first batch of STEPS_PER_BATCH served steps is stepped here.  Then,
-    when ``fork_refusal()`` allows, ``fork_child`` forks a producer that
+    when at least FORK_STEPS_LEFT of the run's steps are left after it and
+    ``fork_refusal()`` allows, ``fork_child`` forks a producer that
     continues the same batches and sends them one a frame, while the
     consumer evaluates the yaw arms of the steps it has; the pipe holds a
-    few batches, so the producer runs at most that far ahead.  Otherwise,
-    or when the fork fails (after one warning), the rest is stepped here
-    too, a batch at a time.  Either way the steps are the same.  Closing this
-    generator early, as an error or an interrupt in the consumer does,
-    closes the pipe unread and reaps the producer; a producer that dies
-    raises OSError naming its exit status.
+    few batches, so the producer runs at most that far ahead.  Otherwise
+    (logged at info), or when the fork fails (after one warning), the rest
+    is stepped here too, a batch at a time.  Either way the steps are the
+    same.  Closing this generator early, as an error or an interrupt in the
+    consumer does, closes the pipe unread and reaps the producer; a producer
+    that dies raises OSError naming its exit status.
     """
     batches = _batches(trajectory(config))
     first = next(batches, [])
     yield from first
     if len(first) < STEPS_PER_BATCH:
         return
-    refusal = fork_refusal()
+    left = config.steps - first[-1][0]
+    if left < FORK_STEPS_LEFT:
+        refusal = f"only {left} steps are left after the first batch"
+    else:
+        refusal = fork_refusal()
     if refusal is not None:
         log("info", f"{refusal}; the trajectory is stepped in process")
         yield from itertools.chain.from_iterable(batches)

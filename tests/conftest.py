@@ -18,7 +18,8 @@ def cpus(monkeypatch):
 def forks(monkeypatch, cpus):
     """The os.fork calls made by a process that may run on two CPUs, one entry each.
 
-    A ``drs-sim run`` that serves a full batch of steps forks one trajectory producer here.
+    A ``drs-sim run`` that serves a full batch of steps and has at least
+    ``engine.FORK_STEPS_LEFT`` steps left after it forks one trajectory producer here.
     """
     calls = []
     fork = os.fork

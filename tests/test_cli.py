@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -33,6 +34,7 @@ from drs_sim.channel import RadioConfig, RisConfig
 from drs_sim.config import _KEYS, ConfigError, config_as_dict, load_config, parse_config_text
 from drs_sim import engine
 from drs_sim.engine import (
+    FORK_STEPS_LEFT,
     MODE_OFF,
     STEPS_PER_BATCH,
     SimConfig,
@@ -401,7 +403,7 @@ class TestRun:
             if transport == "in-process":
                 monkeypatch.delattr(os, "fork")
             out = tmp_path / transport
-            code = main(["run", "--config", str(config_file), "--out", str(out)])
+            code = main(["run", "--config", str(config_file), "--steps", "3000", "--out", str(out)])
             assert code == 2
             err = capsys.readouterr().err
             assert err.startswith("i/o error: [Errno 28] No space left on device\n"), err
@@ -436,7 +438,7 @@ class TestRun:
         fork_child = engine.fork_child
         monkeypatch.setattr("drs_sim.engine.fork_child", lambda frames: fork_child(dies))
         out = tmp_path / "out"
-        code = main(["run", "--config", str(config_file), "--out", str(out)])
+        code = main(["run", "--config", str(config_file), "--steps", "3000", "--out", str(out)])
         assert code == 2
         status = 1 if signal_number is None else -signal_number
         assert capsys.readouterr().err == (
@@ -515,7 +517,7 @@ class TestRun:
         monkeypatch.setattr("drs_sim.engine.run_step", counted_run_step)
         monkeypatch.setattr("drs_sim.engine.select_rotation", counted_select_rotation)
         out = tmp_path / "out"
-        assert main(["run", "--config", str(config_file), "--out", str(out)]) == 0
+        assert main(["run", "--config", str(config_file), "--steps", "3000", "--out", str(out)]) == 0
         n_records = json.loads((out / "summary.json").read_text())["n_records"]
         assert forks == [1]
         assert counts["records"] == counts["rotations"] == n_records > STEPS_PER_BATCH
@@ -533,15 +535,45 @@ class TestRun:
         assert 0 < len(read_rows(out / "steps.csv")) < STEPS_PER_BATCH
         assert forks == []
 
+    def test_fork_needs_enough_steps_left_after_the_first_batch(
+        self, config_file, tmp_path, monkeypatch, capsys, forks
+    ):
+        # A run forks its producer only when FORK_STEPS_LEFT or more of its steps are
+        # left after the first batch; one step fewer and it steps them all in process,
+        # as where os.fork is missing.
+        config = load_config(config_file).sim
+        last = list(itertools.islice(engine.trajectory(config), STEPS_PER_BATCH))[-1][0]
+        monkeypatch.setenv("DRS_SIM_LOG", "info")
+
+        def run(name, left):
+            argv = ["run", "--config", str(config_file), "--steps", str(last + left)]
+            assert main(argv + ["--out", str(tmp_path / name)]) == 0
+            return capsys.readouterr().err
+
+        short = FORK_STEPS_LEFT - 1
+        assert run("short", short).endswith(
+            f"INFO:drs_sim:only {short} steps are left after the first batch; "
+            "the trajectory is stepped in process\n"
+        )
+        assert forks == []
+        assert "trajectory is stepped in process" not in run("long", FORK_STEPS_LEFT)
+        assert forks == [1]
+        assert_no_child_left()
+        monkeypatch.delattr(os, "fork")
+        run("unforkable", short)
+        steps = [(tmp_path / name / "steps.csv").read_bytes() for name in ("short", "unforkable")]
+        assert steps[0] == steps[1]
+
     def test_one_cpu_of_two_writes_in_process(
         self, config_file, tmp_path, monkeypatch, capsys, forks
     ):
         # As under ``taskset -c 0``: the affinity is counted, not the machine's cores.
-        assert main(["run", "--config", str(config_file), "--out", str(tmp_path / "forked")]) == 0
+        argv = ["run", "--config", str(config_file), "--steps", "3000", "--out"]
+        assert main(argv + [str(tmp_path / "forked")]) == 0
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setenv("DRS_SIM_LOG", "info")
         capsys.readouterr()
-        assert main(["run", "--config", str(config_file), "--out", str(tmp_path / "one")]) == 0
+        assert main(argv + [str(tmp_path / "one")]) == 0
         assert capsys.readouterr().err.endswith(
             "INFO:drs_sim:the process may run on one CPU; the trajectory is stepped in process\n"
         )
@@ -550,16 +582,16 @@ class TestRun:
         assert steps[0] == steps[1]
 
     def test_threaded_caller_writes_in_process(self, config_file, tmp_path, monkeypatch, forks):
-        assert main(["run", "--config", str(config_file), "--out", str(tmp_path / "forked")]) == 0
+        argv = ["run", "--config", str(config_file), "--steps", "3000", "--out"]
+        assert main(argv + [str(tmp_path / "forked")]) == 0
         monkeypatch.setenv("DRS_SIM_LOG", "info")
         release = threading.Event()
         thread = threading.Thread(target=release.wait)
         thread.start()
         stderr = io.StringIO()
-        argv = ["run", "--config", str(config_file), "--out", str(tmp_path / "threaded")]
         try:
             with contextlib.redirect_stderr(stderr):
-                code = main(argv)
+                code = main(argv + [str(tmp_path / "threaded")])
         finally:
             release.set()
             thread.join(timeout=10)
@@ -575,7 +607,8 @@ class TestRun:
     def test_failed_fork_writes_in_process(
         self, config_file, tmp_path, monkeypatch, capsys, cpus
     ):
-        assert main(["run", "--config", str(config_file), "--out", str(tmp_path / "a")]) == 0
+        argv = ["run", "--config", str(config_file), "--steps", "3000", "--out"]
+        assert main(argv + [str(tmp_path / "a")]) == 0
 
         def fork():
             raise OSError("no fork here")
@@ -584,7 +617,7 @@ class TestRun:
         cpus(2)
         monkeypatch.setenv("DRS_SIM_LOG", "warning")
         capsys.readouterr()
-        assert main(["run", "--config", str(config_file), "--out", str(tmp_path / "b")]) == 0
+        assert main(argv + [str(tmp_path / "b")]) == 0
         assert capsys.readouterr().err.splitlines() == [
             "WARNING:drs_sim:cannot fork the trajectory producer: no fork here; "
             "stepping it in process"
