@@ -23,13 +23,12 @@ reduction keeps only their rates and pair ids, one summary per arm: a run
 streams its arm through it (the CLI writes each record's steps.csv row on
 the way), the paired sweep both arms.  No record is kept once consumed.
 ``drs-sim run`` takes its steps from ``trajectory_ahead``, which forks one
-producer to run the trajectory ahead of the yaw loop on another CPU once
-the first batch is stepped, if at least FORK_STEPS_LEFT of the run's steps
-are left to repay the fork; the sweep's workers and library callers step it
-in process.  Wherever it is stepped in process, the trajectory runs a batch
-of STEPS_PER_BATCH served steps before their yaw arms are evaluated:
-alternating the two phases at every step costs about a quarter of a paired
-seed's time.
+producer to run the trajectory ahead of the yaw loop on another CPU before
+the first step, if the run has at least FORK_STEPS steps to repay the fork;
+the sweep's workers and library callers step it in process.  Wherever it
+is stepped in process, the trajectory runs a batch of STEPS_PER_BATCH served
+steps before their yaw arms are evaluated: alternating the two phases at
+every step costs about a quarter of a paired seed's time.
 
 The desired hop is beamformed (the element phases track the served pair),
 so its array factor stays at unit magnitude regardless of yaw; interference
@@ -83,16 +82,15 @@ YAW_TOL = 1e-12  # [rad]
 # process, and by ``trajectory_ahead``'s producer, which sends one batch a frame.
 STEPS_PER_BATCH = 64
 
-# Steps of a run that must be left after the first batch for ``trajectory_ahead``
-# to fork its producer; with fewer, the fork's fixed cost (2.1-3.4 ms to fork
-# and reap a child of a process holding a run's heap) outweighs the work it
-# moves.  Default config forked vs stepped in process, 10 alternated pairs per
-# run length (2-core Xeon, Python 3.11.7): wall +9 % at 600 steps, +5 % at 800,
-# level at 1200 (about 1100 left), -9 % at 2000 (about 1900 left); CPU +16 to
-# +20 % at every length.  24 batches is above that break-even and below the
-# 1854 or more steps the 2000-step golden runs have left, so they still fork;
-# the fallback_scan benchmark (277-335 left) steps in process.
-FORK_STEPS_LEFT = 24 * STEPS_PER_BATCH  # 1536
+# Fewest steps a run needs for ``trajectory_ahead`` to fork its producer; in a
+# shorter run the fork's fixed cost (2.1-3.4 ms to fork and reap a child of a
+# process holding a run's heap) outweighs the work it moves.  Default config
+# forked vs stepped in process, 10 alternated pairs per run length (2-core Xeon,
+# Python 3.11.7): wall +9 % at 600 steps, +5 % at 800, level at 1200, -9 % at
+# 2000; CPU +16 to +20 % at every length.  24 batches is above that break-even
+# and below the 2000-step golden runs, so they fork; the 400-step fallback_scan
+# benchmark steps in process.
+FORK_STEPS = 24 * STEPS_PER_BATCH  # 1536
 
 
 class ConstraintViolation(RuntimeError):
@@ -542,47 +540,41 @@ def _batches(steps: Iterator[tuple]) -> Iterator[list[tuple]]:
 
 
 def trajectory_ahead(config: SimConfig) -> Iterator[tuple]:
-    """``trajectory(config)``, run ahead of its consumer by a forked producer after one batch.
+    """``trajectory(config)``, run ahead of its consumer by a forked producer.
 
-    The first batch of STEPS_PER_BATCH served steps is stepped here.  Then,
-    when at least FORK_STEPS_LEFT of the run's steps are left after it and
-    ``fork_refusal()`` allows, ``fork_child`` forks a producer that
-    continues the same batches and sends them one a frame, while the
-    consumer evaluates the yaw arms of the steps it has; the pipe holds a
-    few batches, so the producer runs at most that far ahead.  Otherwise
-    (logged at info), or when the fork fails (after one warning), the rest
-    is stepped here too, a batch at a time.  Either way the steps are the
-    same.  Closing this generator early, as an error or an interrupt in the
-    consumer does, closes the pipe unread and reaps the producer; a producer
-    that dies raises OSError naming its exit status.
+    Before any step, when the run has at least FORK_STEPS steps and
+    ``fork_refusal()`` allows, ``fork_child`` forks a producer that steps
+    the trajectory's batches of STEPS_PER_BATCH served steps and sends them
+    one a frame, while the consumer evaluates the yaw arms of the steps it
+    has; the pipe holds a few batches, so the producer runs at most that
+    far ahead.  Otherwise (logged at info), or when the fork fails (after
+    one warning), the trajectory is stepped here, a batch at a time, as in
+    ``simulate``.  Either way the steps are the same.  Closing this
+    generator early, as an error or an interrupt in the consumer does,
+    closes the pipe unread and reaps the producer; a producer that dies
+    raises OSError naming its exit status.
     """
-    batches = _batches(trajectory(config))
-    first = next(batches, [])
-    yield from first
-    if len(first) < STEPS_PER_BATCH:
-        return
-    left = config.steps - first[-1][0]
-    if left < FORK_STEPS_LEFT:
-        refusal = f"only {left} steps are left after the first batch"
+    if config.steps < FORK_STEPS:
+        refusal = f"the run has only {config.steps} steps"
     else:
         refusal = fork_refusal()
     if refusal is not None:
         log("info", f"{refusal}; the trajectory is stepped in process")
-        yield from itertools.chain.from_iterable(batches)
-        return
-    try:
-        pid, outbox = fork_child(lambda: batches)
-    except OSError as exc:
-        log("warning", f"cannot fork the trajectory producer: {exc}; stepping it in process")
-        yield from itertools.chain.from_iterable(batches)
-        return
-    try:
-        for batch in read_frames(outbox):
-            yield from batch
-    finally:
-        status = join_child(pid, outbox)
-    if status:
-        raise OSError(f"the trajectory producer exited with status {status}")
+    else:
+        try:
+            pid, outbox = fork_child(lambda: _batches(trajectory(config)))
+        except OSError as exc:
+            log("warning", f"cannot fork the trajectory producer: {exc}; stepping it in process")
+        else:
+            try:
+                for batch in read_frames(outbox):
+                    yield from batch
+            finally:
+                status = join_child(pid, outbox)
+            if status:
+                raise OSError(f"the trajectory producer exited with status {status}")
+            return
+    yield from itertools.chain.from_iterable(_batches(trajectory(config)))
 
 
 def paired_sweep(

@@ -2,7 +2,6 @@ import argparse
 import contextlib
 import csv
 import io
-import itertools
 import json
 import math
 import os
@@ -34,7 +33,7 @@ from drs_sim.channel import RadioConfig, RisConfig
 from drs_sim.config import _KEYS, ConfigError, config_as_dict, load_config, parse_config_text
 from drs_sim import engine
 from drs_sim.engine import (
-    FORK_STEPS_LEFT,
+    FORK_STEPS,
     MODE_OFF,
     STEPS_PER_BATCH,
     SimConfig,
@@ -395,8 +394,8 @@ class TestRun:
     def test_io_error_mid_run_leaves_no_partial_csv(
         self, config_file, tmp_path, monkeypatch, capsys, forks
     ):
-        # The disk fills once the header and 298 rows are written, after the
-        # producer forked at the first full batch; then in process, where
+        # The disk fills once the header and 298 rows are written, with the
+        # producer forked before the first step; then in process, where
         # os.fork is missing.
         fill_disk_at(monkeypatch, "steps.csv", 300)
         for transport in ("forked", "in-process"):
@@ -449,17 +448,17 @@ class TestRun:
         assert_no_child_left()
 
     @pytest.mark.parametrize(
-        "interrupt, nth, forked", [(False, 5, []), (False, 300, [1]), (True, 300, [1])],
+        "interrupt, nth, forked", [(False, 5, [1]), (False, 300, [1]), (True, 300, [1])],
         ids=["teleport-5", "teleport-300", "interrupt-300"],
     )
     def test_failure_after_the_writer_started_writes_nothing(
         self, interrupt, nth, forked, config_file, tmp_path, monkeypatch, capsys, forks
     ):
-        # The producer forks at the first full batch: by served step 5 none
-        # runs yet, and by step 300 it steps the trajectory.  A teleport is
-        # made there, by step_towards; an interrupt hits a function that
-        # evaluates the yaw arm here.  Either way the producer is dropped at
-        # once, not waited for to step the rest.
+        # The producer forks before the first step, so it steps the trajectory
+        # at served step 5 as at 300.  A teleport is made there, by
+        # step_towards; an interrupt hits a function that evaluates the yaw
+        # arm here.  Either way the producer is dropped at once, not waited
+        # for to step the rest.
         served = 0
         step_towards, select_rotation = engine.step_towards, engine.select_rotation
 
@@ -535,34 +534,41 @@ class TestRun:
         assert 0 < len(read_rows(out / "steps.csv")) < STEPS_PER_BATCH
         assert forks == []
 
-    def test_fork_needs_enough_steps_left_after_the_first_batch(
+    def test_fork_needs_a_run_of_fork_steps(
         self, config_file, tmp_path, monkeypatch, capsys, forks
     ):
-        # A run forks its producer only when FORK_STEPS_LEFT or more of its steps are
-        # left after the first batch; one step fewer and it steps them all in process,
-        # as where os.fork is missing.
-        config = load_config(config_file).sim
-        last = list(itertools.islice(engine.trajectory(config), STEPS_PER_BATCH))[-1][0]
+        # A run forks its producer only when it has FORK_STEPS or more steps;
+        # one step fewer and it steps them all in process, as where os.fork is missing.
         monkeypatch.setenv("DRS_SIM_LOG", "info")
 
-        def run(name, left):
-            argv = ["run", "--config", str(config_file), "--steps", str(last + left)]
+        def run(name, steps):
+            argv = ["run", "--config", str(config_file), "--steps", str(steps)]
             assert main(argv + ["--out", str(tmp_path / name)]) == 0
             return capsys.readouterr().err
 
-        short = FORK_STEPS_LEFT - 1
+        short = FORK_STEPS - 1
         assert run("short", short).endswith(
-            f"INFO:drs_sim:only {short} steps are left after the first batch; "
-            "the trajectory is stepped in process\n"
+            f"INFO:drs_sim:the run has only {short} steps; the trajectory is stepped in process\n"
         )
         assert forks == []
-        assert "trajectory is stepped in process" not in run("long", FORK_STEPS_LEFT)
+        assert "trajectory is stepped in process" not in run("long", FORK_STEPS)
         assert forks == [1]
         assert_no_child_left()
         monkeypatch.delattr(os, "fork")
         run("unforkable", short)
         steps = [(tmp_path / name / "steps.csv").read_bytes() for name in ("short", "unforkable")]
         assert steps[0] == steps[1]
+
+    def test_long_run_that_serves_nothing_forks_a_producer_that_sends_nothing(
+        self, config_file, tmp_path, forks
+    ):
+        config_file.write_text(BASE_CONFIG + "scenario.arrival_rate = 0\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(config_file), "--steps", str(FORK_STEPS), "--out", str(out)]
+        assert main(argv) == 0
+        assert (out / "steps.csv").read_bytes() == ",".join(STEPS_CSV_COLUMNS).encode() + b"\r\n"
+        assert forks == [1]
+        assert_no_child_left()
 
     def test_one_cpu_of_two_writes_in_process(
         self, config_file, tmp_path, monkeypatch, capsys, forks
@@ -1255,8 +1261,8 @@ def mostly(good, bad):
 # Command-line inputs for the whole-CLI property.  Flags come before the
 # final --out, which always points into a scratch directory; none asks for
 # more than one worker or more than a few steps, so no sweep worker is
-# forked and every example stays short, too short for a run to fill the batch
-# at which it would fork its trajectory producer.
+# forked and every example stays short, shorter than the FORK_STEPS a run
+# needs to fork its trajectory producer.
 EXTRA_FLAGS = st.sampled_from([
     ["--bogus"], ["--seed", "-1"], ["--seed", "x"], ["--seed", "3"], ["--steps", "0"],
     ["--steps", "x"], ["--steps", "2"], ["--jobs", "0"], ["--jobs", "x"], ["--jobs", "1"],
