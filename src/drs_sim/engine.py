@@ -22,13 +22,12 @@ evaluates control on, then off, in one pass.
 reduction keeps only their rates and pair ids, one summary per arm: a run
 streams its arm through it (the CLI writes each record's steps.csv row on
 the way), the paired sweep both arms.  No record is kept once consumed.
-``drs-sim run`` takes its steps from ``trajectory_ahead``, which forks one
-producer to run the trajectory ahead of the yaw loop on another CPU before
-the first step, if the run has at least FORK_STEPS steps to repay the fork;
-the sweep's workers and library callers step it in process.  Wherever it
-is stepped in process, the trajectory runs a batch of STEPS_PER_BATCH served
-steps before their yaw arms are evaluated: alternating the two phases at
-every step costs about a quarter of a paired seed's time.
+``drs-sim run`` takes its steps from ``trajectory_ahead``, whose docstring
+says when a forked producer runs the trajectory ahead of the yaw loop and
+how it ends; the sweep's workers and library callers step it in process,
+STEPS_PER_BATCH served steps at a time before their yaw arms are evaluated:
+alternating the two phases at every step costs about a quarter of a paired
+seed's time.
 
 The desired hop is beamformed (the element phases track the served pair),
 so its array factor stays at unit magnitude regardless of yaw; interference
@@ -38,6 +37,7 @@ rotating to cancel interference never costs desired-link rate.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import itertools
 import marshal
@@ -63,7 +63,7 @@ from .channel import (
     rate,
     sinr,
 )
-from .geometry import local_azimuth, sight, step_displacement, wrap_angle
+from .geometry import sight, step_displacement, wrap_angle
 from .nullsteer import NullSteerInput, select_rotation
 from .planner import optimal_location, step_towards
 from .rng import SplitMix64
@@ -339,8 +339,8 @@ def run_step(step: tuple, drs: tuple, config: SimConfig, paired: bool = False) -
         else:
             if control:
                 steer = select_rotation(NullSteerInput(  # positional, in field order
-                    theta_i, local_azimuth(bearing_i, yaw),  # interferer
-                    theta_rx, local_azimuth(bearing_rx, yaw),  # receiver
+                    theta_i, wrap_angle(bearing_i - yaw),  # interferer
+                    theta_rx, wrap_angle(bearing_rx - yaw),  # receiver
                     ris, config.scenario.limits.yaw_budget,  # alpha_bound
                     sin_i, sin_rx,
                 ))
@@ -348,7 +348,7 @@ def run_step(step: tuple, drs: tuple, config: SimConfig, paired: bool = False) -
                 # Rotating the surface by alpha shifts local azimuths by
                 # +alpha, which corresponds to a yaw decrease of alpha.
                 yaw = wrap_angle(yaw - alpha)
-            phi_i, phi_rx = local_azimuth(bearing_i, yaw), local_azimuth(bearing_rx, yaw)
+            phi_i, phi_rx = wrap_angle(bearing_i - yaw), wrap_angle(bearing_rx - yaw)
             ux, uy = direction_cosine_sums(sin_i, phi_i, sin_rx, phi_rx)
             psi_value = array_factor(ris, ux, uy)
             pl_interference = path_loss(ris, f_i, f_rx, dist_i, dist_rx, psi_value)
@@ -481,8 +481,28 @@ def fork_refusal() -> str | None:
     return None
 
 
-def fork_child(frames: Callable[[], Iterable[object]]) -> tuple[int, io.BufferedReader]:
-    """Fork a child that sends each of ``frames()`` up a pipe; returns (pid, the pipe's read end).
+class Child(contextlib.AbstractContextManager):
+    """A ``fork_child``: iterating it reads its frames; leaving its ``with`` block reaps it.
+
+    Leaving closes the pipe, read to the end or not (a child still sending
+    exits 1 at its next write), and sets ``status`` to the exit status.
+    """
+
+    def __init__(self, pid: int, outbox: io.BufferedReader) -> None:
+        self.pid, self.outbox, self.status = pid, outbox, None
+
+    def __iter__(self) -> Iterator[object]:
+        return read_frames(self.outbox)
+
+    def __exit__(self, *exc_info) -> None:
+        try:
+            self.outbox.close()
+        finally:
+            self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+
+
+def fork_child(frames: Callable[[], Iterable[object]]) -> Child:
+    """Fork a child that sends each of ``frames()`` up a pipe; returns it as a ``Child``.
 
     A frame goes as its ``marshal.dumps`` blob after the blob's length (8
     bytes, little-endian); ``read_frames`` reads them back.  The child
@@ -507,7 +527,7 @@ def fork_child(frames: Callable[[], Iterable[object]]) -> tuple[int, io.Buffered
         finally:
             os._exit(code)
     os.close(write_fd)
-    return pid, open(read_fd, "rb")
+    return Child(pid, open(read_fd, "rb"))
 
 
 def read_frames(outbox: io.BufferedReader) -> Iterator[object]:
@@ -519,18 +539,6 @@ def read_frames(outbox: io.BufferedReader) -> Iterator[object]:
         if len(blob) < size:
             return
         yield marshal.loads(blob)
-
-
-def join_child(pid: int, outbox: io.BufferedReader) -> int:
-    """Close a ``fork_child``'s pipe, read to the end or not, and reap the child: its exit status.
-
-    A child that is still sending meets a closed pipe at its next write and exits 1.
-    """
-    try:
-        outbox.close()
-    finally:
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    return status
 
 
 def _batches(steps: Iterator[tuple]) -> Iterator[list[tuple]]:
@@ -549,10 +557,11 @@ def trajectory_ahead(config: SimConfig) -> Iterator[tuple]:
     has; the pipe holds a few batches, so the producer runs at most that
     far ahead.  Otherwise (logged at info), or when the fork fails (after
     one warning), the trajectory is stepped here, a batch at a time, as in
-    ``simulate``.  Either way the steps are the same.  Closing this
-    generator early, as an error or an interrupt in the consumer does,
-    closes the pipe unread and reaps the producer; a producer that dies
-    raises OSError naming its exit status.
+    ``simulate``.  Either way the steps are the same.  The producer is held
+    by one ``with``: leaving it, read to the end or not (closing this
+    generator early on an error or interrupt in the consumer leaves it too),
+    closes the pipe and reaps the producer; one that dies raises OSError
+    naming its exit status.
     """
     if config.steps < FORK_STEPS:
         refusal = f"the run has only {config.steps} steps"
@@ -562,17 +571,14 @@ def trajectory_ahead(config: SimConfig) -> Iterator[tuple]:
         log("info", f"{refusal}; the trajectory is stepped in process")
     else:
         try:
-            pid, outbox = fork_child(lambda: _batches(trajectory(config)))
+            producer = fork_child(lambda: _batches(trajectory(config)))
         except OSError as exc:
             log("warning", f"cannot fork the trajectory producer: {exc}; stepping it in process")
         else:
-            try:
-                for batch in read_frames(outbox):
-                    yield from batch
-            finally:
-                status = join_child(pid, outbox)
-            if status:
-                raise OSError(f"the trajectory producer exited with status {status}")
+            with producer:
+                yield from itertools.chain.from_iterable(producer)
+            if producer.status:
+                raise OSError(f"the trajectory producer exited with status {producer.status}")
             return
     yield from itertools.chain.from_iterable(_batches(trajectory(config)))
 
@@ -603,29 +609,26 @@ def paired_sweep(
         refusal = fork_refusal()  # never the CPU count: workers > 1 needs two CPUs
         if refusal is not None:
             problems.append(refusal)
-        children = []  # (worker, fork_child's (pid, outbox))
-        try:
+        with contextlib.ExitStack() as stack:  # reaps every child forked, however it ends
+            children = []
             for w in range(0 if problems else workers):  # no fork once a problem is known
                 try:
-                    children.append((w, fork_child(lambda share=work[w::workers]: (
+                    child = fork_child(lambda share=work[w::workers]: (
                         tuple(map(tuple, _paired_seed(c))) for c in share
-                    ))))
+                    ))
                 except OSError as exc:
                     problems.append(f"cannot fork worker {w}: {exc}")
                     break
-        finally:
-            for w, (pid, outbox) in children:
-                try:
-                    share = [tuple(map(RunSummary._make, r)) for r in read_frames(outbox)]
-                finally:
-                    code = join_child(pid, outbox)
-                if code:
-                    problems.append(f"worker {w} exited with status {code}")
-                elif share:
-                    runs[w::workers] = share
-                    forked += 1
-                else:
-                    problems.append(f"worker {w} sent no results")
+                children.append(stack.enter_context(child))
+            shares = [[tuple(map(RunSummary._make, r)) for r in child] for child in children]
+        for w, (child, share) in enumerate(zip(children, shares)):
+            if child.status:
+                problems.append(f"worker {w} exited with status {child.status}")
+            elif share:
+                runs[w::workers] = share
+                forked += 1
+            else:
+                problems.append(f"worker {w} sent no results")
     missing = [i for i, run in enumerate(runs) if run is None]
     if problems:
         log("warning", f"{'; '.join(problems)}; running {len(missing)} seeds serially")

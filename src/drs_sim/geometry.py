@@ -29,14 +29,14 @@ def wrap_angle(angle: float) -> float:
     return r
 
 
-def sight(surface: tuple, target: tuple) -> tuple[float, float | None, float]:
+def sight(surface: tuple, target: tuple) -> tuple[float, float, float]:
     """Elevation theta, world bearing and distance of the point ``target`` from ``surface``.
 
     theta = atan(d_2d / dh), where d_2d is the horizontal separation and dh
-    the height of the surface above the target.  The bearing is None for a
-    target directly below (theta = 0 there, so the azimuth carries no
-    information).  Raises ValueError unless the surface is strictly above
-    the target.
+    the height of the surface above the target.  The bearing is atan2(dy,
+    dx), 0.0 for a target directly below: theta = 0 there, so the bearing
+    carries no information.  Raises ValueError unless the surface is
+    strictly above the target.
     """
     sx, sy, sz = surface
     tx, ty, tz = target
@@ -46,13 +46,7 @@ def sight(surface: tuple, target: tuple) -> tuple[float, float | None, float]:
     dx = tx - sx
     dy = ty - sy
     d2d = math.hypot(dx, dy)
-    bearing = None if d2d == 0.0 else math.atan2(dy, dx)
-    return math.atan2(d2d, dh), bearing, math.sqrt(dx * dx + dy * dy + dh * dh)
-
-
-def local_azimuth(bearing: float | None, yaw: float) -> float:
-    """Azimuth of a ``sight`` bearing in the frame yawed by ``yaw``; 0 straight below."""
-    return 0.0 if bearing is None else wrap_angle(bearing - yaw)
+    return math.atan2(d2d, dh), math.atan2(dy, dx), math.sqrt(dx * dx + dy * dy + dh * dh)
 
 
 def step_displacement(a: tuple, b: tuple) -> float:

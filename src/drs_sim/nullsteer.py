@@ -236,16 +236,13 @@ def select_rotation(inp: NullSteerInput) -> NullSolution:
     ]
     residuals = [abs(psi_interference(inp, alpha)) for alpha in alphas]
     baseline = residuals[_COARSE_HALF]
-    best_alpha, best_residual = 0.0, baseline
     points = list(zip(alphas, residuals))
     last = len(alphas) - 1
     for i, residual in enumerate(residuals):
         left, right = max(i - 1, 0), min(i + 1, last)
         if residual <= residuals[left] and residual <= residuals[right]:
             points.append(_golden_section_min(inp, alphas[left], alphas[right]))
-    for alpha, residual in points:
-        if residual < best_residual:
-            best_alpha, best_residual = alpha, residual
+    best_alpha, best_residual = min([(0.0, baseline), *points], key=itemgetter(1))
     if baseline - best_residual < 1e-12:
         return NullSolution(0.0, baseline, MODE_NONE)
     return NullSolution(best_alpha, best_residual, MODE_FALLBACK)

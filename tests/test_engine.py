@@ -3,6 +3,7 @@ import marshal
 import math
 import os
 import re
+import signal
 import sys
 import threading
 import tracemalloc
@@ -22,7 +23,6 @@ from drs_sim.engine import (
     aggregate_improvement,
     fork_child,
     fork_refusal,
-    join_child,
     log,
     paired_sweep,
     read_frames,
@@ -34,7 +34,7 @@ from drs_sim.engine import (
     trajectory,
     trajectory_ahead,
 )
-from drs_sim.geometry import local_azimuth, sight, wrap_angle
+from drs_sim.geometry import sight, wrap_angle
 from drs_sim.nullsteer import MODE_ANALYTIC, MODE_FALLBACK, NullSteerInput, psi_interference
 from drs_sim.planner import MotionLimits, WorldBounds, optimal_location, step_towards
 from drs_sim.traffic import ScenarioConfig, TrafficModel
@@ -160,8 +160,8 @@ class TestControlEffect:
             theta_r, bearing_r = hop[5:7]
             before = wrap_angle(record.drs_yaw_rad + record.alpha_rad)
             inp = NullSteerInput(
-                theta_i, local_azimuth(bearing_i, before),
-                theta_r, local_azimuth(bearing_r, before),
+                theta_i, wrap_angle(bearing_i - before),
+                theta_r, wrap_angle(bearing_r - before),
                 ris=config.ris,
                 alpha_bound=budget,
                 sin_i=math.sin(theta_i),
@@ -173,8 +173,8 @@ class TestControlEffect:
             # the rotated pose realizes exactly the factor the controller chose
             yaw = record.drs_yaw_rad
             realized = abs(array_factor(config.ris, *direction_cosine_sums(
-                math.sin(theta_i), local_azimuth(bearing_i, yaw),
-                math.sin(theta_r), local_azimuth(bearing_r, yaw),
+                math.sin(theta_i), wrap_angle(bearing_i - yaw),
+                math.sin(theta_r), wrap_angle(bearing_r - yaw),
             )))
             assert realized == pytest.approx(applied, abs=1e-12)
             checked += 1
@@ -610,6 +610,19 @@ class TestPairedSweep:
             "running 3 seeds serially"
         ]
 
+    def test_bad_frame_from_one_worker_reaps_every_worker(self, monkeypatch, cpus):
+        # Worker 0 sends a frame that is not a pair of summaries; reading it raises,
+        # and no worker may be left unreaped or with its pipe open.
+        fork_child = engine.fork_child
+        bad = [lambda: [[12345]]]
+        monkeypatch.setattr(engine, "fork_child", lambda frames: fork_child(
+            bad.pop() if bad else frames
+        ))
+        cpus(2)
+        with pytest.raises(TypeError):
+            paired_sweep(small_config(steps=50), [1, 2], jobs=2)
+        assert_no_child_left()
+
     def test_threaded_process_does_not_fork(self, monkeypatch, capsys, cpus):
         cpus(2)
         monkeypatch.setenv("DRS_SIM_LOG", "warning")
@@ -675,18 +688,18 @@ class TestPairedSweep:
 class TestForkChild:
     def test_result_comes_back_with_status_0(self):
         frames = [[(1, 2.5, "on"), None], -math.inf, []]
-        pid, outbox = fork_child(lambda: frames)
-        assert list(read_frames(outbox)) == frames
-        assert join_child(pid, outbox) == 0
+        with fork_child(lambda: frames) as child:
+            assert list(child) == frames
+        assert child.status == 0
         assert_no_child_left()
 
     def test_raising_body_exits_1_with_no_blob(self):
         def fails():
             raise ValueError("not sent")
 
-        pid, outbox = fork_child(fails)
-        assert list(read_frames(outbox)) == []
-        assert join_child(pid, outbox) == 1
+        with fork_child(fails) as child:
+            assert list(child) == []
+        assert child.status == 1
         assert_no_child_left()
 
     def test_child_dropped_mid_stream_is_reaped(self):
@@ -695,13 +708,27 @@ class TestForkChild:
             while True:
                 yield list(range(1000))
 
-        pid, outbox = fork_child(endless)
-        assert next(read_frames(outbox)) == list(range(1000))
-        assert join_child(pid, outbox) == 1
+        with fork_child(endless) as child:
+            assert next(iter(child)) == list(range(1000))
+        assert child.status == 1
+        assert child.outbox.closed
         assert_no_child_left()
 
     def test_cut_off_frame_ends_the_frames(self):
-        # A child that dies inside a frame leaves a short blob or length, not read as a frame.
+        # A child killed inside a frame leaves a short blob, not read as a frame.
+        def cut_off():
+            yield "whole"
+            yield "x" * 4_000_000  # more than the pipe holds: the child blocks inside it
+
+        with fork_child(cut_off) as child:
+            frames = iter(child)
+            assert next(frames) == "whole"
+            assert child.outbox.peek(1)  # the second frame has begun
+            os.kill(child.pid, signal.SIGKILL)
+            assert list(frames) == []
+        assert child.status == -signal.SIGKILL
+        assert_no_child_left()
+        # A cut inside the blob, right after the length, or inside the length.
         blobs = [marshal.dumps("whole"), marshal.dumps("x" * 1000)]
         stream = b"".join(len(blob).to_bytes(8, "little") + blob for blob in blobs)
         whole = 8 + len(blobs[0])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from drs_sim.geometry import local_azimuth, sight, step_displacement, wrap_angle
+from drs_sim.geometry import sight, step_displacement, wrap_angle
 
 coords = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
 yaws = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -69,22 +69,23 @@ class TestWrapAngle:
 
 
 # Elevation and yawed azimuth of a node, as the step kernel computes them:
-# sight() from the surface, then local_azimuth() of its bearing.
+# sight() from the surface, then wrap_angle(bearing - yaw).
 class TestAnglesTo:
     def test_directly_below(self):
         theta, bearing, _ = sight((0, 0, 100), (0, 0, 1.5))
         assert theta == 0.0
-        assert local_azimuth(bearing, 0.0) == 0.0
+        assert bearing == 0.0
+        assert wrap_angle(bearing - 0.0) == 0.0
 
     def test_forty_five_degrees(self):
         theta, bearing, _ = sight((0, 0, 100), (98.5, 0, 1.5))
         assert theta == pytest.approx(math.pi / 4, abs=1e-12)
-        assert local_azimuth(bearing, 0.0) == 0.0
+        assert wrap_angle(bearing - 0.0) == 0.0
 
     def test_yaw_subtracts_from_azimuth(self):
         theta, bearing, _ = sight((0, 0, 100), (98.5, 0, 1.5))
         assert theta == pytest.approx(math.pi / 4, abs=1e-12)
-        assert local_azimuth(bearing, math.pi / 2) == pytest.approx(-math.pi / 2, abs=1e-12)
+        assert wrap_angle(bearing - math.pi / 2) == pytest.approx(-math.pi / 2, abs=1e-12)
 
     def test_rejects_target_at_or_above(self):
         surface = (0, 0, 100)
@@ -97,17 +98,16 @@ class TestAnglesTo:
     def test_elevation_in_front_quarter(self, px, py, tx, ty, dh, yaw):
         theta, bearing, _ = sight((px, py, 50.0), (tx, ty, 50.0 - dh))
         assert 0.0 <= theta < math.pi / 2
-        assert -math.pi < local_azimuth(bearing, wrap_angle(yaw)) <= math.pi
+        assert -math.pi < wrap_angle(bearing - wrap_angle(yaw)) <= math.pi
 
     @given(coords, coords, coords, coords, heights, yaws, yaws)
     def test_yaw_changes_only_azimuth(self, px, py, tx, ty, dh, yaw_a, yaw_b):
         # sight() takes no yaw, so the elevation cannot depend on it; the
         # azimuths in the two frames differ by exactly the yaw difference.
         _, bearing, _ = sight((px, py, 50.0), (tx, ty, 50.0 - dh))
-        a = local_azimuth(bearing, wrap_angle(yaw_a))
-        b = local_azimuth(bearing, wrap_angle(yaw_b))
-        if bearing is not None:
-            assert abs(wrap_angle(a - b - (yaw_b - yaw_a))) < 1e-9
+        a = wrap_angle(bearing - wrap_angle(yaw_a))
+        b = wrap_angle(bearing - wrap_angle(yaw_b))
+        assert abs(wrap_angle(a - b - (yaw_b - yaw_a))) < 1e-9
 
     @given(
         st.floats(-math.pi, math.pi, allow_nan=False),
@@ -124,7 +124,7 @@ class TestAnglesTo:
         _, bearing, _ = sight(surface, target)
         expected = wrap_angle(phi0 - yaw)
         # compare as directions to avoid the branch point at +/- pi
-        assert abs(wrap_angle(local_azimuth(bearing, wrap_angle(yaw)) - expected)) < 1e-9
+        assert abs(wrap_angle(wrap_angle(bearing - wrap_angle(yaw)) - expected)) < 1e-9
 
 
 class TestStepDisplacement:

@@ -574,6 +574,20 @@ class TestSelectRotation:
         assume(not candidate_alphas(inp))
         assert_fallback_no_worse_than_grid(inp)
 
+    @pytest.mark.parametrize(
+        "theta_r, phi_r", [(math.asin(0.3125), 0.0), (0.6, 0.4), (0.012, -1.0), (0.0, 0.0)]
+    )
+    def test_interferer_straight_below_ignores_its_bearing(self, theta_r, phi_r):
+        # sin(theta_i) = 0 zeroes the interferer's direction-cosine terms, so the
+        # bearing ``sight`` gives a node straight below (0.0) is as good as any.
+        seen = set()
+        for phi_i in (0.0, 1.0, -2.5, math.pi):
+            inp = make_input(0.0, phi_i, theta_r, phi_r)
+            sol = select_rotation(inp)
+            psi = [abs(psi_interference(inp, a)) for a in (0.0, sol.alpha, BOUND, -BOUND)]
+            seen.add((sol.alpha, sol.residual, sol.mode, *psi))
+        assert len(seen) == 1
+
     def test_rejects_nonpositive_budget(self):
         for bound in (0.0, -1.0, math.nan, math.inf):  # NaN and inf reached the array factor
             with pytest.raises(ValueError, match="alpha_bound must be finite and > 0"):
