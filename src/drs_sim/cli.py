@@ -5,10 +5,8 @@ Subcommands:
   sweep  paired control-on/control-off runs across seeds, write sweep.csv
   plot   render steps.csv files into SVG charts
 
-``run`` takes its steps from ``engine.trajectory_ahead``, whose docstring
-says when a forked producer steps traffic and the drone's path ahead of the
-yaw loop; the yaw loop evaluates each step's arms and writes each arm's
-record as its steps.csv row here.  The bytes are the same either way.
+``run`` takes its steps from ``engine.trajectory_ahead`` and writes each
+arm's record as its steps.csv row here.
 
 Set DRS_SIM_LOG=debug|info|warning|error to control log verbosity.  Messages
 are ``LEVEL:drs_sim:message`` lines written straight to stderr by
@@ -121,10 +119,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     steps_path = out_dir / "steps.csv"
     # steps.csv is complete before summary.json is written, and renamed into
     # place only once summary.json is, so an error before then replaces neither file.
-    # Leaving the block early closes the trajectory's producer, if one was forked,
+    # Leaving the block early kills the trajectory's producer, if one was forked,
     # and reaps it.
-    with _replacing(steps_path) as fh, contextlib.closing(trajectory_ahead(config.sim)) as steps:
-        (summary,) = summarize(config.sim, _write_rows(fh, simulate(config.sim, steps=steps)))
+    with _replacing(steps_path) as fh, contextlib.closing(trajectory_ahead(config.sim)) as batches:
+        (summary,) = summarize(config.sim, _write_rows(fh, simulate(config.sim, batches=batches)))
         write_summary_json(out_dir / "summary.json", summary_as_dict(config, summary))
     if summary.n_records == 0:
         scenario = config.sim.scenario

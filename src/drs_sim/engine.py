@@ -6,15 +6,14 @@ is served, the drone moves one bounded step toward the current optimal
 hover point, and the geometry every yaw arm shares is computed once on
 plain floats: each node's sight and element pattern, and the desired hop's
 path loss.  Neither traffic nor the drone's path reads the yaw, so the
-trajectory yields one tuple of plain numbers per served step and owns no
-pose.  ``run_step`` then evaluates one such step from the current pose, an
-(x, y, z, yaw) tuple: for each yaw arm the surface optionally rotates to
-null the reflected interference, and the arm adds only the yaw-dependent
-interference hop, the SINR and the rate, into one ``StepRecord``, whose
-fields are the steps.csv columns; the kinematic and box constraints are
-verified.  A constraint
-violation raises: it indicates a bug in the controller, not a runtime
-condition.  The arms share one trajectory: a run evaluates its configured
+trajectory yields one tuple of plain numbers per served step, in lists of
+STEPS_PER_BATCH, and owns no pose.  ``run_step`` then evaluates one such
+step from the current pose, an (x, y, z, yaw) tuple: for each yaw arm the
+surface optionally rotates to null the reflected interference, and the arm
+adds only the yaw-dependent interference hop, the SINR and the rate, into
+one ``StepRecord``, whose fields are the steps.csv columns; the kinematic
+and box constraints are verified.  A constraint violation raises: it
+indicates a bug in the controller, not a runtime condition.  The arms share one trajectory: a run evaluates its configured
 arm, and a paired run (``paired=True``, as each seed of the paired sweep)
 evaluates control on, then off, in one pass.
 
@@ -22,12 +21,9 @@ evaluates control on, then off, in one pass.
 reduction keeps only their rates and pair ids, one summary per arm: a run
 streams its arm through it (the CLI writes each record's steps.csv row on
 the way), the paired sweep both arms.  No record is kept once consumed.
-``drs-sim run`` takes its steps from ``trajectory_ahead``, whose docstring
-says when a forked producer runs the trajectory ahead of the yaw loop and
-how it ends; the sweep's workers and library callers step it in process,
-STEPS_PER_BATCH served steps at a time before their yaw arms are evaluated:
-alternating the two phases at every step costs about a quarter of a paired
-seed's time.
+A batch is stepped whole before its yaw arms are evaluated: alternating the
+two phases at every step costs about a quarter of a paired seed's time.
+``drs-sim run`` passes ``simulate`` the batches of ``trajectory_ahead``.
 
 The desired hop is beamformed (the element phases track the served pair),
 so its array factor stays at unit magnitude regardless of yaw; interference
@@ -39,7 +35,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-import itertools
 import marshal
 import math
 import os
@@ -47,7 +42,7 @@ import sys
 import threading
 import time
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .channel import (
     NO_PATH,
@@ -78,8 +73,8 @@ MODE_OFF = "off"
 DISPLACEMENT_TOL = 1e-9  # [m]
 YAW_TOL = 1e-12  # [rad]
 
-# Served steps the trajectory is stepped ahead of the yaw arms at a time: in
-# process, and by ``trajectory_ahead``'s producer, which sends one batch a frame.
+# Served steps per list ``trajectory`` yields: a batch is stepped whole before
+# its yaw arms are evaluated, and ``trajectory_ahead``'s producer sends one a frame.
 STEPS_PER_BATCH = 64
 
 # Fewest steps a run needs for ``trajectory_ahead`` to fork its producer; in a
@@ -257,8 +252,11 @@ def _start_pose(config: SimConfig) -> tuple[float, float, float, float]:
     )
 
 
-def trajectory(config: SimConfig) -> Iterator[tuple]:
-    """The yaw-free part of every served step, in step order: one tuple per served step.
+def trajectory(config: SimConfig) -> Iterator[list[tuple]]:
+    """The yaw-free part of every served step, in step order, as lists of STEPS_PER_BATCH.
+
+    Each list holds one tuple per served step; the last list may be shorter,
+    and a run that serves no step yields none.
 
     A step is (1) traffic ticks its clock, vehicles move and leavers despawn,
     (2) arrivals spawn and a pairing event may start service; on a served
@@ -276,12 +274,13 @@ def trajectory(config: SimConfig) -> Iterator[tuple]:
     interferer's, then the receiver's ``sight`` (elevation, bearing,
     distance), each followed by its elevation's sine and element pattern.
     Every item is an int, a float, None or a tuple of them, so ``marshal``
-    sends a step as it is.
+    sends a batch as it is.
     """
     scenario = config.scenario
     bounds, limits, ris = scenario.bounds, scenario.limits, config.ris
     traffic = TrafficModel(scenario, SplitMix64(scenario.seed))
     position = _start_pose(config)[:3]
+    batch = []
     for _ in range(config.steps):
         traffic.advance()
         traffic.spawn_arrivals()
@@ -306,11 +305,16 @@ def trajectory(config: SimConfig) -> Iterator[tuple]:
                 theta_i, bearing_i, dist_i, math.sin(theta_i), radiation_pattern(theta_i),
                 theta_rx, bearing_rx, dist_rx, math.sin(theta_rx), f_rx,
             )
-        yield (
+        batch.append((
             traffic.step, traffic.clock, pair.id, traffic.step - pair.start_step,
             tx[0], tx[1], rx[0], rx[1], position[0], position[1], position[2],
             pl_desired, db(pl_desired), hop,
-        )
+        ))
+        if len(batch) == STEPS_PER_BATCH:
+            yield batch
+            batch = []
+    if batch:
+        yield batch
 
 
 def run_step(step: tuple, drs: tuple, config: SimConfig, paired: bool = False) -> list[StepRecord]:
@@ -385,22 +389,21 @@ def _mean(values: list[float]) -> float | None:
 
 
 def simulate(
-    config: SimConfig, paired: bool = False, steps: Iterable[tuple] | None = None
+    config: SimConfig, paired: bool = False, batches: Iterable[list[tuple]] | None = None
 ) -> Iterator[list[StepRecord]]:
     """Follow one seed's shared trajectory, yielding every served step's records, one per arm.
 
     The arms are the configured one, or on then off when ``paired``.  The
-    steps are ``trajectory(config)``'s, stepped here a batch at a time
-    unless the caller passes them (``drs-sim run`` passes
-    ``trajectory_ahead(config)``).
+    steps come from ``batches``, which defaults to ``trajectory(config)``
+    stepped here (``drs-sim run`` passes ``trajectory_ahead(config)``); each
+    batch is stepped whole before its steps' arms are evaluated.
     """
     drs = _start_pose(config)
-    if steps is None:
-        steps = itertools.chain.from_iterable(_batches(trajectory(config)))
-    for step in steps:
-        records = run_step(step, drs, config, paired)
-        drs = records[0][8:12]
-        yield records
+    for batch in trajectory(config) if batches is None else batches:
+        for step in batch:
+            records = run_step(step, drs, config, paired)
+            drs = records[0][8:12]
+            yield records
 
 
 def summarize(
@@ -484,29 +487,44 @@ def fork_refusal() -> str | None:
 class Child(contextlib.AbstractContextManager):
     """A ``fork_child``: iterating it reads its frames; leaving its ``with`` block reaps it.
 
-    Leaving closes the pipe, read to the end or not (a child still sending
-    exits 1 at its next write), and sets ``status`` to the exit status.
+    The frames end at the end of the pipe or at a frame cut off inside its
+    length or blob.  Leaving the block closes the pipe, read to the end or
+    not (a child still sending exits 1 at its next write), and sets
+    ``status`` to the exit status.  Leaving it on an exception first kills
+    the child, so it is not waited for; nobody reads that status.
     """
 
     def __init__(self, pid: int, outbox: io.BufferedReader) -> None:
         self.pid, self.outbox, self.status = pid, outbox, None
 
     def __iter__(self) -> Iterator[object]:
-        return read_frames(self.outbox)
+        read = self.outbox.read
+        while len(head := read(8)) == 8:
+            size = int.from_bytes(head, "little")
+            blob = read(size)
+            if len(blob) < size:
+                return
+            yield marshal.loads(blob)
 
-    def __exit__(self, *exc_info) -> None:
+    def __exit__(self, exc_type, *_) -> None:
         try:
+            if exc_type is not None:
+                import signal  # here only: imported at module level, it slows every start-up
+
+                os.kill(self.pid, signal.SIGKILL)
             self.outbox.close()
         finally:
             self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
 
 
-def fork_child(frames: Callable[[], Iterable[object]]) -> Child:
-    """Fork a child that sends each of ``frames()`` up a pipe; returns it as a ``Child``.
+def fork_child(frames: Iterable[object]) -> Child:
+    """Fork a child that sends each item of ``frames`` up a pipe; returns it as a ``Child``.
 
-    A frame goes as its ``marshal.dumps`` blob after the blob's length (8
-    bytes, little-endian); ``read_frames`` reads them back.  The child
-    leaves through ``os._exit``: status 0 only once every frame is written.
+    Only the child iterates ``frames``, so a generator made here runs in the
+    child alone.  A frame goes as its ``marshal.dumps`` blob after the blob's
+    length (8 bytes, little-endian); iterating the ``Child`` reads them back.
+    The child leaves through ``os._exit``: status 0 only once every frame is
+    written.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -520,7 +538,7 @@ def fork_child(frames: Callable[[], Iterable[object]]) -> Child:
         try:
             os.close(read_fd)
             with open(write_fd, "wb") as outbox:
-                for frame in frames():
+                for frame in frames:
                     blob = marshal.dumps(frame)
                     outbox.write(len(blob).to_bytes(8, "little") + blob)
             code = 0
@@ -530,38 +548,19 @@ def fork_child(frames: Callable[[], Iterable[object]]) -> Child:
     return Child(pid, open(read_fd, "rb"))
 
 
-def read_frames(outbox: io.BufferedReader) -> Iterator[object]:
-    """The frames a ``fork_child`` sent, in order, up to the end of the pipe or a cut-off frame."""
-    read = outbox.read
-    while len(head := read(8)) == 8:
-        size = int.from_bytes(head, "little")
-        blob = read(size)
-        if len(blob) < size:
-            return
-        yield marshal.loads(blob)
-
-
-def _batches(steps: Iterator[tuple]) -> Iterator[list[tuple]]:
-    """The rest of ``steps`` as lists of STEPS_PER_BATCH (the last one shorter)."""
-    while batch := list(itertools.islice(steps, STEPS_PER_BATCH)):
-        yield batch
-
-
-def trajectory_ahead(config: SimConfig) -> Iterator[tuple]:
-    """``trajectory(config)``, run ahead of its consumer by a forked producer.
+def trajectory_ahead(config: SimConfig) -> Iterator[list[tuple]]:
+    """``trajectory(config)``'s batches, run ahead of their consumer by a forked producer.
 
     Before any step, when the run has at least FORK_STEPS steps and
-    ``fork_refusal()`` allows, ``fork_child`` forks a producer that steps
-    the trajectory's batches of STEPS_PER_BATCH served steps and sends them
-    one a frame, while the consumer evaluates the yaw arms of the steps it
-    has; the pipe holds a few batches, so the producer runs at most that
-    far ahead.  Otherwise (logged at info), or when the fork fails (after
-    one warning), the trajectory is stepped here, a batch at a time, as in
-    ``simulate``.  Either way the steps are the same.  The producer is held
-    by one ``with``: leaving it, read to the end or not (closing this
-    generator early on an error or interrupt in the consumer leaves it too),
-    closes the pipe and reaps the producer; one that dies raises OSError
-    naming its exit status.
+    ``fork_refusal()`` allows, ``fork_child`` forks a producer that sends
+    each batch as one frame, while the consumer evaluates the yaw arms of
+    the batches it has; the pipe holds a few batches, so the producer runs
+    at most that far ahead.  Otherwise (logged at info), or when the fork
+    fails (after one warning), the trajectory is stepped here.  Either way
+    the batches are the same.  The producer is held by one ``with``: read
+    to the end, it is reaped, and one that died raises OSError naming its
+    exit status; closing this generator early, on an error or interrupt in
+    the consumer, kills and reaps it.
     """
     if config.steps < FORK_STEPS:
         refusal = f"the run has only {config.steps} steps"
@@ -571,16 +570,16 @@ def trajectory_ahead(config: SimConfig) -> Iterator[tuple]:
         log("info", f"{refusal}; the trajectory is stepped in process")
     else:
         try:
-            producer = fork_child(lambda: _batches(trajectory(config)))
+            producer = fork_child(trajectory(config))
         except OSError as exc:
             log("warning", f"cannot fork the trajectory producer: {exc}; stepping it in process")
         else:
             with producer:
-                yield from itertools.chain.from_iterable(producer)
+                yield from producer
             if producer.status:
                 raise OSError(f"the trajectory producer exited with status {producer.status}")
             return
-    yield from itertools.chain.from_iterable(_batches(trajectory(config)))
+    yield from trajectory(config)
 
 
 def paired_sweep(
@@ -613,9 +612,9 @@ def paired_sweep(
             children = []
             for w in range(0 if problems else workers):  # no fork once a problem is known
                 try:
-                    child = fork_child(lambda share=work[w::workers]: (
-                        tuple(map(tuple, _paired_seed(c))) for c in share
-                    ))
+                    child = fork_child(
+                        tuple(map(tuple, _paired_seed(c))) for c in work[w::workers]
+                    )
                 except OSError as exc:
                     problems.append(f"cannot fork worker {w}: {exc}")
                     break

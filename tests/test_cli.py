@@ -121,11 +121,11 @@ def counting_sent_steps(monkeypatch, path):
 
     def counted(frames):
         def counted_frames():
-            for batch in frames():
+            for batch in frames:
                 os.write(fd, b"." * len(batch))
                 yield batch
 
-        return fork_child(counted_frames)
+        return fork_child(counted_frames())
 
     monkeypatch.setattr("drs_sim.engine.fork_child", counted)
     try:
@@ -432,10 +432,11 @@ class TestRun:
             if signal_number is not None:
                 os.kill(os.getpid(), signal_number)
             raise ValueError("not an OSError")
+            yield  # a generator: its body runs in the child only
 
         # fork_child's frames run only in the forked child, the producer of a run
         fork_child = engine.fork_child
-        monkeypatch.setattr("drs_sim.engine.fork_child", lambda frames: fork_child(dies))
+        monkeypatch.setattr("drs_sim.engine.fork_child", lambda frames: fork_child(dies()))
         out = tmp_path / "out"
         code = main(["run", "--config", str(config_file), "--steps", "3000", "--out", str(out)])
         assert code == 2

@@ -6,6 +6,7 @@ import re
 import signal
 import sys
 import threading
+import time
 import tracemalloc
 
 import pytest
@@ -17,6 +18,7 @@ from drs_sim.engine import (
     ConstraintViolation,
     MODE_OFF,
     STEPS_PER_BATCH,
+    Child,
     RunSummary,
     SimConfig,
     _check_constraints,
@@ -25,7 +27,6 @@ from drs_sim.engine import (
     fork_refusal,
     log,
     paired_sweep,
-    read_frames,
     replace,
     run_simulation,
     run_step,
@@ -52,6 +53,11 @@ def records_of(config, seed):
     return [r for r, in simulate(replace(config, scenario=replace(config.scenario, seed=seed)))]
 
 
+def steps_of(config):
+    """The trajectory's served steps, its batches joined."""
+    return [step for batch in trajectory(config) for step in batch]
+
+
 def start_pose(config):
     """The pose ``simulate`` starts from, as (x, y, z, yaw): the centre of the box's floor, yaw 0."""
     b = config.scenario.bounds
@@ -76,7 +82,7 @@ def measured_turn(yaw_a, yaw_b):
 
 class TestRunStep:
     def test_no_pair_no_record(self, monkeypatch):
-        # Every step still ticks the clock; none is served, so none is yielded.
+        # Every step still ticks the clock; none is served, so no batch is yielded.
         ticks = []
         advance = TrafficModel.advance
 
@@ -95,7 +101,7 @@ class TestRunStep:
         config = small_config(steps=2000)
         scenario = config.scenario
         start = start_pose(config)
-        step = next(trajectory(config))
+        step = next(trajectory(config))[0]
         (record,) = run_step(step, start, config)
         assert record.step > 1  # the road starts empty: unserved steps came first
         assert record[:8] == step[:8]
@@ -108,16 +114,18 @@ class TestRunStep:
 
     @pytest.mark.parametrize("interferer", ["rsu", "vehicle", "none"])
     def test_trajectory_steps_go_through_marshal_as_they_are(self, interferer):
-        # trajectory_ahead's producer pipes the steps with marshal, with no adapter.
+        # trajectory_ahead's producer pipes the batches with marshal, with no adapter.
         def types(value):
             return tuple(map(types, value)) if type(value) is tuple else type(value)
 
         config = small_config(steps=2000, scenario=ScenarioConfig(interferer_kind=interferer))
-        steps = list(trajectory(config))
-        assert steps
-        back = marshal.loads(marshal.dumps(steps))
-        assert back == steps
-        assert [types(step) for step in back] == [types(step) for step in steps]
+        batches = list(trajectory(config))
+        assert batches
+        back = [marshal.loads(marshal.dumps(batch)) for batch in batches]
+        assert back == batches
+        assert [types(step) for batch in back for step in batch] == [
+            types(step) for batch in batches for step in batch
+        ]
 
     def test_cycle_index_starts_at_zero_per_pair(self):
         first_seen = {}
@@ -151,7 +159,7 @@ class TestControlEffect:
         budget = config.scenario.limits.yaw_budget
         checked = 0
         seeded = replace(config, scenario=replace(config.scenario, seed=4))
-        for step, record in zip(trajectory(seeded), records_of(config, 4), strict=True):
+        for step, record in zip(steps_of(seeded), records_of(config, 4), strict=True):
             if record.null_mode not in (MODE_ANALYTIC, MODE_FALLBACK):
                 continue
             theta_i, bearing_i, _ = sight(pose_of(record)[:3], rsu)
@@ -389,23 +397,34 @@ class TestLog:
 def counted_trajectory(monkeypatch):
     """Wrap ``engine.trajectory``; returns a one-item list holding the steps it has yielded."""
     yielded = [0]
-    steps_of = engine.trajectory
+    batches_of = engine.trajectory
 
     def counted(config):
-        for step in steps_of(config):
-            yielded[0] += 1
-            yield step
+        for batch in batches_of(config):
+            yielded[0] += len(batch)
+            yield batch
 
     monkeypatch.setattr(engine, "trajectory", counted)
     return yielded
 
 
 class TestBatching:
+    def test_trajectory_yields_full_batches_but_the_last(self):
+        config = small_config(steps=1000)
+        batches = list(trajectory(config))
+        assert len(batches) > 2
+        assert [len(batch) for batch in batches[:-1]] == [STEPS_PER_BATCH] * (len(batches) - 1)
+        assert 0 < len(batches[-1]) <= STEPS_PER_BATCH
+        with fork_child(trajectory(config)) as child:
+            assert list(child) == batches
+        assert child.status == 0
+        assert_no_child_left()
+
     # 1000 steps serve more than two batches, 50 fewer than one.
     @pytest.mark.parametrize("steps", [1000, 50])
     def test_simulate_steps_the_trajectory_a_batch_ahead(self, steps, monkeypatch):
         config = small_config(steps=steps)
-        served = len(list(trajectory(config)))
+        served = len(steps_of(config))
         assert served > 2 * STEPS_PER_BATCH if steps == 1000 else 0 < served < STEPS_PER_BATCH
         yielded = counted_trajectory(monkeypatch)
         for i, _ in enumerate(simulate(config, paired=True)):
@@ -416,19 +435,19 @@ class TestBatching:
         cpus(1)
         config = small_config(steps=1000)
         expected = list(trajectory(config))
-        assert len(expected) > 2 * STEPS_PER_BATCH
+        assert len(expected) > 2
         yielded = counted_trajectory(monkeypatch)
-        steps = []
-        for i, step in enumerate(trajectory_ahead(config)):
-            assert yielded[0] == min(len(expected), (i // STEPS_PER_BATCH + 1) * STEPS_PER_BATCH)
-            steps.append(step)
-        assert steps == expected
+        batches = []
+        for i, batch in enumerate(trajectory_ahead(config)):
+            assert yielded[0] == i * STEPS_PER_BATCH + len(batch)
+            batches.append(batch)
+        assert batches == expected
 
     @pytest.mark.parametrize("paired", [False, True])
     def test_records_are_run_step_over_the_listed_trajectory(self, paired):
         config = small_config(steps=1000)
         drs, expected = start_pose(config), []
-        for step in list(trajectory(config)):
+        for step in steps_of(config):
             records = run_step(step, drs, config, paired)
             drs = pose_of(records[0])
             expected.append(records)
@@ -599,7 +618,7 @@ class TestPairedSweep:
     def test_worker_that_sends_nothing_is_rerun(self, monkeypatch, capsys, cpus):
         # Each worker is forked with no frames to send: it exits 0 having sent nothing.
         fork_child = engine.fork_child
-        monkeypatch.setattr(engine, "fork_child", lambda frames: fork_child(lambda: ()))
+        monkeypatch.setattr(engine, "fork_child", lambda frames: fork_child(()))
         cpus(2)
         monkeypatch.setenv("DRS_SIM_LOG", "warning")
         config = small_config(steps=100)
@@ -614,13 +633,32 @@ class TestPairedSweep:
         # Worker 0 sends a frame that is not a pair of summaries; reading it raises,
         # and no worker may be left unreaped or with its pipe open.
         fork_child = engine.fork_child
-        bad = [lambda: [[12345]]]
+        bad = [[[12345]]]
         monkeypatch.setattr(engine, "fork_child", lambda frames: fork_child(
             bad.pop() if bad else frames
         ))
         cpus(2)
         with pytest.raises(TypeError):
             paired_sweep(small_config(steps=50), [1, 2], jobs=2)
+        assert_no_child_left()
+
+    def test_bad_frame_does_not_wait_out_the_other_workers(self, monkeypatch, cpus):
+        # Worker 0 sends a bad frame while worker 1 sleeps 30 s before it sends:
+        # the error kills worker 1 rather than waiting for it.
+        def late(frames):
+            time.sleep(30)
+            yield from frames
+
+        fork_child = engine.fork_child
+        bad = [[[12345]]]
+        monkeypatch.setattr(engine, "fork_child", lambda frames: fork_child(
+            bad.pop() if bad else late(frames)
+        ))
+        cpus(2)
+        start = time.monotonic()
+        with pytest.raises(TypeError):
+            paired_sweep(small_config(steps=50), [1, 2], jobs=2)
+        assert time.monotonic() - start < 10
         assert_no_child_left()
 
     def test_threaded_process_does_not_fork(self, monkeypatch, capsys, cpus):
@@ -688,7 +726,7 @@ class TestPairedSweep:
 class TestForkChild:
     def test_result_comes_back_with_status_0(self):
         frames = [[(1, 2.5, "on"), None], -math.inf, []]
-        with fork_child(lambda: frames) as child:
+        with fork_child(frames) as child:
             assert list(child) == frames
         assert child.status == 0
         assert_no_child_left()
@@ -696,8 +734,9 @@ class TestForkChild:
     def test_raising_body_exits_1_with_no_blob(self):
         def fails():
             raise ValueError("not sent")
+            yield  # a generator: its body runs in the child only
 
-        with fork_child(fails) as child:
+        with fork_child(fails()) as child:
             assert list(child) == []
         assert child.status == 1
         assert_no_child_left()
@@ -708,9 +747,23 @@ class TestForkChild:
             while True:
                 yield list(range(1000))
 
-        with fork_child(endless) as child:
+        with fork_child(endless()) as child:
             assert next(iter(child)) == list(range(1000))
         assert child.status == 1
+        assert child.outbox.closed
+        assert_no_child_left()
+
+    def test_leaving_on_an_exception_kills_the_child(self):
+        # The child would send forever; it is killed, not left to meet the closed pipe.
+        def endless():
+            while True:
+                yield list(range(1000))
+
+        with pytest.raises(RuntimeError, match="the consumer failed"):
+            with fork_child(endless()) as child:
+                assert next(iter(child)) == list(range(1000))
+                raise RuntimeError("the consumer failed")
+        assert child.status == -signal.SIGKILL
         assert child.outbox.closed
         assert_no_child_left()
 
@@ -720,7 +773,7 @@ class TestForkChild:
             yield "whole"
             yield "x" * 4_000_000  # more than the pipe holds: the child blocks inside it
 
-        with fork_child(cut_off) as child:
+        with fork_child(cut_off()) as child:
             frames = iter(child)
             assert next(frames) == "whole"
             assert child.outbox.peek(1)  # the second frame has begun
@@ -733,7 +786,7 @@ class TestForkChild:
         stream = b"".join(len(blob).to_bytes(8, "little") + blob for blob in blobs)
         whole = 8 + len(blobs[0])
         for cut in (len(stream) - 1, whole + 8, whole + 3):
-            assert list(read_frames(io.BytesIO(stream[:cut]))) == ["whole"]
+            assert list(Child(0, io.BytesIO(stream[:cut]))) == ["whole"]
 
 
 def assert_no_child_left():
