@@ -16,9 +16,7 @@ import sys
 # perfectly nulled array factor).  Propagates through sinr() as zero power.
 NO_PATH = math.inf
 
-SINR_FORM_STANDARD = "standard"
-SINR_FORM_PAPER_LITERAL = "paper-literal"
-SINR_FORMS = (SINR_FORM_STANDARD, SINR_FORM_PAPER_LITERAL)
+LN2 = math.log(2.0)
 
 # Arguments closer than this to a multiple of pi take the analytic limit of
 # the Dirichlet ratio; direct evaluation is accurate well outside it.
@@ -182,38 +180,28 @@ def fraunhofer_distance(ris: RisConfig) -> float:
     return 2.0 * diagonal * diagonal / ris.wavelength
 
 
-def sinr(
-    radio: RadioConfig,
-    pl_desired: float,
-    pl_interference: float,
-    form: str = SINR_FORM_STANDARD,
-) -> float:
+def sinr(radio: RadioConfig, pl_desired: float, pl_interference: float) -> float:
     """Signal-to-interference-plus-noise ratio at the served receiver.
 
-    ``standard`` treats P_t / PL as received signal power over noise plus
-    received interference power:
+    P_t / PL is received signal power, over noise plus received interference
+    power:
 
         (P_t / PL) / (sigma_N^2 + P_t / PL_I)
 
-    ``paper-literal`` evaluates the alternative algebraic form
-
-        P_t / (PL * sigma_N^2 + P_t / PL_I)
-
-    Both decrease in PL and increase in PL_I; pass NO_PATH for an absent
+    It decreases in PL and increases in PL_I; pass NO_PATH for an absent
     interferer (its power contribution becomes zero).
     """
     if pl_desired <= 0.0 or pl_interference <= 0.0:
         raise ValueError("path losses must be > 0")
-    interference_power = radio.tx_power / pl_interference
-    if form == SINR_FORM_STANDARD:
-        return (radio.tx_power / pl_desired) / (radio.noise_power + interference_power)
-    if form == SINR_FORM_PAPER_LITERAL:
-        return radio.tx_power / (pl_desired * radio.noise_power + interference_power)
-    raise ValueError(f"unknown sinr form: {form!r}")
+    return (radio.tx_power / pl_desired) / (radio.noise_power + radio.tx_power / pl_interference)
 
 
 def rate(radio: RadioConfig, sinr_value: float) -> float:
-    """Achievable rate in bit/s: efficiency * bandwidth * log2(1 + SINR)."""
+    """Achievable rate in bit/s: efficiency * bandwidth * log2(1 + SINR).
+
+    Evaluated as log1p(SINR) / ln 2, which keeps an SINR far below 1e-16
+    instead of rounding 1 + SINR to 1 and the rate to 0.
+    """
     if sinr_value < 0.0:
         raise ValueError("sinr must be >= 0")
-    return radio.efficiency * radio.eff_bandwidth * math.log2(1.0 + sinr_value)
+    return radio.efficiency * radio.eff_bandwidth * math.log1p(sinr_value) / LN2

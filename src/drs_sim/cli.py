@@ -281,7 +281,6 @@ CONFIG_FLAGS = {  # flag: (key, help)
     "--seed": ("scenario.seed", "override the scenario seed"),
     "--steps": ("run.steps", "override the number of steps"),
     "--orientation-control": ("run.orientation_control", "yaw control: on or off"),
-    "--sinr-form": ("run.sinr_form", "SINR evaluation form: standard or paper-literal"),
     "--out": ("run.output_dir", "output directory (default from config)"),
 }
 

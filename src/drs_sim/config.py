@@ -15,7 +15,7 @@ from collections.abc import Callable, Iterable, Iterator
 from itertools import chain
 from pathlib import Path
 
-from .channel import RadioConfig, RisConfig, SINR_FORMS
+from .channel import RadioConfig, RisConfig
 from .engine import SimConfig
 from .planner import MotionLimits, WorldBounds
 from .traffic import INTERFERER_KINDS, ScenarioConfig
@@ -92,7 +92,10 @@ _KEYS: dict[str, tuple[Callable[[str], object], tuple[str, ...]]] = {
     "radio.eff_bandwidth": (float, ("radio", "eff_bandwidth")),
     "run.steps": (int, ("run", "steps")),
     "run.orientation_control": (_parse_bool, ("run", "orientation_control")),
-    "run.sinr_form": (_parse_choice(SINR_FORMS), ("run", "sinr_form")),
+    # "standard" is the one SINR form, and SimConfig refuses any other value; the
+    # key stays only because the benchmark's pinned configs set it and its
+    # summary.json check requires the echo to hold exactly those keys.
+    "run.sinr_form": (str, ("run", "sinr_form")),
     "run.output_dir": (_parse_directory, ("output", "output_dir")),
 }
 

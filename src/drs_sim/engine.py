@@ -46,8 +46,6 @@ from collections.abc import Iterable, Iterator
 
 from .channel import (
     NO_PATH,
-    SINR_FORMS,
-    SINR_FORM_STANDARD,
     RadioConfig,
     RisConfig,
     array_factor,
@@ -143,16 +141,14 @@ class SimConfig:
         ris: RisConfig = RisConfig(),
         steps: int = 10000,
         orientation_control: bool = True,
-        sinr_form: str = SINR_FORM_STANDARD,
+        sinr_form: str = "standard",
     ) -> None:
         self.scenario, self.radio, self.ris = scenario, radio, ris
         self.steps, self.orientation_control, self.sinr_form = steps, orientation_control, sinr_form
         if self.steps < 1:
             raise ValueError("run.steps must be >= 1")
-        if self.sinr_form not in SINR_FORMS:
-            raise ValueError(
-                f"run.sinr_form must be one of {SINR_FORMS}, got {self.sinr_form!r}"
-            )
+        if self.sinr_form != "standard":
+            raise ValueError(f"run.sinr_form must be 'standard', got {self.sinr_form!r}")
         # The link budget is the far-field model: every node the surface sees must be
         # at least the Fraunhofer distance (> 0) below it, so the surface is above them all.
         top, node = ANTENNA_HEIGHT_MAX, "the highest vehicle antenna"
@@ -343,8 +339,8 @@ def run_step(step: tuple, drs: tuple, config: SimConfig, paired: bool = False) -
         else:
             if control:
                 steer = select_rotation(NullSteerInput(  # positional, in field order
-                    theta_i, wrap_angle(bearing_i - yaw),  # interferer
-                    theta_rx, wrap_angle(bearing_rx - yaw),  # receiver
+                    theta_i, bearing_i - yaw,  # interferer
+                    theta_rx, bearing_rx - yaw,  # receiver
                     ris, config.scenario.limits.yaw_budget,  # alpha_bound
                     sin_i, sin_rx,
                 ))
@@ -357,7 +353,7 @@ def run_step(step: tuple, drs: tuple, config: SimConfig, paired: bool = False) -
             psi_value = array_factor(ris, ux, uy)
             pl_interference = path_loss(ris, f_i, f_rx, dist_i, dist_rx, psi_value)
 
-        sinr_value = sinr(radio, pl_desired, pl_interference, config.sinr_form)
+        sinr_value = sinr(radio, pl_desired, pl_interference)
         records.append(StepRecord._make((  # in field order
             step_index, time_s, pair_id, cycle_index, tx_x, tx_y, rx_x, rx_y, x, y, z,
             yaw,  # drs_yaw_rad
@@ -593,8 +589,8 @@ def paired_sweep(
     may run on) worker processes when that is more than one (jobs None adds no cap of its
     own): worker w, a ``fork_child``, runs seeds[w::workers] and sends each
     seed's summaries as one frame of plain tuples.  A share whose worker cannot be
-    forked, fails or sends nothing runs serially here after one warning; the
-    simulation is deterministic, so an error a worker hit is raised again.
+    forked or fails runs serially here after one warning; the simulation is
+    deterministic, so an error a worker hit is raised again.
     Results keep the input seed order.  Raises ValueError when jobs < 1.
     """
     if jobs is not None and jobs < 1:
@@ -623,11 +619,9 @@ def paired_sweep(
         for w, (child, share) in enumerate(zip(children, shares)):
             if child.status:
                 problems.append(f"worker {w} exited with status {child.status}")
-            elif share:
+            else:
                 runs[w::workers] = share
                 forked += 1
-            else:
-                problems.append(f"worker {w} sent no results")
     missing = [i for i, run in enumerate(runs) if run is None]
     if problems:
         log("warning", f"{'; '.join(problems)}; running {len(missing)} seeds serially")

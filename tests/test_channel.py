@@ -9,8 +9,6 @@ from drs_sim.channel import (
     NO_PATH,
     RadioConfig,
     RisConfig,
-    SINR_FORM_PAPER_LITERAL,
-    SINR_FORM_STANDARD,
     array_factor,
     direction_cosine_sums,
     fraunhofer_distance,
@@ -238,31 +236,21 @@ class TestSinr:
         assert value == pytest.approx(0.2 / (1e10 * 1e-13), rel=1e-12)
         assert value == pytest.approx(200.0, rel=1e-12)
 
-    def test_paper_literal_form(self):
-        value = sinr(self.RADIO, 1e10, NO_PATH, SINR_FORM_PAPER_LITERAL)
-        assert value == pytest.approx(0.2 / (1e10 * 1e-13), rel=1e-12)
-        with_interference = sinr(self.RADIO, 1e10, 1e12, SINR_FORM_PAPER_LITERAL)
-        assert with_interference == pytest.approx(
-            0.2 / (1e10 * 1e-13 + 0.2 / 1e12), rel=1e-12
-        )
+    def test_with_interference(self):
+        value = sinr(self.RADIO, 1e10, 1e12)
+        assert value == pytest.approx((0.2 / 1e10) / (1e-13 + 0.2 / 1e12), rel=1e-12)
 
-    @pytest.mark.parametrize("form", [SINR_FORM_STANDARD, SINR_FORM_PAPER_LITERAL])
-    def test_halving_interference_path_loss_hurts(self, form):
-        strong = sinr(self.RADIO, 1e10, 5e11, form)
-        weak = sinr(self.RADIO, 1e10, 1e12, form)
+    def test_halving_interference_path_loss_hurts(self):
+        strong = sinr(self.RADIO, 1e10, 5e11)
+        weak = sinr(self.RADIO, 1e10, 1e12)
         assert strong < weak
 
-    @pytest.mark.parametrize("form", [SINR_FORM_STANDARD, SINR_FORM_PAPER_LITERAL])
-    def test_monotonically_decreasing_in_path_loss(self, form):
-        assert sinr(self.RADIO, 2e10, 1e12, form) < sinr(self.RADIO, 1e10, 1e12, form)
+    def test_monotonically_decreasing_in_path_loss(self):
+        assert sinr(self.RADIO, 2e10, 1e12) < sinr(self.RADIO, 1e10, 1e12)
 
     def test_blocked_desired_link_gives_zero(self):
         assert sinr(self.RADIO, NO_PATH, 1e12) == 0.0
-        assert sinr(self.RADIO, NO_PATH, NO_PATH, SINR_FORM_PAPER_LITERAL) == 0.0
-
-    def test_rejects_unknown_form(self):
-        with pytest.raises(ValueError):
-            sinr(self.RADIO, 1e10, 1e10, "other")
+        assert sinr(self.RADIO, NO_PATH, NO_PATH) == 0.0
 
 
 class TestRate:
@@ -276,6 +264,13 @@ class TestRate:
         assert rate(RadioConfig(efficiency=0.8, eff_bandwidth=1e7), 3.0) == pytest.approx(
             1.6e7, rel=1e-12
         )
+
+    def test_tiny_sinr_keeps_its_rate(self):
+        # log2(1.0 + 1e-20) would round 1 + SINR to 1 and the rate to 0; for
+        # SINR << 1 the rate is linear in it.
+        radio = RadioConfig(efficiency=0.8, eff_bandwidth=1e7)
+        expected = 0.8 * 1e7 * 1e-20 / math.log(2.0)
+        assert rate(radio, 1e-20) == pytest.approx(expected, rel=1e-15)
 
     @given(st.floats(0.0, 1e6, allow_nan=False), st.floats(1.0, 1e6, allow_nan=False))
     def test_monotonic(self, low, bump):

@@ -239,10 +239,11 @@ class TestRun:
                 "ris.gain_tx",
                 id="overflow-ris.gain_tx",
             ),
-            # lanes so far apart that the closest pair they allow gets rate 0:
-            # its path loss overflows to inf, or is finite but too large
+            # lanes so far apart that the closest pair they allow gets no rate:
+            # its path loss overflows to inf
             _bad_input("bounds.x_max = 1e200", "bounds.x_max"),
-            _bad_input("bounds.x_max = 1e5", "bounds.x_max"),
+            # standard is the only SINR form
+            _bad_input("run.sinr_form = paper-literal", "run.sinr_form"),
             _bad_input("scenario.seed = -1", "scenario.seed"),
             _bad_input(f"scenario.seed = {2**64}", "scenario.seed"),
             # an empty output directory would put the files in the working directory
@@ -270,11 +271,12 @@ class TestRun:
         assert not out.exists()
         assert not any(cwd.iterdir())
 
-    # The lane check must let through a tiny best-case rate (about 1.3e-8 bit/s
-    # at unit noise power) and every shipped config.
+    # The lane check must let through a tiny best-case rate (about 1.4e-8 bit/s
+    # at unit noise power, about 1e-14 bit/s for lanes 100 km apart) and every
+    # shipped config.
     @pytest.mark.parametrize(
         "source",
-        ["radio.noise_power = 1.0"] + sorted(
+        ["radio.noise_power = 1.0", "bounds.x_max = 1e5"] + sorted(
             str(path.relative_to(ROOT))
             for path in [*ROOT.glob("configs/*.cfg"), *ROOT.glob("perfbench/configs/*.cfg")]
         ),
@@ -312,12 +314,12 @@ class TestRun:
         out = tmp_path / "out"
         assert main([
             "run", "--config", str(config_file), "--seed", "9", "--steps", "20",
-            "--orientation-control", "off", "--sinr-form", "paper-literal", "--out", str(out),
+            "--orientation-control", "off", "--out", str(out),
         ]) == 0
         assert len(built) == 1
         config = json.loads((out / "summary.json").read_text())["config"]
         assert (config["scenario.seed"], config["run.steps"]) == (9, 20)
-        assert (config["run.orientation_control"], config["run.sinr_form"]) == (False, "paper-literal")
+        assert config["run.orientation_control"] is False
         assert config["run.output_dir"] == str(out)
 
     @pytest.mark.parametrize("command, config_flags, own_flags", [
@@ -350,7 +352,6 @@ class TestRun:
 
     @pytest.mark.parametrize("flag, value, key", [
         ("--steps", "abc", "run.steps"), ("--seed", "1.5", "scenario.seed"),
-        ("--sinr-form", "nope", "run.sinr_form"),
         ("--orientation-control", "maybe", "run.orientation_control"),
     ])
     def test_bad_flag_value_names_flag_and_key(self, flag, value, key, config_file, tmp_path, capsys):
@@ -358,6 +359,15 @@ class TestRun:
         assert main(["run", "--config", str(config_file), flag, value, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag}: bad value for {key}: ")
+        assert not out.exists()
+
+    def test_sinr_form_flag_is_a_usage_error(self, config_file, tmp_path, capsys):
+        # standard is the only SINR form, so no flag selects one
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(config_file), "--sinr-form", "standard", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: drs-sim: unrecognized arguments: --sinr-form standard")
         assert not out.exists()
 
     def test_out_is_taken_verbatim(self, config_file, tmp_path):
@@ -1236,7 +1246,7 @@ CONFIG_DRAFTS = {
     "radio.efficiency": st.floats(0.0, 1.0),
     "radio.eff_bandwidth": _log_floats(3.0, 9.0),
     "run.orientation_control": st.sampled_from(["on", "off"]),
-    "run.sinr_form": st.sampled_from(["standard", "paper-literal"]),
+    "run.sinr_form": st.just("standard"),
 }
 
 
@@ -1268,8 +1278,7 @@ EXTRA_FLAGS = st.sampled_from([
     ["--bogus"], ["--seed", "-1"], ["--seed", "x"], ["--seed", "3"], ["--steps", "0"],
     ["--steps", "x"], ["--steps", "2"], ["--jobs", "0"], ["--jobs", "x"], ["--jobs", "1"],
     ["--seeds", "2,2"], ["--seeds", "x"], ["--seeds", "1,"], ["--orientation-control", "maybe"],
-    ["--orientation-control", "off"], ["--sinr-form", "nope"], ["--sinr-form", "paper-literal"],
-    ["--config"],
+    ["--orientation-control", "off"], ["--config"],
 ])
 JUNK_TOKENS = st.text(alphabet="abc,.=_ 019", min_size=1, max_size=6).map(lambda t: [t])
 EXTRAS = mostly(st.just([]), st.lists(st.one_of(EXTRA_FLAGS, JUNK_TOKENS), min_size=1, max_size=2))

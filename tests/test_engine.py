@@ -615,20 +615,6 @@ class TestPairedSweep:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_worker_that_sends_nothing_is_rerun(self, monkeypatch, capsys, cpus):
-        # Each worker is forked with no frames to send: it exits 0 having sent nothing.
-        fork_child = engine.fork_child
-        monkeypatch.setattr(engine, "fork_child", lambda frames: fork_child(()))
-        cpus(2)
-        monkeypatch.setenv("DRS_SIM_LOG", "warning")
-        config = small_config(steps=100)
-        runs = paired_sweep(config, [3, 4, 5], jobs=2)
-        assert runs == paired_sweep(config, [3, 4, 5], jobs=1)
-        assert capsys.readouterr().err.splitlines() == [
-            "WARNING:drs_sim:worker 0 sent no results; worker 1 sent no results; "
-            "running 3 seeds serially"
-        ]
-
     def test_bad_frame_from_one_worker_reaps_every_worker(self, monkeypatch, cpus):
         # Worker 0 sends a frame that is not a pair of summaries; reading it raises,
         # and no worker may be left unreaped or with its pipe open.

@@ -16,9 +16,9 @@ from drs_sim.cli import main
 
 GOLDEN = [
     # (scenario.interferer, seed, sha256 of steps.csv); all other keys default
-    ("rsu", 1, "ef0bdd4553fbd3ea9595c276fc0b5f0260d78dfac8853dc95f35823094bbf72e"),
-    ("rsu", 2, "893b09e63cf2d3d44558616f7c9471dfd9232e3c343a3577e37679237a2a2fd2"),
-    ("vehicle", 1, "ec0b8330cd613672d271dbdf2599cee9708e81b56774916574610f3cb992c520"),
+    ("rsu", 1, "58b26ed818200deae00e520c33d078d8c4ff585216732ea678a8aa5d460a3e04"),
+    ("rsu", 2, "93d6cf2c4b78b7867389388dd19d9efed7c70ffdf921645f4864f316a0be7de8"),
+    ("vehicle", 1, "f2b3077465b30d0d3ab2b2b57f6426bd4b44a8725962eeb2af0504c6d45205b7"),
 ]
 
 
@@ -51,11 +51,11 @@ def steps_csv_digests(args, tmp_path, forks, monkeypatch):
 GOLDEN_CONFIGS = [
     (
         "run.orientation_control = off\n",
-        "f408873d906efa1d489baf4124205afe6d4dd9a31d21264efc7425debde68b76",
+        "0017ae0a0e4c6d88fe066f1cbf6bdcd0a793360425ef962de8b588b4028f6a90",
     ),
     (
         "limits.rot_rate = 0.002\nscenario.v2v_rate = 3.0\n",
-        "cae986eb22bafc99e94a9eec25e3cf1bfa341ffeae052a59518d0fcb8db863ea",
+        "aa1791d8dae7a167728e850f814eb2339d25e148f76f4507e946e0101f2b2177",
     ),
 ]
 
@@ -71,7 +71,7 @@ def test_steps_csv_hash_of_config(lines, digest, tmp_path, forks, monkeypatch):
 
 
 # sha256 of sweep.csv from ``drs-sim sweep --seeds 1,2 --steps 2000 --jobs 1``
-SWEEP_GOLDEN = "2e434c8686068059f4774252c47fb328b074f96afc1db8a6e02729aee76f67de"
+SWEEP_GOLDEN = "15973fe69d03971c3156b7286577104dca2941efb78ef6d1c65c4c4e2fc44897"
 
 
 # The serial sweep and two forked workers must write the same bytes.
@@ -86,7 +86,7 @@ def test_sweep_csv_hash(jobs, tmp_path):
 # sha256 of summary.json from ``drs-sim run --seed 1 --steps 2000 --out out``
 # on the default config, run from a fixed directory so the echoed
 # run.output_dir is the relative "out".
-SUMMARY_GOLDEN = "79d07a2fabf3398bcba9ef3d0391a1e3e75a0182f10e5b0dafa93e21f1c75ecc"
+SUMMARY_GOLDEN = "2c32d203d2e469de1a193cbf715956142dfd9b57672e151868b56e07c21bd607"
 
 
 def test_summary_json_hash(tmp_path, monkeypatch):
@@ -100,7 +100,7 @@ def test_summary_json_hash(tmp_path, monkeypatch):
 # ``drs-sim run --seed 1 --steps 2000`` with control on and with control off.
 PLOT_GOLDEN = {
     "rate_vs_cycle.svg": "b52b7cada493ce2dedf47c5f7edfef6de776d63e0e9f6f878798b031d63c3e73",
-    "mean_rate.svg": "d7e6a276788a48505987f501c425538a38c2517ce5c1f19ff6e8c616da59e2b2",
+    "mean_rate.svg": "c260fe9a5da19465041d0d8c7bfcbc6ab78c34bf7520bd77569a0e0e06cb615a",
 }
 
 
